@@ -59,6 +59,7 @@ from .winding import (
     WindingError,
     WindingResult,
     make_loop,
+    wind_loops,
     winding_additivity_check,
     winding_number,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "symmetry_residuals",
     "census_type",
     "trace_ep_ring",
+    "wind_loops",
     "winding_additivity_check",
     "winding_number",
     "wrap_angle",

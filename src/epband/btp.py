@@ -182,7 +182,7 @@ def locate_btps(params: ModelParams) -> list[Btp]:
             else:
                 locs, kind = _generic_locations(c), NORMAL_EP
             btps.extend(Btp(Momentum(x, y), s, kind) for x, y in locs)
-    return _dedup_btps(_sorted_btps(btps))
+    return _sorted_btps(btps)
 
 
 def _dedup_btps(btps, tol: float = 1e-4):

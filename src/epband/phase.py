@@ -18,7 +18,7 @@ import numpy as np
 
 from .bloch import ModelParams
 from .btp import Btp, branch_level, classify_btp, locate_btps
-from .winding import make_loop, winding_number
+from .winding import WindingError, make_loop, wind_loops
 
 __all__ = [
     "ConfigurationSignature",
@@ -116,12 +116,23 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
     boundary = abs(params.gamma) < _BOUNDARY_TOL or any(
         _near_any(branch_level(params, s), (-1.0, 0.0, 1.0), _BOUNDARY_TOL) for s in (1, -1)
     )
-    done = []
+    loops, failure = [], None
     for b in btps:
-        loop = make_loop(b.k, params, btps, samples=samples)
-        wi = winding_number(params, loop, "F").value
-        wii = winding_number(params, loop, "E").value
+        try:
+            loops.append(make_loop(b.k, params, btps, samples=samples))
+        except (ValueError, WindingError) as exc:
+            failure = exc  # raised once the touchings before it are wound and classified
+            break
+    done = []
+    # Per touching, errors surface in the order F winding, E winding, classification.
+    for b, windings in zip(btps, wind_loops(params, loops)):
+        for outcome in windings:
+            if isinstance(outcome, WindingError):
+                raise outcome
+        wi, wii = (w.value for w in windings)
         done.append(replace(b, w_i=wi, w_ii=wii, kind=classify_btp(params, b, wi)))
+    if failure is not None:
+        raise failure
     counts = {0.0: 0, 0.5: 0, 1.0: 0}
     for b in done:
         counts[abs(b.w_i)] += 1

@@ -7,7 +7,8 @@ sample by sample, the candidate eigenvector with the larger overlap
 magnitude against the previous one; encircling an exceptional point swaps
 the branch after one turn and the winding lands on a half-odd value.
 Results are snapped to the nearest half-integer and the snap residual is
-reported.
+reported.  :func:`wind_loops` winds many loops and both kinds in one pass
+over a (loops, samples) array; :func:`winding_number` is its one-loop case.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "NonQuantizedLoopError",
     "make_loop",
     "winding_number",
+    "wind_loops",
     "winding_additivity_check",
 ]
 
@@ -133,77 +135,172 @@ class WindingResult:
         }
 
 
-class _RefineNeeded(Exception):
-    def __init__(self, raw_angle: float):
-        self.raw_angle = raw_angle
-
-
 def _candidate_vectors(bx, by, e_signed):
-    """Normalized right eigenvectors for one sign of E along the whole loop."""
+    """Normalized right eigenvectors for one sign of E at every sample."""
     v1 = np.stack([bx.astype(complex), e_signed - by], axis=-1)
     v2 = np.stack([e_signed + by, bx.astype(complex)], axis=-1)
     n1 = np.linalg.norm(v1, axis=-1)
     n2 = np.linalg.norm(v2, axis=-1)
-    v = np.where((n1 >= n2)[:, None], v1, v2)
-    return v / np.linalg.norm(v, axis=-1)[:, None]
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+    return v / np.linalg.norm(v, axis=-1)[..., None]
 
 
-def _attempt(params: ModelParams, loop: Loop, m: int, field_kind: str, start_branch: str):
+def _overlap(u, v):
+    """|<u_n|v_n+1>| between consecutive samples of every loop."""
+    a, b = u[:, :-1].conj(), v[:, 1:]
+    return np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+
+
+def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared):
+    """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays.
+
+    A loop whose ``shared`` entry is set already failed or needs refining
+    for every kind and keeps that outcome.
+    """
+    collapsed = np.min(np.hypot(fx, fy), axis=1) < _FIELD_FLOOR
+    d = wrap_angle(np.diff(np.arctan2(fy, fx), axis=1))
+    raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
+    coarse = np.max(np.abs(d), axis=1) > 0.5 * np.pi
+    outcomes = []
+    for i, loop in enumerate(loops):
+        if shared[i] is not None:
+            outcomes.append(shared[i])
+            continue
+        if collapsed[i]:
+            outcomes.append(LoopThroughDefectError(f"{kind} field magnitude collapses on the loop"))
+            continue
+        raw = raws[i]
+        value = round(2.0 * raw) / 2.0
+        residual = abs(raw - value)
+        if coarse[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
+            outcomes.append(raw)
+            continue
+        outcomes.append(
+            WindingResult(
+                value=value,
+                raw_angle=raw,
+                residual=residual,
+                field_kind=kind,
+                branch_swapped=swapped[i],
+                center=loop.center,
+                radius=loop.radius,
+                samples=m,
+            )
+        )
+    return outcomes
+
+
+def _attempt(params: ModelParams, loops, m: int, kinds, start_branch: str):
+    """One tracked pass at ``m`` samples over all loops, fused across kinds.
+
+    Returns one tuple per loop with one outcome per kind: a WindingResult,
+    the WindingError the loop hit, or a float, the raw angle of a pass that
+    needs more samples (nan when the branch tracking was ambiguous).
+    """
     theta = 2.0 * np.pi * np.arange(m) / m
-    kx = loop.center.kx + loop.radius * np.cos(theta)
-    ky = loop.center.ky + loop.radius * np.sin(theta)
-    kx = np.append(kx, kx[0])  # close the loop on the same matrix
-    ky = np.append(ky, ky[0])
+    radius = np.array([[loop.radius] for loop in loops])
+    kx = np.array([[loop.center.kx] for loop in loops]) + radius * np.cos(theta)
+    ky = np.array([[loop.center.ky] for loop in loops]) + radius * np.sin(theta)
+    kx = np.concatenate([kx, kx[:, :1]], axis=1)  # close each loop on the same matrix
+    ky = np.concatenate([ky, ky[:, :1]], axis=1)
     bx, by = bloch_field_grid(params, kx, ky)
-    if np.min(np.hypot(np.abs(bx), np.abs(by))) < 1e-12:
-        raise LoopThroughDefectError("h(k) vanishes on the loop")
-    w = bx * bx + by * by
-    e = principal_sqrt(w)
-    if np.min(np.abs(e)) < _FIELD_FLOOR:
-        raise LoopThroughDefectError("eigenvalue collapses on the loop")
+    # A loop through a defect gets 0/0 in its own rows only; its outcome is
+    # the defect error, whatever those rows hold.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = principal_sqrt(bx * bx + by * by)
+        plus = _candidate_vectors(bx, by, e)
+        minus = _candidate_vectors(bx, by, -e)
+        o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
+        o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
+        flip_from_plus = o_pm > o_pp
+        ambiguous = np.any(flip_from_plus != (o_mp > o_mm), axis=1)
+        parity = np.cumsum(flip_from_plus, axis=1) % 2
+        parity = np.concatenate([np.zeros((len(loops), 1), parity.dtype), parity], axis=1)
+        on_plus = parity == 0 if start_branch == "plus" else parity == 1
+        margins = np.where(on_plus[:, :-1], np.abs(o_pp - o_pm), np.abs(o_mm - o_mp))
+        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
+        e_min = np.min(np.abs(e), axis=1)
+        margin_min = np.min(margins, axis=1)
 
-    psi = np.stack(
-        [_candidate_vectors(bx, by, e), _candidate_vectors(bx, by, -e)], axis=1
-    )  # (n, sign, component)
-    overlap = np.abs(np.einsum("nac,nbc->nab", psi[:-1].conj(), psi[1:]))
-    flip_from_plus = overlap[:, 0, 1] > overlap[:, 0, 0]
-    flip_from_minus = overlap[:, 1, 0] > overlap[:, 1, 1]
-    if np.any(flip_from_plus != flip_from_minus):
-        raise _RefineNeeded(float("nan"))  # ambiguous tracking, resolve by refining
+        shared = []
+        for i in range(len(loops)):
+            if h_min[i] < 1e-12:
+                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
+            elif e_min[i] < _FIELD_FLOOR:
+                shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
+            elif ambiguous[i]:
+                shared.append(math.nan)  # ambiguous tracking, resolve by refining
+            elif margin_min[i] < _TIE_TOL:
+                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
+            else:
+                shared.append(None)
+        swapped = (on_plus[:, -1] != on_plus[:, 0]).tolist()
+        per_kind = []
+        for kind in kinds:
+            if kind == "F":
+                a = np.where(on_plus, plus[..., 0], minus[..., 0])
+                b = np.where(on_plus, plus[..., 1], minus[..., 1])
+                cross = a.conj() * b
+                fx, fy = 2.0 * cross.real, np.abs(a) ** 2 - np.abs(b) ** 2
+            else:
+                e_tr = np.where(on_plus, e, -e)
+                fx, fy = e_tr.real, e_tr.imag
+            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
+    return list(zip(*per_kind))
 
-    parity = np.concatenate([[0], np.cumsum(flip_from_plus.astype(int)) % 2])
-    s_idx = parity if start_branch == "plus" else 1 - parity
-    margins = np.where(
-        s_idx[:-1] == 0,
-        np.abs(overlap[:, 0, 0] - overlap[:, 0, 1]),
-        np.abs(overlap[:, 1, 1] - overlap[:, 1, 0]),
+
+def _refine(params: ModelParams, loop: Loop, kind: str, start_branch: str, outcome):
+    """Double this loop's samples, on its own, until ``outcome`` settles."""
+    m = loop.samples
+    raw = math.nan
+    while isinstance(outcome, float):
+        if not math.isnan(outcome):
+            raw = outcome
+        if m >= MAX_SAMPLES:
+            return NonQuantizedLoopError(raw)
+        m *= 2
+        ((outcome,),) = _attempt(params, [loop], m, (kind,), start_branch)
+    return outcome
+
+
+def wind_loops(params: ModelParams, loops, kinds=("F", "E"), start_branch: str = "plus"):
+    """Windings of every loop for each field kind, from one fused pass.
+
+    The field, the candidate eigenvectors and the branch tracking are
+    evaluated once on a (loops, samples + 1) array and shared by all kinds.
+    Only that first pass is batched: a loop and kind that need more samples
+    double them on their own, up to 2^16, as in :func:`winding_number`.
+
+    Returns an iterator that yields, per loop and in order, a tuple with one
+    outcome per kind: the :class:`WindingResult`, or the
+    :class:`WindingError` that loop and kind ran into.  Refinement runs as
+    the iterator reaches each loop, so a caller that stops at the first
+    error does not refine the loops after it.
+    """
+    for kind in kinds:
+        if kind not in ("F", "E"):
+            raise ValueError(f"field_kind must be 'F' or 'E', got {kind!r}")
+    if start_branch not in ("plus", "minus"):
+        raise ValueError(f"start_branch must be 'plus' or 'minus', got {start_branch!r}")
+    loops = list(loops)
+    if not loops:
+        return iter(())
+    if len({loop.samples for loop in loops}) > 1:
+        raise ValueError("loops wound together must share a sample count")
+    first = _attempt(params, loops, loops[0].samples, kinds, start_branch)
+    return (
+        tuple(
+            _refine(params, loop, kind, start_branch, outcome)
+            for kind, outcome in zip(kinds, outcomes)
+        )
+        for loop, outcomes in zip(loops, first)
     )
-    if np.min(margins) < _TIE_TOL:
-        raise DegenerateTrackingError("eigenbranch overlaps tied on the loop")
 
-    if field_kind == "F":
-        tracked = psi[np.arange(len(s_idx)), s_idx]
-        a, b = tracked[:, 0], tracked[:, 1]
-        cross = a.conj() * b
-        fx = 2.0 * cross.real
-        fy = np.abs(a) ** 2 - np.abs(b) ** 2
-    else:
-        e_tr = np.where(s_idx == 0, e, -e)
-        fx = e_tr.real
-        fy = e_tr.imag
-    if np.min(np.hypot(fx, fy)) < _FIELD_FLOOR:
-        raise LoopThroughDefectError(f"{field_kind} field magnitude collapses on the loop")
 
-    d = wrap_angle(np.diff(np.arctan2(fy, fx)))
-    raw = float(np.sum(d) / (2.0 * np.pi))
-    if np.max(np.abs(d)) > 0.5 * np.pi:
-        raise _RefineNeeded(raw)
-    value = round(2.0 * raw) / 2.0
-    residual = abs(raw - value)
-    swapped = bool(s_idx[-1] != s_idx[0])
-    if residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped:
-        raise _RefineNeeded(raw)
-    return value, raw, residual, swapped, m
+def _settled(outcome) -> WindingResult:
+    if isinstance(outcome, WindingError):
+        raise outcome
+    return outcome
 
 
 def winding_number(
@@ -224,34 +321,8 @@ def winding_number(
     exceeds pi/2; if the total still fails to quantize, the raw angle is
     reported in a :class:`NonQuantizedLoopError`.
     """
-    if field_kind not in ("F", "E"):
-        raise ValueError(f"field_kind must be 'F' or 'E', got {field_kind!r}")
-    if start_branch not in ("plus", "minus"):
-        raise ValueError(f"start_branch must be 'plus' or 'minus', got {start_branch!r}")
-    m = loop.samples
-    raw = float("nan")
-    while True:
-        try:
-            value, raw, residual, swapped, m_used = _attempt(
-                params, loop, m, field_kind, start_branch
-            )
-        except _RefineNeeded as r:
-            if not math.isnan(r.raw_angle):
-                raw = r.raw_angle
-            if m < MAX_SAMPLES:
-                m *= 2
-                continue
-            raise NonQuantizedLoopError(raw) from None
-        return WindingResult(
-            value=value,
-            raw_angle=raw,
-            residual=residual,
-            field_kind=field_kind,
-            branch_swapped=swapped,
-            center=loop.center,
-            radius=loop.radius,
-            samples=m_used,
-        )
+    ((outcome,),) = wind_loops(params, [loop], (field_kind,), start_branch)
+    return _settled(outcome)
 
 
 def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
@@ -267,11 +338,20 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
             raise ValueError(f"band touching at {b.k.xy} sits on the loop path")
         if d < big_loop.radius:
             enclosed.append(b)
-    for kind in ("F", "E"):
-        total = winding_number(params, big_loop, kind).value
-        parts = sum(
-            winding_number(params, make_loop(b.k, params, btps), kind).value for b in enclosed
-        )
-        if abs(total - parts) > 1e-9:
+    loops, failure = [], None
+    for b in enclosed:
+        try:
+            loops.append(make_loop(b.k, params, btps))
+        except (ValueError, WindingError) as exc:
+            failure = exc  # raised during the F comparison, after the parts before it
+            break
+    totals = next(wind_loops(params, [big_loop]))
+    parts = list(wind_loops(params, loops))
+    for i in range(2):  # F, then E
+        total = _settled(totals[i]).value
+        part_sum = sum(_settled(p[i]).value for p in parts)
+        if failure is not None:
+            raise failure
+        if abs(total - part_sum) > 1e-9:
             return False
     return True

@@ -77,6 +77,16 @@ def test_locate_sixteen_points():
     assert _kinds(btps) == {NORMAL_EP: 16}
 
 
+@pytest.mark.parametrize("gamma", [1e-5, 3e-5])
+def test_locate_keeps_close_partner_eps(gamma):
+    # each of the eight Dirac points of gamma = 0 splits into two EPs about
+    # gamma apart; all sixteen are distinct touchings
+    btps = locate_btps(ModelParams(1.0, -1.0, 0.5, gamma))
+    assert len(btps) == 16
+    assert len(_positions(btps)) == 16
+    assert _kinds(btps) == {NORMAL_EP: 16}
+
+
 def test_locate_merged_dirac_points():
     btps = locate_btps(ModelParams(1.0, 0.0, 0.5, 0.0))
     assert len(btps) == 4

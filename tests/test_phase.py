@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import epband.phase
 from epband import (
     ModelParams,
     RingRegimeError,
+    WindingError,
+    classify_btp,
     detect_boundaries,
     locate_btps,
+    make_loop,
     scan_phase_diagram,
     signature,
     census_type,
+    winding_number,
 )
 from epband.phase import candidate_line_distance
 
@@ -94,6 +99,65 @@ def test_signature_gapped_empty():
     assert sig.n_btps == 0
     assert _counts(sig) == (0, 0, 0)
     assert census_type(sig) is None
+
+
+# ---------------------------------------------------------------- failures
+
+
+def _first_sequential_error(params):
+    """The error of treating each touching in turn: loop, F, E, then kind."""
+    btps = locate_btps(params)
+    try:
+        for b in btps:
+            loop = make_loop(b.k, params, btps)
+            wi = winding_number(params, loop, "F").value
+            winding_number(params, loop, "E")
+            classify_btp(params, b, wi)
+    except (ValueError, WindingError) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(1.0, -2.0 + 2e-4, T05, 0.0),  # Dirac windings alias to +-1/2
+        ModelParams(1.0, -1.0, T05, 1e-5),  # partner EPs 1e-5 apart
+    ],
+)
+def test_signature_raises_first_sequential_error(params):
+    expected = _first_sequential_error(params)
+    assert expected is not None
+    with pytest.raises(type(expected)) as info:
+        signature(params)
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("failing, message", [(0, "planted"), (2, "half-integer winding")])
+def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, message):
+    # Every touching here fails its classification; a loop that cannot be
+    # built for touching ``failing`` must only win when it comes first.
+    params = ModelParams(1.0, -2.0 + 2e-4, T05, 0.0)
+    btps = locate_btps(params)
+    real = epband.phase.make_loop
+
+    def make_loop_failing(center, *args, **kwargs):
+        if center == btps[failing].k:
+            raise ValueError("planted")
+        return real(center, *args, **kwargs)
+
+    monkeypatch.setattr(epband.phase, "make_loop", make_loop_failing)
+    with pytest.raises(ValueError, match=message):
+        signature(params)
+
+
+@pytest.mark.parametrize("gamma", [1e-5, 3e-5])
+def test_signature_reports_unseparated_partner_eps(gamma):
+    # the partner EPs of each split Dirac point sit about gamma apart: no
+    # loop separates them, and the census must say so instead of merging them
+    with pytest.raises(ValueError, match="too close to separate"):
+        signature(ModelParams(1.0, -1.0, T05, gamma))
 
 
 def test_key_stable_within_open_region():
