@@ -2,7 +2,7 @@
 
 The package is organized around a closed-form 2x2 Bloch problem:
 
-- :mod:`epband.bloch`      momentum-space field, eigensystem, symmetry checks
+- :mod:`epband.bloch`      momentum-space field, eigenvector kernel, symmetry checks
 - :mod:`epband.lattice`    finite real-space Hamiltonian and its block check
 - :mod:`epband.btp`        locating and classifying band-touching points
 - :mod:`epband.winding`    the two half-integer loop invariants
@@ -12,15 +12,8 @@ The package is organized around a closed-form 2x2 Bloch problem:
 """
 
 from .bloch import (
-    BlochField,
-    EigenSystem,
     ModelParams,
     Momentum,
-    Observables,
-    bloch_field,
-    bloch_matrix,
-    eigensystem,
-    observables,
     principal_sqrt,
     spectral_reality,
     symmetry_residuals,
@@ -67,10 +60,8 @@ from .winding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochField",
     "Btp",
     "ConfigurationSignature",
-    "EigenSystem",
     "EpRing",
     "LatticeSize",
     "Loop",
@@ -78,25 +69,20 @@ __all__ = [
     "ModelParams",
     "Momentum",
     "NonQuantizedLoopError",
-    "Observables",
     "RingRegimeError",
     "WindingError",
     "WindingResult",
-    "bloch_field",
-    "bloch_matrix",
     "block_check",
     "branch_level",
     "build_momentum_basis",
     "build_realspace",
     "classify_btp",
     "detect_boundaries",
-    "eigensystem",
     "expected_dispersion",
     "fit_power_law",
     "locate_btps",
     "make_loop",
     "min_gap",
-    "observables",
     "principal_sqrt",
     "refine_btps_numeric",
     "sample_dispersion",

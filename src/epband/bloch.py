@@ -23,33 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "ModelParams",
     "Momentum",
-    "BlochField",
-    "EigenSystem",
-    "Observables",
     "SYMMETRY_RELATIONS",
     "wrap_angle",
     "torus_distance",
     "principal_sqrt",
-    "bloch_field",
     "bloch_field_grid",
-    "bloch_matrix",
-    "eigensystem",
-    "observables",
+    "right_eigvec",
     "observables_grid",
     "symmetry_residuals",
-    "chiral_residual",
     "spectral_reality",
 ]
-
-# Pauli matrices in the (A, B) sublattice basis.
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def wrap_angle(k):
@@ -118,27 +103,6 @@ class Momentum:
         return (self.kx, self.ky)
 
 
-@dataclass(frozen=True)
-class BlochField:
-    """The pair (Bx, By) defining h(k); By carries the constant gain/loss part."""
-
-    bx: float
-    by_re: float
-    by_im: float
-
-    @property
-    def by(self) -> complex:
-        return complex(self.by_re, self.by_im)
-
-
-def bloch_field(params: ModelParams, k: Momentum) -> BlochField:
-    """Evaluate Bx and By at a single momentum."""
-    cx = math.cos(k.kx)
-    cy = math.cos(k.ky)
-    bx = 2.0 * params.J * (cx + cy) + params.T
-    return BlochField(bx=bx, by_re=4.0 * params.t * cx * cy, by_im=params.gamma)
-
-
 def bloch_field_grid(params: ModelParams, kx, ky):
     """Vectorized (Bx, By) on arrays of momenta. By is complex."""
     cx = np.cos(kx)
@@ -148,132 +112,32 @@ def bloch_field_grid(params: ModelParams, kx, ky):
     return bx, by
 
 
-def bloch_matrix(field: BlochField) -> np.ndarray:
-    """Assemble the 2x2 Bloch matrix [[By, Bx], [Bx, -By]]."""
-    by = field.by
-    bx = complex(field.bx)
-    return np.array([[by, bx], [bx, -by]], dtype=complex)
+def right_eigvec(bx, by, e):
+    """Right eigenvector of h = [[By, Bx], [Bx, -By]] for eigenvalue ``e``, unnormalized.
 
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Right eigenpairs of a Bloch matrix.
-
-    ``defective`` marks an exceptional point: both eigenvalues vanish while h
-    itself does not, and a single Jordan eigenvector is returned for both
-    branches.  ``degenerate`` marks the h = 0 case (a Dirac-type degeneracy)
-    where any basis diagonalizes; the canonical basis vectors are returned.
+    (Bx, e - By) and (e + By, Bx) both span the kernel of h - e; the one with
+    the larger norm is returned, so the Bx = 0 and By = 0 corners are both
+    safe.  At an exceptional point both collapse onto the Jordan vector; at
+    h = 0 the result is the zero vector.  bx, by and e share one shape; the
+    result has that shape + (2,).
     """
-
-    e_plus: complex
-    e_minus: complex
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-    defective: bool
-    degenerate: bool = False
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _right_eigvec(bx: complex, by: complex, e: complex) -> np.ndarray:
-    # Two algebraically equivalent kernel representatives; pick the better
-    # conditioned one so Bx = 0 and By = 0 corners are both safe.
-    v1 = np.array([bx, e - by], dtype=complex)
-    v2 = np.array([e + by, bx], dtype=complex)
-    if np.linalg.norm(v1) >= np.linalg.norm(v2):
-        return _unit(v1)
-    return _unit(v2)
-
-
-def eigensystem(h: np.ndarray, tol_ep: float = 1e-9) -> EigenSystem:
-    """Closed-form eigensystem of a Bloch matrix.
-
-    Parameters
-    ----------
-    h : (2, 2) complex array
-        Matrix of the [[By, Bx], [Bx, -By]] form.
-    tol_ep : float
-        Scale (in units of J) below which |E| counts as zero.  A band
-        touching is flagged defective when |E+| < tol_ep while ||h|| > tol_ep.
-        Note that at a touching point located only to accuracy delta the
-        eigenvalues are O(sqrt(delta)), so callers classifying numerically
-        refined points should pass tol_ep ~ sqrt(delta) * scale.
-
-    Returns
-    -------
-    EigenSystem
-        E+/- on the principal branch (Re E+ >= 0; Im E+ >= 0 when Re E+ = 0)
-        with unit right eigenvectors under the Hermitian inner product.
-    """
-    by = complex(h[0, 0])
-    bx = complex(h[0, 1])
-    hscale = math.hypot(abs(bx), abs(by))
-    if hscale <= tol_ep:
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        return EigenSystem(0j, 0j, e1, e2, defective=False, degenerate=True)
-    e = principal_sqrt(bx * bx + by * by)
-    if abs(e) < tol_ep:
-        # Exceptional point: the 2x2 block is a Jordan block and the kernel
-        # is spanned by (Bx, -By) alone.
-        psi = _unit(np.array([bx, -by], dtype=complex))
-        return EigenSystem(e, -e, psi, psi.copy(), defective=True)
-    psi_p = _right_eigvec(bx, by, e)
-    psi_m = _right_eigvec(bx, by, -e)
-    return EigenSystem(e, -e, psi_p, psi_m, defective=False)
-
-
-@dataclass(frozen=True)
-class Observables:
-    """Planar spin texture (fx, fy) = (<sigma_x>, <sigma_z>) and energy point.
-
-    Expectation values use the right eigenvector with the plain Hermitian
-    inner product <psi|sigma|psi> / <psi|psi>; no left eigenvector enters.
-    For a unit state fx^2 + fy^2 + sigma_y_exp^2 = 1 identically.
-    """
-
-    fx: float
-    fy: float
-    sigma_y_exp: float
-    ex: float
-    ey: float
-
-
-def observables(es: EigenSystem, branch: str = "plus") -> Observables:
-    """Spin texture and complex-energy components for one eigenbranch."""
-    if branch == "plus":
-        psi, e = es.psi_plus, es.e_plus
-    elif branch == "minus":
-        psi, e = es.psi_minus, es.e_minus
-    else:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    a, b = psi[0], psi[1]
-    cross = np.conj(a) * b
-    return Observables(
-        fx=float(2.0 * cross.real),
-        fy=float(abs(a) ** 2 - abs(b) ** 2),
-        sigma_y_exp=float(2.0 * cross.imag),
-        ex=float(np.real(e)),
-        ey=float(np.imag(e)),
-    )
+    v1 = np.stack([bx, e - by], axis=-1)
+    v2 = np.stack([e + by, bx], axis=-1)
+    use1 = np.linalg.norm(v1, axis=-1) >= np.linalg.norm(v2, axis=-1)
+    return np.where(use1[..., None], v1, v2)
 
 
 def observables_grid(params: ModelParams, kx, ky):
     """Plus-branch (<sigma_x>, <sigma_z>, <sigma_y>) on momentum arrays.
 
-    Vectorized companion of :func:`observables` for figure export.  At exact
-    touching points both kernel representatives collapse onto the Jordan
-    vector, so the in-plane components vanish there instead of blowing up.
+    Expectation values of the right eigenvector under the plain Hermitian
+    inner product <psi|sigma|psi> / <psi|psi>.  At exact touching points the
+    kernel vector is the Jordan vector, so the in-plane components vanish
+    there instead of blowing up; at h = 0 all three are 0.
     """
     bx, by = bloch_field_grid(params, kx, ky)
-    e = principal_sqrt(bx * bx + by * by)
-    a1, b1 = bx + 0j, e - by
-    a2, b2 = e + by, bx + 0j
-    use1 = np.abs(a1) ** 2 + np.abs(b1) ** 2 >= np.abs(a2) ** 2 + np.abs(b2) ** 2
-    a = np.where(use1, a1, a2)
-    b = np.where(use1, b1, b2)
+    v = right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
+    a, b = v[..., 0], v[..., 1]
     norm = np.abs(a) ** 2 + np.abs(b) ** 2
     norm = np.where(norm == 0.0, 1.0, norm)
     cross = np.conj(a) * b
@@ -323,11 +187,6 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     chi = max(np.max(np.abs(h11 + h00)), np.max(np.abs(h01 - h10)))
     rows.append(("chiral", float(chi)))
     return rows
-
-
-def chiral_residual(h: np.ndarray) -> float:
-    """||sigma_y h sigma_y + h||_max for a single 2x2 matrix."""
-    return float(np.max(np.abs(SIGMA_Y @ h @ SIGMA_Y + h)))
 
 
 def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12) -> bool:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import (
     ModelParams,
@@ -88,11 +87,6 @@ class Btp:
 def branch_level(params: ModelParams, s: int) -> float:
     """The level c_s = (-T + s*gamma) / (2J) of branch s."""
     return (-params.T + s * params.gamma) / (2.0 * params.J)
-
-
-def _abs_e(params: ModelParams, kx, ky):
-    bx, by = bloch_field_grid(params, kx, ky)
-    return np.abs(principal_sqrt(bx * bx + by * by))
 
 
 def _merged_locations(c: float):
@@ -384,24 +378,32 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
     level_err = np.max(np.abs(np.cos(verts[:, 0]) + np.cos(verts[:, 1]) - c))
     if level_err >= 1e-8:
         raise RuntimeError(f"ring vertex off the level set by {level_err:.3g}")
-    abs_e = _abs_e(params, verts[:, 0], verts[:, 1])
+    bx, by = bloch_field_grid(params, verts[:, 0], verts[:, 1])
+    abs_e = np.abs(principal_sqrt(bx * bx + by * by))
     if np.max(abs_e) >= 1e-6:
         raise RuntimeError(f"ring vertex with |E| = {np.max(abs_e):.3g}")
     return EpRing(verts, branch, c)
 
 
-def min_gap(params: ModelParams, grid_n: int = 128) -> float:
-    """Minimum of |E+| over the zone: grid scan plus local refinement."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
-    k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    e = _abs_e(params, kx, ky)
-    i, jj = np.unravel_index(np.argmin(e), e.shape)
-    x0 = np.array([kx[i, jj], ky[i, jj]])
+def min_gap(params: ModelParams) -> float:
+    """Minimum of |E+| over the zone, in closed form.
 
-    def f(x):
-        return float(_abs_e(params, np.array([x[0]]), np.array([x[1]]))[0])
-
-    res = minimize(f, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-    return float(min(e[i, jj], res.fun))
+    With u = cos kx + cos ky, a = Bx = 2 J u + T and r = Re By, the gap is
+    |E|^2 = |a - gamma + i r| |a + gamma - i r|, which grows with |r|.  At
+    fixed u the least |cos kx cos ky| is max(0, |u| - 1), so the minimum is
+    taken over a in [T - 4|J|, T + 4|J|] with |r| = 2 |t/J| max(0, |a - T| -
+    2|J|): r vanishes on the middle piece and is linear in a on the outer
+    two.  The candidates are the piece ends, a = +-gamma, and the real roots
+    of the derivative of |E|^4 on each outer piece.
+    """
+    j, big_t, g = abs(params.J), params.T, params.gamma
+    slope = 2.0 * abs(params.t) / j
+    cands = [g, -g]
+    for inner, outer in ((big_t - 2.0 * j, big_t - 4.0 * j), (big_t + 2.0 * j, big_t + 4.0 * j)):
+        r = slope * np.poly1d([1.0, -inner])
+        quartic = (np.poly1d([1.0, -g]) ** 2 + r**2) * (np.poly1d([1.0, g]) ** 2 + r**2)
+        roots = quartic.deriv().roots.real
+        cands.extend([inner, outer, *np.clip(roots, min(inner, outer), max(inner, outer))])
+    a = np.clip(np.array(cands), big_t - 4.0 * j, big_t + 4.0 * j)
+    r = slope * np.maximum(0.0, np.abs(a - big_t) - 2.0 * j)
+    return float(np.min(np.sqrt(np.hypot(a - g, r) * np.hypot(a + g, r))))

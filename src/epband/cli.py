@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals
+from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
 from .btp import RingRegimeError, branch_level, trace_ep_ring
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
@@ -320,7 +320,7 @@ def cmd_dispersion(args) -> int:
         sig = signature(params, samples=args.samples)
         hit = None
         for b in sig.btps:
-            if math.hypot(b.k.kx - origin.kx, b.k.ky - origin.ky) < 1e-6:
+            if torus_distance(b.k, origin) < 1e-6:
                 hit = b
                 break
         if hit is None:

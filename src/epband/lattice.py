@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .bloch import ModelParams, Momentum, bloch_field, bloch_matrix, principal_sqrt, wrap_angle
+from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
 
 __all__ = [
     "LatticeSize",
@@ -134,6 +133,24 @@ class BlockCheckResult:
         return max(self.offblock, self.blockdev) < 1e-10
 
 
+def _blocks(h: np.ndarray, basis: MomentumBasis):
+    """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and U^dag H U without them."""
+    dim = basis.u.shape[0]
+    if h.shape != (dim, dim):
+        raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
+    m = basis.u.conj().T @ h @ basis.u
+    nk = len(basis.momenta)
+    i = np.arange(nk)
+    blocks = m.reshape(nk, 2, nk, 2)[i, :, i, :]  # a copy
+    m.reshape(nk, 2, nk, 2)[i, :, i, :] = 0.0
+    return blocks, m
+
+
+def _basis_field(params: ModelParams, basis: MomentumBasis):
+    kx, ky = np.array([k.xy for k in basis.momenta]).T
+    return bloch_field_grid(params, kx, ky)
+
+
 def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> BlockCheckResult:
     """Transform H to the momentum basis and compare against h(k) blocks.
 
@@ -142,60 +159,44 @@ def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> Blo
     analytic Bloch matrices, minimized over the two possible sublattice
     orderings (reported as "AB" or "BA").
     """
-    dim = basis.u.shape[0]
-    if h.shape != (dim, dim):
-        raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
-    m = basis.u.conj().T @ h @ basis.u
-    mask = np.ones_like(m, dtype=bool)
-    for i in range(0, dim, 2):
-        mask[i : i + 2, i : i + 2] = False
-    offblock = float(np.max(np.abs(m[mask])))
-    dev_ab = 0.0
-    dev_ba = 0.0
-    for i, k in enumerate(basis.momenta):
-        block = m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        hk = bloch_matrix(bloch_field(params, k))
-        swapped = np.array([[hk[1, 1], hk[1, 0]], [hk[0, 1], hk[0, 0]]])
-        dev_ab = max(dev_ab, float(np.max(np.abs(block - hk))))
-        dev_ba = max(dev_ba, float(np.max(np.abs(block - swapped))))
+    blocks, off = _blocks(h, basis)
+    offblock = float(np.max(np.abs(off)))
+    bx, by = _basis_field(params, basis)
+    hk = np.moveaxis(np.array([[by, bx + 0j], [bx + 0j, -by]]), -1, 0)
+    dev_ab = float(np.max(np.abs(blocks - hk)))
+    dev_ba = float(np.max(np.abs(blocks - hk[:, ::-1, ::-1])))
     if dev_ab <= dev_ba:
         return BlockCheckResult(offblock=offblock, blockdev=dev_ab, ordering="AB")
     return BlockCheckResult(offblock=offblock, blockdev=dev_ba, ordering="BA")
 
 
 def block_spectrum(h: np.ndarray, basis: MomentumBasis) -> np.ndarray:
-    """All 2N^2 eigenvalues read off the transformed 2x2 blocks analytically."""
-    m = basis.u.conj().T @ h @ basis.u
-    out = np.empty(basis.u.shape[0], dtype=complex)
-    for i in range(len(basis.momenta)):
-        a, b = m[2 * i, 2 * i], m[2 * i, 2 * i + 1]
-        c, d = m[2 * i + 1, 2 * i], m[2 * i + 1, 2 * i + 1]
-        mean = 0.5 * (a + d)
-        root = principal_sqrt(mean * mean - (a * d - b * c))
-        out[2 * i] = mean + root
-        out[2 * i + 1] = mean - root
-    return out
+    """All 2N^2 eigenvalues read off the transformed 2x2 blocks analytically.
+
+    Entries 2i and 2i+1 are the pair of the block at ``basis.momenta[i]``.
+    """
+    blocks, _ = _blocks(h, basis)
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    mean = 0.5 * (a + d)
+    root = principal_sqrt(mean * mean - (a * d - b * c))
+    return np.column_stack([mean + root, mean - root]).ravel()
 
 
 def expected_spectrum(params: ModelParams, basis: MomentumBasis) -> np.ndarray:
-    """The multiset {+-E(k)} over the finite momentum grid."""
-    out = np.empty(2 * len(basis.momenta), dtype=complex)
-    for i, k in enumerate(basis.momenta):
-        f = bloch_field(params, k)
-        e = principal_sqrt(complex(f.bx) ** 2 + f.by**2)
-        out[2 * i] = e
-        out[2 * i + 1] = -e
-    return out
+    """+-E(k) over the finite momentum grid, in the order of :func:`block_spectrum`."""
+    bx, by = _basis_field(params, basis)
+    e = principal_sqrt(bx * bx + by * by)
+    return np.column_stack([e, -e]).ravel()
 
 
 def spectral_mismatch(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> float:
-    """Max multiset distance between block eigenvalues and analytic +-E(k).
+    """Max distance between each block's eigenvalue pair and +-E(k) at its momentum.
 
-    Pairs the two multisets by optimal assignment: a lexicographic sort is
-    unstable when a +-E pair is purely imaginary up to rounding noise.
+    Each pair is matched to (E, -E) in the better of its two orders: a sort
+    is unstable when a +-E pair is purely imaginary up to rounding noise.
     """
-    got = block_spectrum(h, basis)
-    want = expected_spectrum(params, basis)
-    cost = np.abs(got[:, None] - want[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    got = block_spectrum(h, basis).reshape(-1, 2)
+    e = expected_spectrum(params, basis)[0::2]
+    direct = np.maximum(np.abs(got[:, 0] - e), np.abs(got[:, 1] + e))
+    crossed = np.maximum(np.abs(got[:, 0] + e), np.abs(got[:, 1] - e))
+    return float(np.max(np.minimum(direct, crossed)))

@@ -49,10 +49,14 @@ class ConfigurationSignature:
     """Winding census of one parameter point."""
 
     counts_wi: dict
-    signed_wii: tuple
     n_btps: int
     boundary_flag: bool
     btps: tuple
+
+    @property
+    def signed_wii(self) -> tuple:
+        """(kx, ky, w_II) per touching, positions rounded to 6 decimals."""
+        return tuple((round(b.k.kx, 6), round(b.k.ky, 6), b.w_ii) for b in self.btps)
 
     def key(self):
         """Hashable phase identity: counts plus per-BTP discrete labels.
@@ -137,10 +141,8 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
     for b in done:
         counts[abs(b.w_i)] += 1
     ordered = sorted(done, key=lambda b: (round(b.k.kx, 6), round(b.k.ky, 6)))
-    signed_wii = tuple((round(b.k.kx, 6), round(b.k.ky, 6), b.w_ii) for b in ordered)
     return ConfigurationSignature(
         counts_wi=counts,
-        signed_wii=signed_wii,
         n_btps=len(done),
         boundary_flag=boundary,
         btps=tuple(ordered),

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, torus_distance, wrap_angle
+from .bloch import (
+    ModelParams,
+    Momentum,
+    bloch_field_grid,
+    principal_sqrt,
+    right_eigvec,
+    torus_distance,
+    wrap_angle,
+)
 
 __all__ = [
     "Loop",
@@ -135,16 +143,6 @@ class WindingResult:
         }
 
 
-def _candidate_vectors(bx, by, e_signed):
-    """Normalized right eigenvectors for one sign of E at every sample."""
-    v1 = np.stack([bx.astype(complex), e_signed - by], axis=-1)
-    v2 = np.stack([e_signed + by, bx.astype(complex)], axis=-1)
-    n1 = np.linalg.norm(v1, axis=-1)
-    n2 = np.linalg.norm(v2, axis=-1)
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-    return v / np.linalg.norm(v, axis=-1)[..., None]
-
-
 def _overlap(u, v):
     """|<u_n|v_n+1>| between consecutive samples of every loop."""
     a, b = u[:, :-1].conj(), v[:, 1:]
@@ -208,8 +206,9 @@ def _attempt(params: ModelParams, loops, m: int, kinds, start_branch: str):
     # the defect error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore"):
         e = principal_sqrt(bx * bx + by * by)
-        plus = _candidate_vectors(bx, by, e)
-        minus = _candidate_vectors(bx, by, -e)
+        plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
+        for v in (plus, minus):
+            v /= np.linalg.norm(v, axis=-1)[..., None]
         o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
         o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
         flip_from_plus = o_pm > o_pp

@@ -7,32 +7,40 @@ import pytest
 
 from epband import (
     ModelParams,
-    Momentum,
-    bloch_field,
-    bloch_matrix,
-    eigensystem,
-    observables,
     principal_sqrt,
     spectral_reality,
     symmetry_residuals,
     wrap_angle,
 )
-from epband.bloch import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    BlochField,
-    bloch_field_grid,
-    chiral_residual,
-    observables_grid,
-)
+from epband.bloch import bloch_field_grid, observables_grid, right_eigvec
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
+# Pauli matrices in the (A, B) sublattice basis; the library keeps none.
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-def _field(bx, by):
-    by = complex(by)
-    return BlochField(bx=bx, by_re=by.real, by_im=by.imag)
+
+def _h(bx, by):
+    """h = Bx sigma_x + By sigma_z, assembled here as the independent reference."""
+    return complex(bx) * SIGMA_X + complex(by) * SIGMA_Z
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _eig_state(h, e):
+    """numpy's unit eigenvector of h for the eigenvalue closest to e."""
+    vals, vecs = np.linalg.eig(h)
+    i = int(np.argmin(np.abs(vals - e)))
+    return vals[i], vecs[:, i] / np.linalg.norm(vecs[:, i])
+
+
+def _expectations(psi):
+    psi = _unit(psi)
+    return tuple(np.vdot(psi, s @ psi).real for s in (SIGMA_X, SIGMA_Z, SIGMA_Y))
 
 
 def _random_params(rng):
@@ -48,37 +56,42 @@ def _random_params(rng):
 
 
 def test_field_at_origin():
-    f = bloch_field(ANCHOR, Momentum(0.0, 0.0))
-    assert f.bx == pytest.approx(2.5, abs=1e-15)
-    assert f.by == pytest.approx(2.0 + 0.5j, abs=1e-15)
+    bx, by = bloch_field_grid(ANCHOR, 0.0, 0.0)
+    assert bx == pytest.approx(2.5, abs=1e-15)
+    assert by == pytest.approx(2.0 + 0.5j, abs=1e-15)
 
 
 def test_field_at_bz_center_of_quadrant():
     # both cosines vanish: only the interlayer and gain/loss terms survive
     for p in (ANCHOR, ModelParams(1.0, 0.7, -0.3, 1.1)):
-        f = bloch_field(p, Momentum(math.pi / 2, math.pi / 2))
-        assert f.bx == pytest.approx(p.T, abs=1e-15)
-        assert f.by == pytest.approx(1j * p.gamma, abs=1e-15)
+        bx, by = bloch_field_grid(p, math.pi / 2, math.pi / 2)
+        assert bx == pytest.approx(p.T, abs=1e-15)
+        assert by == pytest.approx(1j * p.gamma, abs=1e-15)
 
 
 def test_field_vanishing_discriminant():
     # minus-branch touching: Bx^2 + By^2 = 0 although neither component is 0
-    f = bloch_field(ANCHOR, Momentum(math.pi / 3, -math.pi / 2))
-    assert f.bx == pytest.approx(-0.5, abs=1e-12)
-    assert f.by == pytest.approx(0.5j, abs=1e-12)
-    assert abs(f.bx**2 + f.by**2) < 1e-12
+    bx, by = bloch_field_grid(ANCHOR, math.pi / 3, -math.pi / 2)
+    assert bx == pytest.approx(-0.5, abs=1e-12)
+    assert by == pytest.approx(0.5j, abs=1e-12)
+    assert abs(bx**2 + by**2) < 1e-12
 
 
 def test_field_grid_matches_pointwise():
+    # arrays agree with scalar calls and with the model's definition
     rng = np.random.default_rng(3)
     p = _random_params(rng)
     kx = rng.uniform(-np.pi, np.pi, size=17)
     ky = rng.uniform(-np.pi, np.pi, size=17)
     bx, by = bloch_field_grid(p, kx, ky)
+    assert bx.shape == by.shape == (17,)
     for i in range(17):
-        f = bloch_field(p, Momentum(kx[i], ky[i]))
-        assert bx[i] == pytest.approx(f.bx, abs=1e-14)
-        assert by[i] == pytest.approx(f.by, abs=1e-14)
+        cx, cy = math.cos(kx[i]), math.cos(ky[i])
+        bx1, by1 = bloch_field_grid(p, float(kx[i]), float(ky[i]))
+        assert bx[i] == pytest.approx(bx1, abs=1e-14)
+        assert by[i] == pytest.approx(by1, abs=1e-14)
+        assert bx[i] == pytest.approx(2.0 * p.J * (cx + cy) + p.T, abs=1e-14)
+        assert by[i] == pytest.approx(4.0 * p.t * cx * cy + 1j * p.gamma, abs=1e-14)
 
 
 def test_wrap_angle_range():
@@ -92,27 +105,40 @@ def test_wrap_angle_range():
 
 
 def test_matrix_zero():
-    h = bloch_matrix(_field(0.0, 0.0 + 0.0j))
-    assert np.all(h == 0.0) and h.shape == (2, 2)
+    # h = 0: E = 0 and the kernel claims no direction (both candidates vanish)
+    for e in (0.0, principal_sqrt(0.0)):
+        v = right_eigvec(0.0, 0j, e)
+        assert v.shape == (2,) and np.all(v == 0.0)
+    np.testing.assert_array_equal(np.linalg.eigvals(_h(0.0, 0j)), [0.0, 0.0])
 
 
 def test_matrix_layout():
-    h = bloch_matrix(_field(1.0, 1.0j))
-    np.testing.assert_allclose(h, np.array([[1.0j, 1.0], [1.0, -1.0j]]), atol=1e-15)
-    h = bloch_matrix(_field(2.5, 2.0 + 0.5j))
-    np.testing.assert_allclose(
-        h, np.array([[2.0 + 0.5j, 2.5], [2.5, -2.0 - 0.5j]]), atol=1e-15
-    )
-    assert abs(np.trace(h)) == 0.0
+    # the kernel's vectors are eigenvectors of [[By, Bx], [Bx, -By]], whose
+    # spectrum is +-principal_sqrt(Bx^2 + By^2)
+    for bx, by, want in ((1.0, 1.0j, [[1.0j, 1.0], [1.0, -1.0j]]),
+                         (2.5, 2.0 + 0.5j, [[2.0 + 0.5j, 2.5], [2.5, -2.0 - 0.5j]])):
+        h = np.array(want, dtype=complex)
+        np.testing.assert_allclose(_h(bx, by), h, atol=1e-15)
+        assert abs(np.trace(h)) == 0.0
+        e = principal_sqrt(bx * bx + by * by)
+        vals = np.sort_complex(np.linalg.eigvals(h))
+        np.testing.assert_allclose(vals, np.sort_complex(np.array([e, -e])), atol=1e-14)
+        for s in (e, -e):
+            v = right_eigvec(bx, by, s)
+            assert np.linalg.norm(h @ v - s * v) < 1e-14 * np.linalg.norm(v)
 
 
 def test_matrix_is_sigma_combination():
+    # eigenvectors of Bx sigma_x + By sigma_z, for random complex fields
     rng = np.random.default_rng(5)
     for _ in range(20):
         bx = rng.normal()
         by = rng.normal() + 1j * rng.normal()
-        h = bloch_matrix(_field(bx, by))
-        np.testing.assert_allclose(h, bx * SIGMA_X + by * SIGMA_Z, atol=1e-15)
+        h = bx * SIGMA_X + by * SIGMA_Z
+        e = principal_sqrt(bx * bx + by * by)
+        for s in (e, -e):
+            v = right_eigvec(bx, by, s)
+            assert np.linalg.norm(h @ v - s * v) < 1e-13 * np.linalg.norm(v)
 
 
 def test_principal_sqrt_branch():
@@ -122,103 +148,130 @@ def test_principal_sqrt_branch():
     assert z.real >= 0.0 and z * z == pytest.approx(-3.0 - 4.0j)
 
 
-# ---------------------------------------------------------------- eigensystem
+# ---------------------------------------------------------------- eigenvector kernel
 
 
 def test_eigensystem_hermitian_point():
-    es = eigensystem(bloch_matrix(_field(4.0, 1.0 + 0.0j)))
-    assert es.e_plus == pytest.approx(math.sqrt(17.0), abs=1e-14)
-    assert es.e_minus == pytest.approx(-math.sqrt(17.0), abs=1e-14)
-    assert not es.defective
+    bx, by = 4.0, 1.0 + 0.0j
+    e = principal_sqrt(bx * bx + by * by)
+    assert e == pytest.approx(math.sqrt(17.0), abs=1e-14)
+    vals = np.sort(np.linalg.eigvals(_h(bx, by)).real)
+    np.testing.assert_allclose(vals, [-math.sqrt(17.0), math.sqrt(17.0)], atol=1e-14)
+    # not defective: the two branch vectors are orthonormal
+    u, w = _unit(right_eigvec(bx, by, e)), _unit(right_eigvec(bx, by, -e))
+    assert abs(np.vdot(u, w)) < 1e-14
 
 
 def test_eigensystem_defective_point():
     # the touching of test_field_vanishing_discriminant is a Jordan block
-    es = eigensystem(bloch_matrix(_field(-0.5, 0.5j)))
-    assert es.e_plus == pytest.approx(0.0, abs=1e-12)
-    assert es.defective
+    bx, by = -0.5, 0.5j
+    h = _h(bx, by)
+    e = principal_sqrt(bx * bx + by * by)
+    assert e == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(h @ h, 0.0, atol=1e-15)  # nilpotent and h != 0
+    assert np.max(np.abs(h)) == 0.5
+    plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
     target = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-    overlap = abs(np.vdot(target, es.psi_plus))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(es.psi_plus, es.psi_minus, atol=1e-15)
+    assert abs(np.vdot(target, _unit(plus))) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(plus, minus, atol=1e-15)
+    np.testing.assert_allclose(h @ plus, 0.0, atol=1e-15)
 
 
 def test_eigensystem_zero_matrix_not_defective():
-    es = eigensystem(np.zeros((2, 2), dtype=complex))
-    assert es.e_plus == 0.0 and es.e_minus == 0.0
-    assert not es.defective
+    # h = 0 is diagonal, not a Jordan block: E = 0 and no direction is preferred
+    assert principal_sqrt(0.0) == 0.0
+    vals, vecs = np.linalg.eig(_h(0.0, 0j))
+    np.testing.assert_array_equal(vals, [0.0, 0.0])
+    assert abs(np.linalg.det(vecs)) == pytest.approx(1.0)
+    assert np.all(right_eigvec(0.0, 0j, 0.0) == 0.0)
+    assert observables_grid(ModelParams(1.0, -4.0, 0.0, 0.0), 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_eigensystem_residual_invariant():
+    # against numpy.linalg.eig of the assembled matrix, on vectorized draws
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = _random_params(rng)
-        k = Momentum(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        h = bloch_matrix(bloch_field(p, k))
-        es = eigensystem(h)
+        kx, ky = rng.uniform(-np.pi, np.pi, size=2)
+        bx, by = bloch_field_grid(p, kx, ky)
+        h = _h(bx, by)
         scale = max(1.0, np.max(np.abs(h)))
-        assert np.linalg.norm(h @ es.psi_plus - es.e_plus * es.psi_plus) < 1e-12 * scale
-        assert np.linalg.norm(h @ es.psi_minus - es.e_minus * es.psi_minus) < 1e-12 * scale
-        assert es.e_plus == pytest.approx(-es.e_minus, abs=1e-14)
-        assert np.linalg.norm(es.psi_plus) == pytest.approx(1.0, abs=1e-12)
+        e = principal_sqrt(bx * bx + by * by)
+        for s in (e, -e):
+            v = right_eigvec(bx, by, s)
+            # the better-conditioned candidate is never small
+            floor = math.sqrt(abs(bx) ** 2 + abs(by) ** 2 + abs(s) ** 2)
+            assert np.linalg.norm(v) >= floor * (1.0 - 1e-12)
+            u = _unit(v)
+            assert np.linalg.norm(h @ u - s * u) < 1e-12 * scale
+            assert _eig_state(h, s)[0] == pytest.approx(s, abs=1e-12 * scale)
+    # the kernel broadcasts over any array shape
+    bx, by = bloch_field_grid(ANCHOR, rng.uniform(-3, 3, (3, 4)), rng.uniform(-3, 3, (3, 4)))
+    e = principal_sqrt(bx * bx + by * by)
+    v = right_eigvec(bx, by, e)
+    assert v.shape == (3, 4, 2)
+    np.testing.assert_array_equal(v[1, 2], right_eigvec(bx[1, 2], by[1, 2], e[1, 2]))
 
 
 # ---------------------------------------------------------------- observables
 
 
 def test_observables_vanish_at_defective_point():
-    es = eigensystem(bloch_matrix(_field(-0.5, 0.5j)))
-    ob = observables(es)
-    assert ob.fx == pytest.approx(0.0, abs=1e-12)
-    assert ob.fy == pytest.approx(0.0, abs=1e-12)
+    # t = 0 puts an exact EP with field (-0.5, 0.5i) at k = (0, pi)
+    p = ModelParams(1.0, -0.5, 0.0, 0.5)
+    bx, by = bloch_field_grid(p, 0.0, math.pi)
+    assert (bx, by) == (-0.5, 0.5j)
+    fx, fy, sy = observables_grid(p, 0.0, math.pi)
+    assert fx == pytest.approx(0.0, abs=1e-12)
+    assert fy == pytest.approx(0.0, abs=1e-12)
     # psi = (1, i)/sqrt2 is the +1 eigenvector of sigma_y
-    assert ob.sigma_y_exp == pytest.approx(1.0, abs=1e-12)
+    assert sy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_observables_hermitian_alignment():
-    es = eigensystem(bloch_matrix(_field(4.0, 1.0 + 0.0j)))
-    ob = observables(es, branch="plus")
-    f = np.array([ob.fx, ob.fy])
-    np.testing.assert_allclose(f, np.array([4.0, 1.0]) / math.sqrt(17.0), atol=1e-12)
+    # field (4, 1) at k = 0
+    fx, fy, _ = observables_grid(ModelParams(1.0, 0.0, 0.25, 0.0), 0.0, 0.0)
+    np.testing.assert_allclose([fx, fy], np.array([4.0, 1.0]) / math.sqrt(17.0), atol=1e-12)
 
 
 def test_observables_sigma_z_eigenstate():
     psi = np.array([1.0, 0.0], dtype=complex)
-    fx = np.vdot(psi, SIGMA_X @ psi).real
-    fy = np.vdot(psi, SIGMA_Z @ psi).real
-    assert (fx, fy) == (0.0, 1.0)
-    # the same through the eigensystem path: pick a field whose plus state is (1,0)
-    es = eigensystem(bloch_matrix(_field(0.0, 1.0 + 0.0j)))
-    ob = observables(es)
-    assert ob.fx == pytest.approx(0.0, abs=1e-12)
-    assert ob.fy == pytest.approx(1.0, abs=1e-12)
+    assert _expectations(psi)[:2] == (0.0, 1.0)
+    # the same through the kernel: field (0, 1) at k = 0, whose plus state is (1, 0)
+    fx, fy, _ = observables_grid(ModelParams(1.0, -4.0, 0.25, 0.0), 0.0, 0.0)
+    assert fx == pytest.approx(0.0, abs=1e-12)
+    assert fy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_observables_hermitian_unit_length():
     # for gamma = 0 the texture is a unit planar vector away from touchings
     rng = np.random.default_rng(17)
     p = ModelParams(1.0, -0.7, 0.4, 0.0)
-    for _ in range(50):
-        k = Momentum(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        es = eigensystem(bloch_matrix(bloch_field(p, k)))
-        if abs(es.e_plus) < 1e-6:
-            continue
-        ob = observables(es)
-        assert math.hypot(ob.fx, ob.fy) == pytest.approx(1.0, abs=1e-10)
+    kx = rng.uniform(-np.pi, np.pi, size=50)
+    ky = rng.uniform(-np.pi, np.pi, size=50)
+    bx, by = bloch_field_grid(p, kx, ky)
+    away = np.abs(principal_sqrt(bx * bx + by * by)) >= 1e-6
+    assert np.count_nonzero(away) > 40
+    fx, fy, sy = observables_grid(p, kx, ky)
+    np.testing.assert_allclose(np.hypot(fx, fy)[away], 1.0, atol=1e-10)
+    np.testing.assert_allclose(sy[away], 0.0, atol=1e-10)
 
 
 def test_observables_grid_matches_pointwise():
+    # reference: expectation values of numpy.linalg.eig's plus-branch vector
     rng = np.random.default_rng(23)
     p = _random_params(rng)
     kx = rng.uniform(-np.pi, np.pi, size=25)
     ky = rng.uniform(-np.pi, np.pi, size=25)
     fx, fy, sy = observables_grid(p, kx, ky)
+    bx, by = bloch_field_grid(p, kx, ky)
     for i in range(25):
-        es = eigensystem(bloch_matrix(bloch_field(p, Momentum(kx[i], ky[i]))))
-        ob = observables(es)
-        assert fx[i] == pytest.approx(ob.fx, abs=1e-10)
-        assert fy[i] == pytest.approx(ob.fy, abs=1e-10)
-        assert sy[i] == pytest.approx(ob.sigma_y_exp, abs=1e-10)
+        e = principal_sqrt(bx[i] ** 2 + by[i] ** 2)
+        _, psi = _eig_state(_h(bx[i], by[i]), e)
+        ref = _expectations(psi)
+        assert fx[i] == pytest.approx(ref[0], abs=1e-10)
+        assert fy[i] == pytest.approx(ref[1], abs=1e-10)
+        assert sy[i] == pytest.approx(ref[2], abs=1e-10)
 
 
 # ---------------------------------------------------------------- symmetries
@@ -253,13 +306,17 @@ def test_symmetry_negative_control():
 
 
 def test_chiral_anticommutation_pointwise():
+    # sigma_y h sigma_y = -h, so sigma_y maps the +E kernel vector onto the -E one
     rng = np.random.default_rng(31)
     for _ in range(20):
         p = _random_params(rng)
-        k = Momentum(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
-        h = bloch_matrix(bloch_field(p, k))
-        assert chiral_residual(h) < 1e-12
+        kx, ky = rng.uniform(-np.pi, np.pi, size=2)
+        bx, by = bloch_field_grid(p, kx, ky)
+        h = _h(bx, by)
         np.testing.assert_allclose(SIGMA_Y @ h @ SIGMA_Y, -h, atol=1e-12)
+        e = principal_sqrt(bx * bx + by * by)
+        plus, minus = _unit(right_eigvec(bx, by, e)), _unit(right_eigvec(bx, by, -e))
+        assert abs(np.vdot(minus, SIGMA_Y @ plus)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- reality at t=0

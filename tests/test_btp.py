@@ -8,7 +8,6 @@ import pytest
 
 from epband import (
     ModelParams,
-    Momentum,
     RingRegimeError,
     branch_level,
     classify_btp,
@@ -17,7 +16,7 @@ from epband import (
     refine_btps_numeric,
     trace_ep_ring,
 )
-from epband.bloch import bloch_field, torus_distance
+from epband.bloch import bloch_field_grid, principal_sqrt, torus_distance
 from epband.btp import (
     DIRAC_POINT,
     HYBRID_EP,
@@ -130,8 +129,8 @@ def test_locate_ring_regime_raises():
 def test_locate_points_really_touch():
     for p in (ANCHOR, ModelParams(1.0, -1.0, 0.5, 0.5), ModelParams(1.0, 0.3, 0.4, 0.9)):
         for b in locate_btps(p):
-            f = bloch_field(p, b.k)
-            assert abs(f.bx**2 + f.by**2) < 1e-12
+            bx, by = bloch_field_grid(p, b.k.kx, b.k.ky)
+            assert abs(bx**2 + by**2) < 1e-12
 
 
 # ---------------------------------------------------------------- numeric refiner
@@ -226,8 +225,8 @@ def test_ring_vertices_on_level_set():
         level_err = np.abs(np.cos(verts[:, 0]) + np.cos(verts[:, 1]) - c)
         assert np.max(level_err) < 1e-8
         for kx, ky in verts:
-            f = bloch_field(p, Momentum(kx, ky))
-            e = abs(np.sqrt(complex(f.bx) ** 2 + f.by**2))
+            bx, by = bloch_field_grid(p, kx, ky)
+            e = abs(np.sqrt(complex(bx) ** 2 + by**2))
             assert e < 1e-6
         # closed: uniform-kx marching leaves its widest step where the arc
         # turns vertical (ky ~ sqrt near the ends), so allow a few grid steps
@@ -271,6 +270,53 @@ def test_min_gap_vanishes_at_touchings():
     # momentum already moves Bx by ~4e-16, so the float64 floor is ~1.4e-8
     assert min_gap(ANCHOR) < 2e-8
     assert min_gap(ModelParams(1.0, 0.0, 0.5, 0.0)) < 1e-8
+
+
+def _grid_min_abs_e(p, n=401):
+    k = np.linspace(-np.pi, np.pi, n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    bx, by = bloch_field_grid(p, kx, ky)
+    return float(np.min(np.abs(principal_sqrt(bx * bx + by * by))))
+
+
+# min_gap may land on a grid point itself, where the two evaluations of the
+# same |E| can differ in the last bits.
+_ROUNDING = 1.0 + 1e-12
+
+
+def test_min_gap_closes_at_eight_touchings():
+    # the gap closes at 8 touchings; a grid seed plus Nelder-Mead reads 0.0096
+    p = ModelParams(1.0, 2.9, 1e-3, 1.0)
+    assert len(locate_btps(p)) == 8
+    assert min_gap(p) <= 1e-8
+
+
+def test_min_gap_gapped_below_grid_minimum():
+    # the minimum, sqrt(4e-5) at u = 1.1, lies off the grid; a local search
+    # from the best grid point stops at 0.00857
+    p = ModelParams(1.0, -2.7, 1e-4, 0.5)
+    assert locate_btps(p) == []
+    gap = min_gap(p)
+    assert 0.0 < gap <= _grid_min_abs_e(p) * _ROUNDING
+    assert gap == pytest.approx(math.sqrt(4e-5), rel=1e-3)
+
+
+def test_min_gap_random_draws():
+    rng = np.random.default_rng(43)
+    touching = 0
+    for _ in range(40):
+        p = ModelParams(
+            J=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5),
+            T=rng.uniform(-4.0, 4.0),
+            t=rng.uniform(-1.0, 1.0),
+            gamma=rng.uniform(-2.0, 2.0),
+        )
+        gap = min_gap(p)
+        has_touchings = bool(locate_btps(p))
+        touching += has_touchings
+        assert (gap <= 1e-8) == has_touchings, p
+        assert gap <= _grid_min_abs_e(p, 201) * _ROUNDING, p
+    assert 10 <= touching <= 30
 
 
 # ---------------------------------------------------------------- splitting

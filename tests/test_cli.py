@@ -63,6 +63,17 @@ def test_console_script_installed():
         assert name in proc.stdout
 
 
+def test_import_loads_no_scipy():
+    # importing scipy would add about 0.5 s to every CLI call, and nothing needs it
+    code = (
+        "import sys, epband, epband.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # btps
 
@@ -223,6 +234,19 @@ def test_dispersion_linear_direction_unit_prefactor():
     assert report["caseId"] == "hybrid-axis-linear"
     assert report["expectedC"] == 1.0
     assert report["alpha"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_dispersion_finds_touching_across_zone_seam():
+    # kx = -3.14159265358 and kx = pi are 1e-11 apart on the torus: both name
+    # the HybridEP at (pi, pi/2)
+    flags = ("--J", "1", "--T", "2.5", "--t", "0.5", "--gamma", "0.5")
+    ray = ("--ky", "pi/2", "--dx", "0", "--dy", "1")
+    seam = run_cli("dispersion", *flags, "--kx", "-3.14159265358", *ray)
+    assert seam.returncode == 0, seam.stderr
+    report = json.loads(seam.stdout)
+    assert report["kind"] == "HybridEP"
+    assert report["origin"]["kx"] == pytest.approx(math.pi, abs=1e-10)
+    assert seam.stdout == run_cli("dispersion", *flags, "--kx", "pi", *ray).stdout
 
 
 def test_dispersion_requires_touching_or_kind():

@@ -5,6 +5,9 @@ linearity: the builder is affine in each coupling and H(J, 0, 0, 0) serves
 as the subtractable J-only reference.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from epband import (
     build_realspace,
     spectral_mismatch,
 )
-from epband.lattice import site_index
+from epband.lattice import MomentumBasis, block_spectrum, expected_spectrum, site_index
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
@@ -126,6 +129,72 @@ def test_spectral_multiset_matches_bloch():
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     assert spectral_mismatch(h, basis, ANCHOR) < 1e-10
+
+
+# N divisible by 4 puts the hybrid-EP momenta (0, +-pi/2) on the grid, where
+# the block eigenvalues are only accurate to sqrt(eps): spectralMismatch is
+# about 1e-8 against the 1e-10 gate.  ROADMAP item 2 asks for a fix in the
+# program (compare trace and determinant), not in the gate.
+_EP_ON_GRID = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: EP momenta on the grid at N = 0 (mod 4)"
+)
+
+
+@pytest.mark.parametrize(
+    "n", [pytest.param(4, marks=_EP_ON_GRID), 6, pytest.param(8, marks=_EP_ON_GRID), 10,
+          pytest.param(12, marks=_EP_ON_GRID)]
+)
+def test_anchor_oracle_passes(n):
+    size = LatticeSize(n)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    assert block_check(h, basis, ANCHOR).passed
+    assert spectral_mismatch(h, basis, ANCHOR) < 1e-10
+
+
+def test_vectorized_blocks_match_loop_reference():
+    # one block, one momentum at a time, with the scalar math module
+    rng = np.random.default_rng(12)
+    p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
+    size = LatticeSize(6)
+    h = build_realspace(p, size)
+    basis = build_momentum_basis(size)
+    m = basis.u.conj().T @ h @ basis.u
+    got, want = block_spectrum(h, basis), expected_spectrum(p, basis)
+    outside = np.abs(m)
+    dev_ab = dev_ba = mismatch = 0.0
+    for i, k in enumerate(basis.momenta):
+        block = m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+        outside[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
+        cx, cy = math.cos(k.kx), math.cos(k.ky)
+        bx = 2.0 * p.J * (cx + cy) + p.T
+        by = 4.0 * p.t * cx * cy + 1j * p.gamma
+        hk = np.array([[by, bx], [bx, -by]])
+        dev_ab = max(dev_ab, np.max(np.abs(block - hk)))
+        dev_ba = max(dev_ba, np.max(np.abs(block - hk[::-1, ::-1])))
+        e = cmath.sqrt(bx * bx + by * by)
+        np.testing.assert_allclose(np.abs(want[2 * i : 2 * i + 2]), abs(e), atol=1e-14)
+        assert want[2 * i] == -want[2 * i + 1]
+        pair = np.sort_complex(got[2 * i : 2 * i + 2])
+        np.testing.assert_allclose(pair, np.sort_complex(np.linalg.eigvals(block)), atol=1e-12)
+        mismatch = max(mismatch, min(max(abs(pair[0] - e), abs(pair[1] + e)),
+                                     max(abs(pair[0] + e), abs(pair[1] - e))))
+    res = block_check(h, basis, p)
+    assert res.offblock == np.max(outside)
+    assert res.blockdev == pytest.approx(min(dev_ab, dev_ba), abs=1e-14)
+    assert res.ordering == ("AB" if dev_ab <= dev_ba else "BA")
+    assert spectral_mismatch(h, basis, p) == pytest.approx(mismatch, abs=1e-14)
+
+
+def test_spectral_mismatch_is_per_momentum():
+    # relabelling the momenta keeps the spectrum as a multiset but pairs each
+    # block with the wrong +-E(k); both checks must see it
+    size = LatticeSize(6)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    shuffled = MomentumBasis(u=basis.u, momenta=basis.momenta[1:] + basis.momenta[:1], n=6)
+    assert spectral_mismatch(h, shuffled, ANCHOR) > 0.1
+    assert not block_check(h, shuffled, ANCHOR).passed
 
 
 def test_corrupted_hopping_detected():
