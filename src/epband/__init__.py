@@ -27,7 +27,6 @@ from .btp import (
     classify_btp,
     locate_btps,
     min_gap,
-    refine_btps_numeric,
     trace_ep_ring,
 )
 from .dispersion import expected_dispersion, fit_power_law, sample_dispersion
@@ -84,7 +83,6 @@ __all__ = [
     "make_loop",
     "min_gap",
     "principal_sqrt",
-    "refine_btps_numeric",
     "sample_dispersion",
     "scan_phase_diagram",
     "signature",

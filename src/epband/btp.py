@@ -13,7 +13,6 @@ single point (pi, pi) or (0, 0).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .bloch import (
     Momentum,
     bloch_field_grid,
     principal_sqrt,
-    torus_distance,
     wrap_angle,
 )
 
@@ -38,7 +36,6 @@ __all__ = [
     "RingRegimeError",
     "branch_level",
     "locate_btps",
-    "refine_btps_numeric",
     "classify_btp",
     "trace_ep_ring",
     "min_gap",
@@ -177,117 +174,6 @@ def locate_btps(params: ModelParams) -> list[Btp]:
                 locs, kind = _generic_locations(c), NORMAL_EP
             btps.extend(Btp(Momentum(x, y), s, kind) for x, y in locs)
     return _sorted_btps(btps)
-
-
-def _dedup_btps(btps, tol: float = 1e-4):
-    kept: list[Btp] = []
-    for b in btps:
-        if all(torus_distance(b.k, o.k) > tol for o in kept):
-            kept.append(b)
-    return kept
-
-
-def _kind_from_level(params: ModelParams, c: float, level_tol: float) -> str:
-    merged = min(abs(c), abs(c - 1.0), abs(c + 1.0)) < level_tol
-    if abs(params.gamma) < _T_ZERO:
-        return SEMI_DIRAC_POINT if merged else DIRAC_POINT
-    if abs(params.t) < _T_ZERO:
-        return TRIVIAL_ISOLATED_EP
-    return HYBRID_EP if merged else NORMAL_EP
-
-
-def refine_btps_numeric(params: ModelParams, coarse_n: int = 64, tol: float = 1e-12) -> list[Btp]:
-    """Independent numeric search: coarse grid minima of |E^2| plus Newton.
-
-    Newton runs on k -> (Re E^2, Im E^2) with the analytic Jacobian (falling
-    back to Bx = By = 0 when gamma = 0 makes Im E^2 vanish identically);
-    minima whose seeds fail to converge in 50 steps are dropped with a
-    warning.  Converged points are deduplicated on the torus (1e-4) and
-    tagged with the branch and kind inferred from cos kx + cos ky.  An empty
-    result simply means a gapped spectrum.
-    """
-    if coarse_n < 32:
-        raise ValueError("coarse_n must be at least 32")
-    j, t = params.J, params.t
-    real_field = abs(params.gamma) < _T_ZERO
-    k = wrap_angle(2.0 * np.pi * np.arange(coarse_n) / coarse_n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    bx, by = bloch_field_grid(params, kx, ky)
-    a = np.abs(bx * bx + by * by)
-    local_min = np.ones_like(a, dtype=bool)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            local_min &= a <= np.roll(np.roll(a, dx, axis=0), dy, axis=1)
-    # Two touchings closer than ~2 cells can shadow each other's grid minimum,
-    # so every cell within 2 of a minimum seeds Newton as well.  Only the
-    # minima themselves count as dropped when they fail to converge.
-    basin = local_min.copy()
-    for dx in range(-2, 3):
-        for dy in range(-2, 3):
-            basin |= np.roll(np.roll(local_min, dx, axis=0), dy, axis=1)
-    seeds = np.column_stack([kx[basin], ky[basin], local_min[basin]])
-
-    converged = []
-    dropped = 0
-    for x0, y0, primary in seeds:
-        x, y = float(x0), float(y0)
-        best = None
-        for _ in range(50):
-            cx, cy, sx, sy = math.cos(x), math.cos(y), math.sin(x), math.sin(y)
-            bx1 = 2.0 * j * (cx + cy) + params.T
-            r = 4.0 * t * cx * cy
-            by1 = r + 1j * params.gamma
-            w = bx1 * bx1 + by1 * by1
-            if abs(w) <= tol:
-                # Keep polishing: at a degenerate touching |E^2| <= tol is met
-                # on a whole sliver, and only the fixed point of the iteration
-                # is the actual root.
-                best = (x, y)
-            if real_field:
-                # Im E^2 vanishes identically here, so the (Re, Im) system is
-                # singular; E^2 = 0 is then equivalent to Bx = By = 0.
-                jac = np.array(
-                    [
-                        [-2.0 * j * sx, -2.0 * j * sy],
-                        [-4.0 * t * sx * cy, -4.0 * t * cx * sy],
-                    ]
-                )
-                rhs = np.array([bx1, r])
-            else:
-                dwx = 2.0 * bx1 * (-2.0 * j * sx) + 2.0 * by1 * (-4.0 * t * sx * cy)
-                dwy = 2.0 * bx1 * (-2.0 * j * sy) + 2.0 * by1 * (-4.0 * t * cx * sy)
-                jac = np.array([[dwx.real, dwy.real], [dwx.imag, dwy.imag]])
-                rhs = np.array([w.real, w.imag])
-            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-            if abs(det) < 1e-14:
-                break
-            step = np.linalg.solve(jac, -rhs)
-            x, y = x + step[0], y + step[1]
-            if best is not None and math.hypot(step[0], step[1]) < 1e-12:
-                break
-        if best is not None:
-            converged.append(Momentum(*best))
-        elif primary:
-            dropped += 1
-    if dropped:
-        warnings.warn(
-            f"refine_btps_numeric: dropped {dropped} non-converged Newton seeds",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    level_tol = 1e-6
-    out = []
-    for m in converged:
-        c = math.cos(m.kx) + math.cos(m.ky)
-        branch = 0
-        if abs(params.gamma) >= _T_ZERO:
-            matches = [s for s in (1, -1) if abs(c - branch_level(params, s)) < level_tol]
-            branch = matches[0] if len(matches) == 1 else 0
-        out.append(Btp(m, branch, _kind_from_level(params, c, level_tol)))
-    return _dedup_btps(_sorted_btps(out))
 
 
 def classify_btp(params: ModelParams, btp: Btp, w_i: float) -> str:

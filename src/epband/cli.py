@@ -386,12 +386,11 @@ def cmd_realspace(args) -> int:
     mismatch = spectral_mismatch(h, basis, params)
     passed = check.passed and mismatch < 1e-10
     if args.dump:
-        rows = []
-        for r in range(h.shape[0]):
-            for c in range(h.shape[1]):
-                v = h[r, c]
-                if v != 0:
-                    rows.append([str(r), str(c), _fmt(v.real), _fmt(v.imag)])
+        rs, cs = np.nonzero(h)  # row-major order
+        rows = [
+            [str(r), str(c), _fmt(v.real), _fmt(v.imag)]
+            for r, c, v in zip(rs.tolist(), cs.tolist(), h[rs, cs])
+        ]
         _atomic_write(args.dump, _csv_text(("row", "col", "re", "im"), rows))
     report = {
         "schemaVersion": SCHEMA_VERSION,

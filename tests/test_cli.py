@@ -1,14 +1,18 @@
-"""End-to-end command-line checks through real subprocess invocations."""
+"""End-to-end command-line checks, in subprocesses and in process through `cli.main`."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epband import LatticeSize, ModelParams, build_realspace, cli
 from epband.cli import parse_angle, parse_range
 
 ANCHOR_FLAGS = ("--T", "-1.5", "--gamma", "0.5", "--t", "0.5")
@@ -298,6 +302,22 @@ def test_realspace_block_check(tmp_path):
     assert len(lines) > 72  # hoppings outnumber sites
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n):
+    params = ModelParams(1.0, -1.5, 0.5, 0.5)
+    h = build_realspace(params, LatticeSize(n))
+    rows = []
+    for r in range(h.shape[0]):
+        for c in range(h.shape[1]):
+            v = h[r, c]
+            if v != 0:
+                rows.append([str(r), str(c), cli._fmt(v.real), cli._fmt(v.imag)])
+    dump = tmp_path / "h.csv"
+    cli.main(["realspace", "--J", "1", *ANCHOR_FLAGS, "--N", str(n), "--dump", str(dump)])
+    capsys.readouterr()
+    assert dump.read_text() == cli._csv_text(("row", "col", "re", "im"), rows)
+
+
 def test_realspace_rejects_odd_side():
     assert run_cli("realspace", "--N", "5").returncode == 2
 
@@ -348,3 +368,36 @@ def test_field_export_grid_floor():
     proc = run_cli("field-export", "--t", "0.5", "--grid", "4", "--out", "/tmp/no.svg")
     assert proc.returncode == 2
     assert "at least 8" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# determinism: the benchmark's recorded outputs, checked in process
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _benchmark_commands():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return {label: argv for label, argv, written in workloads.CLI_COMMANDS if not written}
+
+
+_COMMANDS = _benchmark_commands()
+_REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
+
+
+def test_reference_covers_every_command_without_files():
+    assert set(_COMMANDS) == {k for k, v in _REFERENCE.items() if not v["files"]}
+
+
+@pytest.mark.parametrize("label", sorted(_COMMANDS))
+def test_stdout_matches_benchmark_reference(capsys, label):
+    # the README's promise: identical invocations give byte-identical output,
+    # down to the rounding residues that realspace prints
+    code = cli.main(_COMMANDS[label])
+    stdout = capsys.readouterr().out
+    assert code == _REFERENCE[label]["returncode"]
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == _REFERENCE[label]["stdout"]

@@ -19,6 +19,8 @@ from epband import (
     build_realspace,
     spectral_mismatch,
 )
+from epband import lattice
+from epband.bloch import Momentum, wrap_angle
 from epband.lattice import MomentumBasis, block_spectrum, expected_spectrum, site_index
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
@@ -188,13 +190,134 @@ def test_vectorized_blocks_match_loop_reference():
 
 def test_spectral_mismatch_is_per_momentum():
     # relabelling the momenta keeps the spectrum as a multiset but pairs each
-    # block with the wrong +-E(k); both checks must see it
+    # block with the wrong +-E(k); both checks must see it, also when the
+    # transform of the same H and U is already at hand from a passing check
     size = LatticeSize(6)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
+    assert block_check(h, basis, ANCHOR).passed
     shuffled = MomentumBasis(u=basis.u, momenta=basis.momenta[1:] + basis.momenta[:1], n=6)
     assert spectral_mismatch(h, shuffled, ANCHOR) > 0.1
     assert not block_check(h, shuffled, ANCHOR).passed
+
+
+def _loop_realspace(p, n):
+    # reference: one site at a time
+    dim = 2 * n * n
+    hop = np.zeros((dim, dim), dtype=complex)
+    onsite = np.zeros(dim, dtype=complex)
+    for lam in (1, 2):
+        for j in range(n):
+            for l in range(n):
+                here = site_index(lam, j, l, n)
+                parity = -1.0 if (lam + j + l) % 2 else 1.0
+                hop[here, site_index(lam, j + 1, l, n)] += p.J
+                hop[here, site_index(lam, j, l + 1, n)] += p.J
+                for nu in (1, -1):
+                    hop[here, site_index(lam, j + 1, l + nu, n)] += p.t * parity
+                onsite[here] = 1j * p.gamma * parity
+    for j in range(n):
+        for l in range(n):
+            hop[site_index(1, j, l, n), site_index(2, j, l, n)] += p.T
+    h = hop + hop.conj().T
+    h[np.diag_indices(dim)] += onsite
+    return h
+
+
+def _loop_basis(n):
+    # reference: one momentum at a time
+    dim = 2 * n * n
+    u = np.zeros((dim, dim), dtype=complex)
+    momenta = []
+    js, ls = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    even = (js + ls) % 2 == 0
+    flat_a = (np.where(even, 2, 1) - 1) * n * n + js * n + ls
+    flat_b = (np.where(even, 1, 2) - 1) * n * n + js * n + ls
+    col = 0
+    for mx in range(n):
+        for my in range(n):
+            kx = float(wrap_angle(2.0 * np.pi * mx / n))
+            ky = float(wrap_angle(2.0 * np.pi * my / n))
+            momenta.append(Momentum(kx, ky))
+            phase = np.exp(1j * (kx * js + ky * ls)) / n
+            u[flat_a.ravel(), col] = phase.ravel()
+            u[flat_b.ravel(), col + 1] = phase.ravel()
+            col += 2
+    return u, tuple(momenta)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_builders_byte_identical_to_site_loops(n):
+    # byte equality also pins the sign of every zero, which t = -0.0 and
+    # gamma = -0.0 put into the hoppings and the diagonal
+    rng = np.random.default_rng(100 + n)
+    draws = [ModelParams(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-1, 1),
+                         rng.uniform(-2, 2)) for _ in range(3)]
+    draws.append(ModelParams(-1.0, 0.0, -0.0, -0.0))
+    for p in draws:
+        assert build_realspace(p, LatticeSize(n)).tobytes() == _loop_realspace(p, n).tobytes()
+    basis = build_momentum_basis(LatticeSize(n))
+    u, momenta = _loop_basis(n)
+    assert basis.u.tobytes() == u.tobytes()
+    assert basis.momenta == momenta
+
+
+def test_one_transform_per_lattice(monkeypatch):
+    calls = []
+
+    def counted(h, u):
+        calls.append(h.shape)
+        return transform(h, u)
+
+    transform = lattice._transform
+    monkeypatch.setattr(lattice, "_transform", counted)
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
+    size = LatticeSize(6)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    check = block_check(h, basis, ANCHOR)
+    mismatch = spectral_mismatch(h, basis, ANCHOR)
+    assert len(calls) == 1
+    # an equal H in another array is the same transform
+    assert block_check(h.copy(), build_momentum_basis(size), ANCHOR) == check
+    assert len(calls) == 1
+    assert block_spectrum(h, basis).shape == (72,)
+    assert len(calls) == 1
+    # a new lattice is a new transform, and the old one is then formed again
+    block_check(build_realspace(ANCHOR, LatticeSize(4)), build_momentum_basis(LatticeSize(4)),
+                ANCHOR)
+    assert len(calls) == 2
+    assert spectral_mismatch(h, basis, ANCHOR) == mismatch
+    assert len(calls) == 3
+
+
+def test_transform_follows_in_place_changes(monkeypatch):
+    size = LatticeSize(6)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    check = block_check(h, basis, ANCHOR)
+    mismatch = spectral_mismatch(h, basis, ANCHOR)
+    assert check.passed and mismatch < 1e-10
+    # flip one J bond in place between the two calls: same array, new content
+    block_check(h, basis, ANCHOR)
+    a, b = site_index(1, 2, 3, size.n), site_index(1, 2, 4, size.n)
+    h[a, b] = -h[a, b]
+    h[b, a] = -h[b, a]
+    changed_mismatch = spectral_mismatch(h, basis, ANCHOR)
+    changed = block_check(h, basis, ANCHOR)
+    assert changed_mismatch != mismatch and changed != check
+    assert changed.offblock > 1e-3 and not changed.passed
+    fresh = build_realspace(ANCHOR, size)
+    fresh[a, b] = -fresh[a, b]
+    fresh[b, a] = -fresh[b, a]
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
+    assert spectral_mismatch(fresh, basis, ANCHOR) == changed_mismatch
+    # the basis too: flipping the sign of one column flips the off-diagonal
+    # entries of its block
+    h = build_realspace(ANCHOR, size)
+    assert block_check(h, basis, ANCHOR) == check
+    basis.u[:, 0] = -basis.u[:, 0]
+    assert block_check(h, basis, ANCHOR).blockdev > 0.1
 
 
 def test_corrupted_hopping_detected():
