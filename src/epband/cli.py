@@ -6,8 +6,8 @@ fixed orderings, so identical invocations produce byte-identical output.
 Files are written to a temp name and atomically renamed; nothing partial is
 left behind on error.
 
-Exit codes: 0 success, 1 a requested check failed, 2 bad input or flag
-combination, 3 numerical non-convergence.
+Exit codes: 0 success, 1 a requested check failed, 2 bad input, flag
+combination or unwritable output path, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -114,8 +114,15 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+# The one rule for CSV numbers, scalar and per row; adding 0.0 first prints -0.0 as "0".
+_NUM = "{:.12g}"
+
+
 def _fmt(x) -> str:
-    return f"{_round12(float(x)):.12g}"
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} in report")
+    return _NUM.format(x + 0.0)
 
 
 def _clean(obj):
@@ -145,22 +152,30 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, text: str) -> None:
-    folder = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=folder, prefix=".epband-")
+def _atomic_write(*outputs) -> None:
+    """Write each (path, chunks) pair to a temp file beside it; rename them all once all are
+    complete.  On any error remove every temp file and any output this call renamed."""
+    temps, placed = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, chunks in outputs:
+            folder = os.path.dirname(os.path.abspath(path))
+            fd, tmp = tempfile.mkstemp(dir=folder, prefix=".epband-")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for leftover in temps + placed:
+            if os.path.exists(leftover):
+                os.unlink(leftover)
         raise
 
 
 def _emit(text: str, out) -> None:
     if out:
-        _atomic_write(out, text)
+        _atomic_write((out, [text]))
     else:
         sys.stdout.write(text)
 
@@ -391,7 +406,7 @@ def cmd_realspace(args) -> int:
             [str(r), str(c), _fmt(v.real), _fmt(v.imag)]
             for r, c, v in zip(rs.tolist(), cs.tolist(), h[rs, cs])
         ]
-        _atomic_write(args.dump, _csv_text(("row", "col", "re", "im"), rows))
+        _atomic_write((args.dump, [_csv_text(("row", "col", "re", "im"), rows)]))
     report = {
         "schemaVersion": SCHEMA_VERSION,
         "command": "realspace",
@@ -430,55 +445,37 @@ def cmd_ring(args) -> int:
 
 # SVG figure constants: pixel box and the two-stop background colormap.
 _SVG_SIZE = 640
-_CMAP_LO = (13, 8, 135)
-_CMAP_HI = (240, 249, 33)
+_CMAP_LO = np.array((13, 8, 135))
+_CMAP_HI = np.array((240, 249, 33))
 _ARROW_GRID = 32
-
-
-def _cmap(val: float) -> str:
-    v = min(max(val, 0.0), 1.0)
-    r = round(_CMAP_LO[0] + v * (_CMAP_HI[0] - _CMAP_LO[0]))
-    g = round(_CMAP_LO[1] + v * (_CMAP_HI[1] - _CMAP_LO[1]))
-    b = round(_CMAP_LO[2] + v * (_CMAP_HI[2] - _CMAP_LO[2]))
-    return f"#{r:02x}{g:02x}{b:02x}"
 
 
 def _centers(n: int) -> np.ndarray:
     return -np.pi + (np.arange(n) + 0.5) * (2.0 * np.pi / n)
 
 
-def cmd_field_export(args) -> int:
-    params = _params(args)
-    n = args.grid
-    if n < 8:
-        raise UsageError("--grid must be at least 8")
-
-    ks = _centers(n)
-    kxg, kyg = np.meshgrid(ks, ks, indexing="ij")
-    fx, fy, _ = observables_grid(params, kxg, kyg)
-    density = fx * fx + fy * fy
-
+def _svg_chunks(density, kxa, kya, afx, afy):
+    n = density.shape[0]
     px = _SVG_SIZE / n
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
-        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">'
-    ]
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
+    )
     # Background: |F|^2 density, one rect per momentum cell, ky increasing upward.
-    for r in range(n):
-        iy = n - 1 - r
-        for c in range(n):
-            parts.append(
-                f'<rect x="{c * px:.2f}" y="{r * px:.2f}" width="{px:.2f}" '
-                f'height="{px:.2f}" fill="{_cmap(float(density[c, iy]))}"/>'
-            )
+    # Colours are packed 0xrrggbb; np.rint rounds half to even, as round() does.
+    rgb = np.rint(_CMAP_LO + np.clip(density, 0.0, 1.0)[..., None] * (_CMAP_HI - _CMAP_LO))
+    rgb = rgb.astype(np.int64)
+    colours = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    pos = [f"{c * px:.2f}" for c in range(n)]
+    side = f"{px:.2f}"
+    for y, row in zip(pos, colours.T[::-1]):
+        rect = f'<rect x="{{}}" y="{y}" width="{side}" height="{side}" fill="#{{:06x}}"/>\n'
+        yield "".join(map(rect.format, pos, row.tolist()))
     # Arrow layer: subsampled (Fx, Fy), white strokes, centered on cells.
-    ka = _centers(_ARROW_GRID)
-    kxa, kya = np.meshgrid(ka, ka, indexing="ij")
-    afx, afy, _ = observables_grid(params, kxa, kya)
     cell = _SVG_SIZE / _ARROW_GRID
     scale = 0.75 * cell
-    parts.append('<g stroke="#ffffff" stroke-width="1.2" stroke-opacity="0.9" fill="none">')
+    parts = ['<g stroke="#ffffff" stroke-width="1.2" stroke-opacity="0.9" fill="none">']
     for ix in range(_ARROW_GRID):
         for iy in range(_ARROW_GRID):
             vx, vy = float(afx[ix, iy]), float(afy[ix, iy])
@@ -501,20 +498,40 @@ def cmd_field_export(args) -> int:
                 f'<path d="M {x0:.2f} {y0:.2f} L {x1:.2f} {y1:.2f} '
                 f'M {h1x:.2f} {h1y:.2f} L {x1:.2f} {y1:.2f} L {h2x:.2f} {h2y:.2f}"/>'
             )
-    parts.append("</g>")
-    parts.append("</svg>")
-    _atomic_write(args.out, "\n".join(parts) + "\n")
+    parts += ["</g>", "</svg>"]
+    yield "\n".join(parts) + "\n"
+
+
+def _csv_chunks(ks, fx, fy):
+    yield "kx,ky,Fx,Fy\n"
+    k = [_fmt(v) for v in ks]
+    for kx, rx, ry in zip(k, fx, fy):
+        line = f"{kx},{{}},{_NUM},{_NUM}\n"
+        yield "".join(map(line.format, k, (rx + 0.0).tolist(), (ry + 0.0).tolist()))
+
+
+def cmd_field_export(args) -> int:
+    params = _params(args)
+    n = args.grid
+    if n < 8:
+        raise UsageError("--grid must be at least 8")
+
+    ks = _centers(n)
+    fx, fy, _ = observables_grid(params, *np.meshgrid(ks, ks, indexing="ij"))
+    ka = _centers(_ARROW_GRID)
+    kxa, kya = np.meshgrid(ka, ka, indexing="ij")
+    afx, afy, _ = observables_grid(params, kxa, kya)
+    # Both files are streamed, so check the whole field before the first byte.
+    if not all(np.isfinite(a).all() for a in (fx, fy, afx, afy)):
+        raise ValueError("non-finite value in the field")
 
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     if csv_path == args.out:
         csv_path = args.out + ".csv"
-    rows = []
-    for ix in range(n):
-        for iy in range(n):
-            rows.append(
-                [_fmt(ks[ix]), _fmt(ks[iy]), _fmt(float(fx[ix, iy])), _fmt(float(fy[ix, iy]))]
-            )
-    _atomic_write(csv_path, _csv_text(("kx", "ky", "Fx", "Fy"), rows))
+    _atomic_write(
+        (args.out, _svg_chunks(fx * fx + fy * fy, kxa, kya, afx, afy)),
+        (csv_path, _csv_chunks(ks, fx, fy)),
+    )
     return 0
 
 
@@ -608,13 +625,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_value_flags(raw))
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except RingRegimeError as exc:
         sys.stderr.write(f"error: {exc} (pass --ring to trace it)\n")
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except WindingError as exc:

@@ -5,12 +5,14 @@ import importlib.util
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from epband import LatticeSize, ModelParams, build_realspace, cli
 from epband.cli import parse_angle, parse_range
@@ -364,10 +366,160 @@ def test_field_export_svg_and_csv(tmp_path):
         assert mag[near] < 0.75
 
 
-def test_field_export_grid_floor():
-    proc = run_cli("field-export", "--t", "0.5", "--grid", "4", "--out", "/tmp/no.svg")
+def test_field_export_grid_floor(tmp_path):
+    out = tmp_path / "no.svg"
+    proc = run_cli("field-export", "--t", "0.5", "--grid", "4", "--out", str(out))
     assert proc.returncode == 2
     assert "at least 8" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+# The per-cell emitter that field-export replaced, kept as the byte reference.
+def _round12_reference(x):
+    if x == 0.0:
+        return 0.0
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} in report")
+    return float(f"{x:.12g}")
+
+
+def _fmt_reference(x):
+    # format, parse, format again
+    return f"{_round12_reference(float(x)):.12g}"
+
+
+def _cmap_reference(val):
+    lo, hi = (13, 8, 135), (240, 249, 33)
+    v = min(max(val, 0.0), 1.0)
+    r, g, b = (round(lo[i] + v * (hi[i] - lo[i])) for i in range(3))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _field_export_reference(params, n):
+    size, arrows = 640, 32
+    ks = cli._centers(n)
+    kxg, kyg = np.meshgrid(ks, ks, indexing="ij")
+    fx, fy, _ = cli.observables_grid(params, kxg, kyg)
+    density = fx * fx + fy * fy
+    px = size / n
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
+    ]
+    for r in range(n):
+        iy = n - 1 - r
+        for c in range(n):
+            parts.append(
+                f'<rect x="{c * px:.2f}" y="{r * px:.2f}" width="{px:.2f}" '
+                f'height="{px:.2f}" fill="{_cmap_reference(float(density[c, iy]))}"/>'
+            )
+    ka = cli._centers(arrows)
+    kxa, kya = np.meshgrid(ka, ka, indexing="ij")
+    afx, afy, _ = cli.observables_grid(params, kxa, kya)
+    scale = 0.75 * (size / arrows)
+    parts.append('<g stroke="#ffffff" stroke-width="1.2" stroke-opacity="0.9" fill="none">')
+    for ix in range(arrows):
+        for iy in range(arrows):
+            vx, vy = float(afx[ix, iy]), float(afy[ix, iy])
+            mag = math.hypot(vx, vy)
+            if mag < 1e-3:
+                continue
+            cxp = (kxa[ix, iy] + np.pi) / (2.0 * np.pi) * size
+            cyp = (np.pi - kya[ix, iy]) / (2.0 * np.pi) * size
+            ux, uy = vx / mag, -vy / mag
+            half = 0.5 * scale * min(mag, 1.0)
+            x0, y0 = cxp - half * ux, cyp - half * uy
+            x1, y1 = cxp + half * ux, cyp + half * uy
+            hx = 0.35 * half
+            c150, s150 = -0.866, 0.5
+            h1x = x1 + hx * (ux * c150 - uy * s150)
+            h1y = y1 + hx * (ux * s150 + uy * c150)
+            h2x = x1 + hx * (ux * c150 + uy * s150)
+            h2y = y1 + hx * (-ux * s150 + uy * c150)
+            parts.append(
+                f'<path d="M {x0:.2f} {y0:.2f} L {x1:.2f} {y1:.2f} '
+                f'M {h1x:.2f} {h1y:.2f} L {x1:.2f} {y1:.2f} L {h2x:.2f} {h2y:.2f}"/>'
+            )
+    parts += ["</g>", "</svg>"]
+    rows = ["kx,ky,Fx,Fy"]
+    for ix in range(n):
+        for iy in range(n):
+            cells = (ks[ix], ks[iy], fx[ix, iy], fy[ix, iy])
+            rows.append(",".join(_fmt_reference(v) for v in cells))
+    return "\n".join(parts) + "\n", "\n".join(rows) + "\n"
+
+
+FIELD_POINTS = {
+    "anchor": ModelParams(1.0, -1.5, 0.5, 0.5),
+    "ring-t0": ModelParams(1.0, -0.5, 0.0, 0.5),  # Fx has signed zeros here
+    "J-negative": ModelParams(-1.0, -1.5, 0.5, 0.5),
+    "t-gamma-0": ModelParams(1.0, -1.5, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 100])
+@pytest.mark.parametrize("point", sorted(FIELD_POINTS))
+def test_field_export_matches_per_cell_loop(tmp_path, point, n):
+    p = FIELD_POINTS[point]
+    flags = ("--J", str(p.J), "--T", str(p.T), "--t", str(p.t), "--gamma", str(p.gamma))
+    out = tmp_path / "field.svg"
+    assert cli.main(["field-export", *flags, "--grid", str(n), "--out", str(out)]) == 0
+    svg, csv = _field_export_reference(p, n)
+    assert out.read_text() == svg
+    assert (tmp_path / "field.csv").read_text() == csv
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@given(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.integers(1, 2**52 - 1).map(_double),  # subnormals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1.7976931348623157e308]),
+))
+def test_fmt_matches_format_parse_format(x):
+    assert cli._fmt(x) == _fmt_reference(x)
+    assert cli._fmt(np.float64(x)) == _fmt_reference(x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_fmt_rejects_non_finite(x):
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._fmt(x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_field_export_non_finite_field_writes_nothing(tmp_path, capsys):
+    # J = 1e200 overflows the Bloch field; no NaN may become a colour or a file
+    out = tmp_path / "field.svg"
+    assert cli.main(["field-export", "--J", "1e200", "--grid", "8", "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_export_leaves_nothing_partial(tmp_path, capsys):
+    # the CSV's rename fails after the SVG is complete: neither file may remain
+    (tmp_path / "field.csv").mkdir()
+    out = tmp_path / "field.svg"
+    assert cli.main(["field-export", *ANCHOR_FLAGS, "--grid", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert list(tmp_path.glob(".epband-*")) == []
+    assert (tmp_path / "field.csv").is_dir()
+
+
+@pytest.mark.parametrize("argv", [
+    ["btps", *ANCHOR_FLAGS, "--out"],
+    ["field-export", *ANCHOR_FLAGS, "--grid", "8", "--out"],
+], ids=["btps", "field-export"])
+def test_unwritable_out_exits_2(tmp_path, argv):
+    proc = run_cli(*argv, str(tmp_path / "no" / "such" / "x.out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +534,7 @@ def _benchmark_commands():
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return {label: argv for label, argv, written in workloads.CLI_COMMANDS if not written}
+    return {label: (argv, written) for label, argv, written in workloads.CLI_COMMANDS}
 
 
 _COMMANDS = _benchmark_commands()
@@ -390,14 +542,23 @@ _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 
 
 def test_reference_covers_every_command_without_files():
-    assert set(_COMMANDS) == {k for k, v in _REFERENCE.items() if not v["files"]}
+    # every command, the ones that write files included
+    assert len(_COMMANDS) == 9
+    assert set(_COMMANDS) == set(_REFERENCE)
+    for label, (_, written) in _COMMANDS.items():
+        assert sorted(_REFERENCE[label]["files"]) == sorted(Path(w).name for w in written)
 
 
 @pytest.mark.parametrize("label", sorted(_COMMANDS))
-def test_stdout_matches_benchmark_reference(capsys, label):
+def test_stdout_matches_benchmark_reference(capsys, tmp_path, label):
     # the README's promise: identical invocations give byte-identical output,
     # down to the rounding residues that realspace prints
-    code = cli.main(_COMMANDS[label])
+    argv, written = _COMMANDS[label]
+    argv = [str(tmp_path / Path(a).name) if a in written else a for a in argv]
+    code = cli.main(argv)
     stdout = capsys.readouterr().out
     assert code == _REFERENCE[label]["returncode"]
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == _REFERENCE[label]["stdout"]
+    files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+             for name in _REFERENCE[label]["files"]}
+    assert files == _REFERENCE[label]["files"]
