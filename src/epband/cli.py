@@ -19,11 +19,15 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
-from .btp import RingRegimeError, branch_level, trace_ep_ring
+from .btp import (
+    DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP,
+    RingRegimeError, branch_level, trace_ep_ring,
+)
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
     LatticeSize,
@@ -33,13 +37,11 @@ from .lattice import (
     spectral_mismatch,
 )
 from .phase import scan_phase_diagram, signature, census_type
-from .winding import Loop, WindingError, winding_number
+from .winding import Loop, winding_number
 
 __all__ = ["main", "parse_angle", "parse_range"]
 
 SCHEMA_VERSION = 1
-
-_KINDS = ("DiracPoint", "SemiDiracPoint", "NormalEP", "HybridEP", "TrivialIsolatedEP")
 
 
 class UsageError(Exception):
@@ -84,22 +86,20 @@ def parse_range(text: str):
     return lo, hi
 
 
-# Values like "-2:2" or "-pi/2" start with a dash and would be eaten by
-# argparse as unknown options; fold them into flag=value tokens up front.
-_VALUE_FLAGS = {"--gamma-range", "--T-range", "--kx", "--ky", "--dx", "--dy"}
+# argparse reads a dash-led token as an option unless it looks like a plain negative
+# decimal, so values like "-1e-4", "-pi/2" or "-2:2" would be refused.  Every option but
+# -h is long, so a token led by one dash is a value: fold it into the flag before it.
+_FLAG_RE = re.compile(r"--[A-Za-z][\w-]*")
 
 
 def _merge_value_flags(argv):
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        value = tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+        if value and merged and _FLAG_RE.fullmatch(merged[-1]):
+            merged[-1] += "=" + tok
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
@@ -141,51 +141,56 @@ def _clean(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(_clean(report), indent=2) + "\n"
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
+def _csv_chunks(header, rows):
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(row) + "\n"
 
 
 def _atomic_write(*outputs) -> None:
     """Write each (path, chunks) pair to a temp file beside it; rename them all once all are
-    complete.  On any error remove every temp file and any output this call renamed."""
+    complete.  On any error remove every temp file and any output this call renamed.
+
+    A path of None is stdout, which cannot be taken back: it gets its text in one write,
+    only once all of it is formatted.
+    """
     temps, placed = [], []
     try:
         for path, chunks in outputs:
+            if path is None:
+                sys.stdout.write("".join(chunks))
+                continue
             folder = os.path.dirname(os.path.abspath(path))
             fd, tmp = tempfile.mkstemp(dir=folder, prefix=".epband-")
-            temps.append(tmp)
+            temps.append((path, tmp))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-        for (path, _), tmp in zip(outputs, temps):
+        for path, tmp in temps:
             os.replace(tmp, path)
             placed.append(path)
     except BaseException:
-        for leftover in temps + placed:
+        for leftover in [tmp for _, tmp in temps] + placed:
             if os.path.exists(leftover):
                 os.unlink(leftover)
         raise
 
 
-def _emit(text: str, out) -> None:
-    if out:
-        _atomic_write((out, [text]))
+def _write(args, report: dict, header=(), rows=()) -> None:
+    """``report`` as JSON, or ``header`` and ``rows`` under --format csv, to --out or stdout."""
+    if getattr(args, "format", "json") == "csv":
+        chunks = _csv_chunks(header, rows)
     else:
-        sys.stdout.write(text)
+        chunks = [json.dumps(_clean(report), indent=2) + "\n"]
+    _atomic_write((args.out or None, chunks))
+
+
+def _report(command: str, params: ModelParams, **fields) -> dict:
+    """A JSON report: the header every subcommand shares, then ``fields`` in order."""
+    return {"schemaVersion": SCHEMA_VERSION, "command": command, "params": asdict(params), **fields}
 
 
 def _params(args) -> ModelParams:
     return ModelParams(J=args.J, T=args.T, t=args.t, gamma=args.gamma)
-
-
-def _params_dict(p: ModelParams) -> dict:
-    return {"J": p.J, "T": p.T, "t": p.t, "gamma": p.gamma}
 
 
 # ---------------------------------------------------------------------------
@@ -195,52 +200,40 @@ def cmd_btps(args) -> int:
     params = _params(args)
     if args.ring and abs(params.t) > 1e-12:
         raise UsageError("--ring applies only at t = 0")
-    sig = None
-    ring_regime = False
     try:
         sig = signature(params, samples=args.samples)
     except RingRegimeError:
         if not args.ring:
             raise
-        ring_regime = True
+        sig = None  # the ring regime
 
-    btps = list(sig.btps) if sig is not None else []
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "btps",
-        "params": _params_dict(params),
-        "count": len(btps),
-        "type": census_type(sig) if sig is not None else None,
-        "btps": [b.to_json_dict() for b in btps],
-    }
-    if ring_regime:
+    btps = sig.btps if sig is not None else ()
+    report = _report(
+        "btps",
+        params,
+        count=len(btps),
+        type=census_type(sig) if sig is not None else None,
+        btps=[b.to_json_dict() for b in btps],
+    )
+    if sig is None:
         report["note"] = "ring regime"
     elif not btps:
         report["note"] = "gapped"
-
     if args.ring:
-        rings = []
-        for s in (1, -1):
-            if abs(branch_level(params, s)) >= 2.0 - 1e-9:
-                continue
-            ring = trace_ep_ring(params, s, samples=args.samples)
-            rings.append(
-                {
-                    "branch": ring.branch,
-                    "level": ring.level,
-                    "vertices": [[float(v[0]), float(v[1])] for v in ring.vertices],
-                }
-            )
-        report["rings"] = rings
-
-    if args.format == "csv":
-        rows = [
-            [_fmt(b.k.kx), _fmt(b.k.ky), str(b.branch), b.kind, _fmt(b.w_i), _fmt(b.w_ii)]
-            for b in btps
+        rings = (
+            trace_ep_ring(params, s, samples=args.samples)
+            for s in (1, -1)
+            if abs(branch_level(params, s)) < 2.0 - 1e-9
+        )
+        report["rings"] = [
+            {"branch": r.branch, "level": r.level, "vertices": r.vertices.tolist()} for r in rings
         ]
-        _emit(_csv_text(("kx", "ky", "branch", "kind", "wI", "wII"), rows), args.out)
-    else:
-        _emit(_json_text(report), args.out)
+
+    rows = (
+        [_fmt(b.k.kx), _fmt(b.k.ky), str(b.branch), b.kind, _fmt(b.w_i), _fmt(b.w_ii)]
+        for b in btps
+    )
+    _write(args, report, ("kx", "ky", "branch", "kind", "wI", "wII"), rows)
     return 0
 
 
@@ -250,80 +243,41 @@ def cmd_winding(args) -> int:
         center=Momentum(args.kx, args.ky), radius=args.loop_radius, samples=args.samples
     )
     result = winding_number(params, loop, field_kind=args.field)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "winding",
-        "params": _params_dict(params),
-    }
-    report.update(result.to_json_dict())
-    _emit(_json_text(report), args.out)
+    _write(args, _report("winding", params, **result.to_json_dict()))
     return 0
 
 
-_SCAN_HEADER = (
-    "gamma",
-    "T",
-    "nBtps",
-    "counts0",
-    "countsHalf",
-    "countsOne",
-    "type",
-    "boundaryFlag",
-    "wIIHash",
-)
+_SCAN_HEADER = "gamma,T,nBtps,counts0,countsHalf,countsOne,type,boundaryFlag,wIIHash".split(",")
+
+
+def _scan_record(cell):
+    """One scan cell as its JSON object and its CSV row, read off the same census."""
+    entry = {"gamma": cell.gamma, "T": cell.big_t, "boundaryFlag": cell.boundary}
+    census, kind, digest = ("",) * 4, "", ""
+    if cell.sig is not None:
+        sig = cell.sig
+        kind, digest = census_type(sig), sig.wii_hash()
+        # JSON keeps the census's own boundaryFlag in the key's place; CSV keeps the cell's
+        entry.update(type=kind, wIIHash=digest, **sig.to_json_dict())
+        census = (sig.n_btps, *(sig.counts_wi[w] for w in (0.0, 0.5, 1.0)))
+    elif cell.error:
+        entry["error"] = cell.error
+    flag = "1" if cell.boundary else "0"
+    row = [_fmt(cell.gamma), _fmt(cell.big_t), *map(str, census), kind or "", flag, digest]
+    return entry, row
 
 
 def cmd_scan(args) -> int:
     base = ModelParams(J=args.J, T=0.0, t=args.t, gamma=0.0)
     grid = scan_phase_diagram(args.gamma_range, args.T_range, args.res, base)
-    rows = []
-    cells_json = []
-    for i in range(len(grid.gammas)):
-        for j in range(len(grid.big_ts)):
-            cell = grid.cells[i][j]
-            flag = "1" if cell.boundary else "0"
-            if cell.sig is not None:
-                sig = cell.sig
-                counts = sig.counts_wi
-                rows.append(
-                    [
-                        _fmt(cell.gamma),
-                        _fmt(cell.big_t),
-                        str(sig.n_btps),
-                        str(counts[0.0]),
-                        str(counts[0.5]),
-                        str(counts[1.0]),
-                        census_type(sig) or "",
-                        flag,
-                        sig.wii_hash(),
-                    ]
-                )
-                cells_json.append(
-                    {
-                        "gamma": cell.gamma,
-                        "T": cell.big_t,
-                        "boundaryFlag": cell.boundary,
-                        "type": census_type(sig),
-                        "wIIHash": sig.wii_hash(),
-                        **sig.to_json_dict(),
-                    }
-                )
-            else:
-                rows.append([_fmt(cell.gamma), _fmt(cell.big_t), "", "", "", "", "", flag, ""])
-                entry = {"gamma": cell.gamma, "T": cell.big_t, "boundaryFlag": cell.boundary}
-                if cell.error:
-                    entry["error"] = cell.error
-                cells_json.append(entry)
-    if args.format == "json":
-        report = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "scan",
-            "base": _params_dict(base),
-            "cells": cells_json,
-        }
-        _emit(_json_text(report), args.out)
-    else:
-        _emit(_csv_text(_SCAN_HEADER, rows), args.out)
+    records = [_scan_record(cell) for row in grid.cells for cell in row]
+    report = {
+        "schemaVersion": SCHEMA_VERSION,
+        "command": "scan",
+        "base": asdict(base),
+        "cells": [entry for entry, _ in records],
+    }
+    _write(args, report, _SCAN_HEADER, (row for _, row in records))
     return 0
 
 
@@ -333,11 +287,7 @@ def cmd_dispersion(args) -> int:
     kind = args.kind
     if kind is None:
         sig = signature(params, samples=args.samples)
-        hit = None
-        for b in sig.btps:
-            if torus_distance(b.k, origin) < 1e-6:
-                hit = b
-                break
+        hit = next((b for b in sig.btps if torus_distance(b.k, origin) < 1e-6), None)
         if hit is None:
             raise UsageError(
                 f"no band touching at ({origin.kx:.6f}, {origin.ky:.6f}); pass --kind to override"
@@ -348,25 +298,21 @@ def cmd_dispersion(args) -> int:
     sample = sample_dispersion(params, origin, direction, default_qs())
     fit = fit_power_law(sample)
     expected = expected_dispersion(kind, origin, direction, params)
-    if args.format == "csv":
-        rows = [[_fmt(q), _fmt(e)] for q, e in zip(sample.q, sample.abs_e)]
-        _emit(_csv_text(("q", "absE"), rows), args.out)
-        return 0
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "dispersion",
-        "params": _params_dict(params),
-        "origin": {"kx": origin.kx, "ky": origin.ky},
-        "direction": {"dx": sample.direction[0], "dy": sample.direction[1]},
-        "kind": kind,
-        "alpha": fit.alpha,
-        "C": fit.c,
-        "r2": fit.r2,
-        "expectedAlpha": expected.alpha if expected else None,
-        "expectedC": expected.c if expected else None,
-        "caseId": expected.case_id if expected else None,
-    }
-    _emit(_json_text(report), args.out)
+    report = _report(
+        "dispersion",
+        params,
+        origin={"kx": origin.kx, "ky": origin.ky},
+        direction={"dx": sample.direction[0], "dy": sample.direction[1]},
+        kind=kind,
+        alpha=fit.alpha,
+        C=fit.c,
+        r2=fit.r2,
+        expectedAlpha=expected.alpha if expected else None,
+        expectedC=expected.c if expected else None,
+        caseId=expected.case_id if expected else None,
+    )
+    rows = ([_fmt(q), _fmt(e)] for q, e in zip(sample.q, sample.abs_e))
+    _write(args, report, ("q", "absE"), rows)
     return 0
 
 
@@ -375,20 +321,16 @@ def cmd_symmetry(args) -> int:
     rows = symmetry_residuals(params, grid_n=args.grid)
     worst = max(res for _, res in rows)
     passed = worst <= args.tol
-    if args.format == "csv":
-        _emit(_csv_text(("relation", "residual"), [[n, _fmt(r)] for n, r in rows]), args.out)
-    else:
-        report = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "symmetry",
-            "params": _params_dict(params),
-            "grid": args.grid,
-            "tol": args.tol,
-            "residuals": [{"relation": n, "residual": r} for n, r in rows],
-            "maxResidual": worst,
-            "passed": passed,
-        }
-        _emit(_json_text(report), args.out)
+    report = _report(
+        "symmetry",
+        params,
+        grid=args.grid,
+        tol=args.tol,
+        residuals=[{"relation": n, "residual": r} for n, r in rows],
+        maxResidual=worst,
+        passed=passed,
+    )
+    _write(args, report, ("relation", "residual"), ([n, _fmt(r)] for n, r in rows))
     return 0 if passed else 1
 
 
@@ -402,44 +344,38 @@ def cmd_realspace(args) -> int:
     passed = check.passed and mismatch < 1e-10
     if args.dump:
         rs, cs = np.nonzero(h)  # row-major order
-        rows = [
+        rows = (
             [str(r), str(c), _fmt(v.real), _fmt(v.imag)]
             for r, c, v in zip(rs.tolist(), cs.tolist(), h[rs, cs])
-        ]
-        _atomic_write((args.dump, [_csv_text(("row", "col", "re", "im"), rows)]))
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "realspace",
-        "params": _params_dict(params),
-        "N": size.n,
-        "dim": size.dim,
-        "offblock": check.offblock,
-        "blockDeviation": check.blockdev,
-        "spectralMismatch": mismatch,
-        "ordering": check.ordering,
-        "passed": passed,
-    }
-    _emit(_json_text(report), args.out)
+        )
+        _atomic_write((args.dump, _csv_chunks(("row", "col", "re", "im"), rows)))
+    report = _report(
+        "realspace",
+        params,
+        N=size.n,
+        dim=size.dim,
+        offblock=check.offblock,
+        blockDeviation=check.blockdev,
+        spectralMismatch=mismatch,
+        ordering=check.ordering,
+        passed=passed,
+    )
+    _write(args, report)
     return 0 if passed else 1
 
 
 def cmd_ring(args) -> int:
     params = _params(args)
     ring = trace_ep_ring(params, args.branch, samples=args.samples)
-    if args.format == "json":
-        report = {
-            "schemaVersion": SCHEMA_VERSION,
-            "command": "ring",
-            "params": _params_dict(params),
-            "branch": ring.branch,
-            "level": ring.level,
-            "count": int(ring.vertices.shape[0]),
-            "vertices": [[float(v[0]), float(v[1])] for v in ring.vertices],
-        }
-        _emit(_json_text(report), args.out)
-    else:
-        rows = [[_fmt(v[0]), _fmt(v[1])] for v in ring.vertices]
-        _emit(_csv_text(("kx", "ky"), rows), args.out)
+    report = _report(
+        "ring",
+        params,
+        branch=ring.branch,
+        level=ring.level,
+        count=len(ring.vertices),
+        vertices=ring.vertices.tolist(),
+    )
+    _write(args, report, ("kx", "ky"), ([_fmt(x), _fmt(y)] for x, y in ring.vertices))
     return 0
 
 
@@ -502,7 +438,8 @@ def _svg_chunks(density, kxa, kya, afx, afy):
     yield "\n".join(parts) + "\n"
 
 
-def _csv_chunks(ks, fx, fy):
+def _field_csv_chunks(ks, fx, fy):
+    """_csv_chunks' text for the field, one grid row per chunk and no Python call per cell."""
     yield "kx,ky,Fx,Fy\n"
     k = [_fmt(v) for v in ks]
     for kx, rx, ry in zip(k, fx, fy):
@@ -530,7 +467,7 @@ def cmd_field_export(args) -> int:
         csv_path = args.out + ".csv"
     _atomic_write(
         (args.out, _svg_chunks(fx * fx + fy * fy, kxa, kya, afx, afy)),
-        (csv_path, _csv_chunks(ks, fx, fy)),
+        (csv_path, _field_csv_chunks(ks, fx, fy)),
     )
     return 0
 
@@ -579,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[model, outp], help="phase-diagram grid scan")
     p.add_argument("--gamma-range", type=parse_range, default=(-2.0, 2.0), metavar="LO:HI")
-    p.add_argument("--T-range", dest="T_range", type=parse_range, default=(-2.0, 2.0), metavar="LO:HI")
+    p.add_argument(
+        "--T-range", dest="T_range", type=parse_range, default=(-2.0, 2.0), metavar="LO:HI"
+    )
     p.add_argument("--res", type=int, default=41, help="grid points per axis")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_scan)
@@ -589,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ky", type=parse_angle, required=True, help="ray origin ky")
     p.add_argument("--dx", type=parse_angle, required=True, help="ray direction x component")
     p.add_argument("--dy", type=parse_angle, required=True, help="ray direction y component")
-    p.add_argument("--kind", choices=_KINDS, default=None, help="override touching kind")
+    kinds = (DIRAC_POINT, SEMI_DIRAC_POINT, NORMAL_EP, HYBRID_EP, TRIVIAL_ISOLATED_EP)
+    p.add_argument("--kind", choices=kinds, default=None, help="override touching kind")
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_dispersion)
@@ -631,10 +571,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except WindingError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:  # WindingError is a RuntimeError
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -123,8 +123,8 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
     loops, failure = [], None
     for b in btps:
         try:
-            loops.append(make_loop(b.k, params, btps, samples=samples))
-        except (ValueError, WindingError) as exc:
+            loops.append(make_loop(b.k, btps, samples=samples))
+        except ValueError as exc:
             failure = exc  # raised once the touchings before it are wound and classified
             break
     done = []

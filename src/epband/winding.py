@@ -73,24 +73,21 @@ class Loop:
     center: Momentum
     radius: float
     samples: int = 512
-    orientation: str = "ccw"
 
     def __post_init__(self):
         if not (self.radius > 0.0) or not math.isfinite(self.radius):
             raise ValueError(f"loop radius must be positive, got {self.radius!r}")
         if self.samples < 256:
             raise ValueError("loops need at least 256 samples")
-        if self.orientation != "ccw":
-            raise ValueError("only counterclockwise loops are defined")
 
 
-def make_loop(center: Momentum, params: ModelParams, all_btps, samples: int = 512) -> Loop:
+def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
     """Loop around ``center`` sized off the nearest other band touching.
 
     radius = min(0.4 * distance to the nearest listed BTP other than the
     center itself, 0.1).  A radius below 1e-4 means two touchings are about
-    to merge and no loop separates them.  As a cheap guard the sampled loop
-    is also rejected if |E| collapses on it.
+    to merge and no loop separates them.  A loop that runs through a touching
+    fails when it is wound, with a :class:`LoopThroughDefectError`.
     """
     dmin = None
     for b in all_btps:
@@ -102,14 +99,7 @@ def make_loop(center: Momentum, params: ModelParams, all_btps, samples: int = 51
         raise ValueError(
             f"loop radius {radius:.2e} below 1e-4: band touchings too close to separate"
         )
-    loop = Loop(center=center, radius=radius, samples=samples)
-    theta = 2.0 * np.pi * np.arange(64) / 64
-    bx, by = bloch_field_grid(
-        params, center.kx + radius * np.cos(theta), center.ky + radius * np.sin(theta)
-    )
-    if np.min(np.abs(bx * bx + by * by)) < _FIELD_FLOOR**2:
-        raise LoopThroughDefectError("a band touching lies on the proposed loop")
-    return loop
+    return Loop(center=center, radius=radius, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -340,8 +330,8 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
     loops, failure = [], None
     for b in enclosed:
         try:
-            loops.append(make_loop(b.k, params, btps))
-        except (ValueError, WindingError) as exc:
+            loops.append(make_loop(b.k, btps))
+        except ValueError as exc:
             failure = exc  # raised during the F comparison, after the parts before it
             break
     totals = next(wind_loops(params, [big_loop]))

@@ -110,7 +110,7 @@ def test_criterion_2_charge_pattern_on_line(capfd):
         if b.kind == HYBRID_EP and (b.w_i != 0.0 or b.w_ii != 0.0):
             bad.append(f"hybrid EP charges ({b.w_i}, {b.w_ii}) != (0, 0)")
     for b in line:
-        loop = make_loop(b.k, ANCHOR, sig.btps)
+        loop = make_loop(b.k, sig.btps)
         for field in ("F", "E"):
             res = winding_number(ANCHOR, loop, field_kind=field)
             if res.residual >= 0.05:
@@ -178,7 +178,7 @@ def test_criterion_3_winding_laws(capfd):
     else:
         total = winding_number(split, big, field_kind="F").value
         parts = sum(
-            winding_number(split, make_loop(b.k, split, btps), field_kind="F").value
+            winding_number(split, make_loop(b.k, btps), field_kind="F").value
             for b in pair
         )
         parent = winding_number(

@@ -60,6 +60,19 @@ def test_parse_range():
             parse_range(bad)
 
 
+@pytest.mark.parametrize("spelled, plain", [
+    ("--T -1.5 --t 0.5 --gamma -5e-1", "--T -1.5 --t 0.5 --gamma -0.5"),
+    ("--T -1.5 --t 0.5 --gamma -.5E0", "--T -1.5 --t 0.5 --gamma -0.5"),
+    ("--J -1e0 --T -15e-1 --t -5e-1 --gamma -5e-1", "--J -1 --T -1.5 --t -0.5 --gamma -0.5"),
+], ids=["gamma-exponent", "gamma-point-led", "every-model-flag"])
+def test_negative_values_in_any_float_spelling(capsys, spelled, plain):
+    # argparse alone takes "-5e-1" for an unknown option, not a number
+    assert cli.main(["btps", *plain.split()]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["btps", *spelled.split()]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_console_script_installed():
     exe = shutil.which("epband")
     assert exe is not None
@@ -308,16 +321,16 @@ def test_realspace_block_check(tmp_path):
 def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n):
     params = ModelParams(1.0, -1.5, 0.5, 0.5)
     h = build_realspace(params, LatticeSize(n))
-    rows = []
+    lines = ["row,col,re,im"]
     for r in range(h.shape[0]):
         for c in range(h.shape[1]):
             v = h[r, c]
             if v != 0:
-                rows.append([str(r), str(c), cli._fmt(v.real), cli._fmt(v.imag)])
+                lines.append(",".join([str(r), str(c), cli._fmt(v.real), cli._fmt(v.imag)]))
     dump = tmp_path / "h.csv"
     cli.main(["realspace", "--J", "1", *ANCHOR_FLAGS, "--N", str(n), "--dump", str(dump)])
     capsys.readouterr()
-    assert dump.read_text() == cli._csv_text(("row", "col", "re", "im"), rows)
+    assert dump.read_text() == "\n".join(lines) + "\n"
 
 
 def test_realspace_rejects_odd_side():
@@ -540,6 +553,65 @@ def _benchmark_commands():
 _COMMANDS = _benchmark_commands()
 _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 
+# Output paths the benchmark does not run, recorded the same way before the CLI's output
+# code was folded into one path: label -> (argv, stdout SHA-256, SHA-256 of each file that
+# argv writes under out/).  The scan window holds classified, boundary and error cells.
+_RING_FLAGS = ("--gamma", "1", "--T", "0", "--t", "0")
+_SCAN_FLAGS = ("--t", "0.5", "--gamma-range", "-4e-4:4e-4", "--T-range", "-1.2:-0.8", "--res", "9")
+_PINNED = {
+    "scan_csv": (
+        ["scan", *_SCAN_FLAGS],
+        "6a6b91e1e290706a1231697d93271c663bb1e9e00437ce0879ea7430cba38e6f",
+        {},
+    ),
+    "scan_json": (
+        ["scan", *_SCAN_FLAGS, "--format", "json", "--out", "out/scan.json"],
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        {
+            "scan.json": "a9a5da5ff8d6dd416ef02c63396e147e5bbe2d03861f59f93c8f4f04a44d7537",
+        },
+    ),
+    "dispersion_csv": (
+        ["dispersion", *ANCHOR_FLAGS, "--kx", "1", "--ky", "1", "--dx", "1", "--dy", "0",
+         "--kind", "NormalEP", "--format", "csv"],
+        "2303499c5e4f453fe60dd9e97f6b7cdec21eb30a27bf1c36cc58460a1743dcc7",
+        {},
+    ),
+    "symmetry_csv": (
+        ["symmetry", *ANCHOR_FLAGS, "--grid", "64", "--format", "csv"],
+        "5db83061739882ab851f4ae881dd9919f02a1cf534a09751421bff72fd9ba891",
+        {},
+    ),
+    "ring_json": (
+        ["ring", *_RING_FLAGS, "--branch", "-1", "--format", "json"],
+        "01eafa1993d53e1c0a912ea53a7a083866b38e0328c474840d44ce1ef50b3dac",
+        {},
+    ),
+    "btps_ring_csv": (
+        ["btps", *_RING_FLAGS, "--ring", "--format", "csv"],
+        "1cec69fc78791b123791f737392f433c6772bd6bbc898f2df1d225e53f356cf3",
+        {},
+    ),
+    "btps_gapped": (
+        ["btps", "--T", "5", "--gamma", "0.5", "--t", "0"],
+        "101d5a80710d6a95d4f0c8e467a94f5c44ce2f34294dbcc70808fb9d5d6e6e4d",
+        {},
+    ),
+    "realspace_dump": (
+        ["realspace", *ANCHOR_FLAGS, "--N", "6", "--dump", "out/h.csv"],
+        "c64132621f3347ad9daa6bdd8b6afee3269c471104f14bdb03c3f5d72674311c",
+        {
+            "h.csv": "de0735662e02e9050c74aadf47af47afb5588d20b6f066f4de0b4371e7dcfbe5",
+        },
+    ),
+}
+_CASES = {label: (*_COMMANDS[label], _REFERENCE[label]) for label in _COMMANDS}
+_CASES.update(
+    (label, (argv, [f"out/{name}" for name in files],
+             {"returncode": 0, "stdout": stdout, "files": files}))
+    for label, (argv, stdout, files) in _PINNED.items()
+)
+
 
 def test_reference_covers_every_command_without_files():
     # every command, the ones that write files included
@@ -549,16 +621,16 @@ def test_reference_covers_every_command_without_files():
         assert sorted(_REFERENCE[label]["files"]) == sorted(Path(w).name for w in written)
 
 
-@pytest.mark.parametrize("label", sorted(_COMMANDS))
+@pytest.mark.parametrize("label", sorted(_CASES))
 def test_stdout_matches_benchmark_reference(capsys, tmp_path, label):
     # the README's promise: identical invocations give byte-identical output,
     # down to the rounding residues that realspace prints
-    argv, written = _COMMANDS[label]
+    argv, written, reference = _CASES[label]
     argv = [str(tmp_path / Path(a).name) if a in written else a for a in argv]
     code = cli.main(argv)
     stdout = capsys.readouterr().out
-    assert code == _REFERENCE[label]["returncode"]
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == _REFERENCE[label]["stdout"]
+    assert code == reference["returncode"]
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == reference["stdout"]
     files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-             for name in _REFERENCE[label]["files"]}
-    assert files == _REFERENCE[label]["files"]
+             for name in reference["files"]}
+    assert files == reference["files"]

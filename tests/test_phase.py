@@ -109,7 +109,7 @@ def _first_sequential_error(params):
     btps = locate_btps(params)
     try:
         for b in btps:
-            loop = make_loop(b.k, params, btps)
+            loop = make_loop(b.k, btps)
             wi = winding_number(params, loop, "F").value
             winding_number(params, loop, "E")
             classify_btp(params, b, wi)

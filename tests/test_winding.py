@@ -85,14 +85,14 @@ def _hermitian_field(bx, by):
 def test_make_loop_radius_cap():
     btps = locate_btps(ANCHOR)
     center = Momentum(math.pi / 3, -HALF_PI)
-    loop = make_loop(center, ANCHOR, btps)
+    loop = make_loop(center, btps)
     # nearest neighbour is the hybrid at (0, -pi/2): 0.4*(pi/3) caps at 0.1
     assert loop.radius == pytest.approx(0.1)
 
 
 def test_make_loop_single_point():
     center = Momentum(1.0, 2.0)
-    loop = make_loop(center, ANCHOR, [])
+    loop = make_loop(center, [])
     assert loop.radius == pytest.approx(0.1)
 
 
@@ -101,7 +101,7 @@ def test_make_loop_rejects_unresolved_pair():
     b = Momentum(1.0 + 1e-5, 1.0)
     fake = [type("B", (), {"k": b})()]
     with pytest.raises(ValueError):
-        make_loop(a, ANCHOR, fake)
+        make_loop(a, fake)
 
 
 def test_loop_validation():
@@ -149,7 +149,7 @@ def test_dirac_point_unit_charge():
     p = ModelParams(1.0, -1.0, 0.5, 0.0)
     values = set()
     for b in locate_btps(p):
-        loop = make_loop(b.k, p, locate_btps(p))
+        loop = make_loop(b.k, locate_btps(p))
         values.add(round(winding_number(p, loop, "F").value, 6))
     assert values == {1.0, -1.0}
 
@@ -181,7 +181,7 @@ def test_quantization_random_draws():
         btps = locate_btps(p)
         total = 0.0
         for b in btps:
-            r = winding_number(p, make_loop(b.k, p, btps), "F")
+            r = winding_number(p, make_loop(b.k, btps), "F")
             assert abs(2.0 * r.value - round(2.0 * r.value)) < 1e-9
             assert r.residual < 0.05
             total += r.value
@@ -198,10 +198,10 @@ def test_gamma_flip_laws():
     for b in bp:
         partner = min(bq, key=lambda o: torus_distance(b.k, o.k))
         assert torus_distance(b.k, partner.k) < 1e-9
-        wi_p = winding_number(p, make_loop(b.k, p, bp), "F").value
-        wi_q = winding_number(q, make_loop(partner.k, q, bq), "F").value
-        wii_p = winding_number(p, make_loop(b.k, p, bp), "E").value
-        wii_q = winding_number(q, make_loop(partner.k, q, bq), "E").value
+        wi_p = winding_number(p, make_loop(b.k, bp), "F").value
+        wi_q = winding_number(q, make_loop(partner.k, bq), "F").value
+        wii_p = winding_number(p, make_loop(b.k, bp), "E").value
+        wii_q = winding_number(q, make_loop(partner.k, bq), "E").value
         assert wi_q == pytest.approx(wi_p, abs=1e-9)
         assert wii_q == pytest.approx(-wii_p, abs=1e-9)
 
@@ -212,8 +212,8 @@ def test_normal_ep_chirality_pairing():
     for b in btps:
         if b.kind != "NormalEP":
             continue
-        wi = winding_number(ANCHOR, make_loop(b.k, ANCHOR, btps), "F").value
-        wii = winding_number(ANCHOR, make_loop(b.k, ANCHOR, btps), "E").value
+        wi = winding_number(ANCHOR, make_loop(b.k, btps), "F").value
+        wii = winding_number(ANCHOR, make_loop(b.k, btps), "E").value
         assert wii == pytest.approx(-wi, abs=1e-9)
         assert abs(wi) == pytest.approx(0.5, abs=1e-9)
 
@@ -227,7 +227,7 @@ def test_batched_windings_match_single_loops():
     for _ in range(12):
         p = _diamond_draw(rng)
         btps = locate_btps(p)
-        loops = [make_loop(b.k, p, btps) for b in btps]
+        loops = [make_loop(b.k, btps) for b in btps]
         for loop, windings in zip(loops, wind_loops(p, loops)):
             for kind, batched in zip(("F", "E"), windings):
                 single = winding_number(p, loop, kind)
@@ -239,7 +239,7 @@ def test_batched_windings_match_single_loops():
 def test_mixed_batch_refines_only_the_loop_that_needs_it():
     p = ModelParams(1.0, -2.0 + 1e-5, 0.5, 0.0)
     btps = locate_btps(p)
-    near = make_loop(btps[0].k, p, btps)
+    near = make_loop(btps[0].k, btps)
     far = Loop(center=Momentum(math.pi, math.pi), radius=0.1)
     results = list(wind_loops(p, [near, far]))
     for loop, windings in zip((near, far), results):
@@ -280,7 +280,7 @@ def test_energy_vorticity_is_half_the_discriminant_winding():
         p = _diamond_draw(rng)
         sig = signature(p)
         for b in sig.btps:
-            loop = make_loop(b.k, p, sig.btps)
+            loop = make_loop(b.k, sig.btps)
             assert b.w_ii == pytest.approx(0.5 * _untracked_winding(p, loop, _discriminant), abs=1e-6)
             checked += 1
     assert checked > 400
@@ -290,7 +290,7 @@ def _assert_texture_is_field_winding(params):
     sig = signature(params)
     assert sig.n_btps > 0
     for b in sig.btps:
-        loop = make_loop(b.k, params, sig.btps)
+        loop = make_loop(b.k, sig.btps)
         assert b.w_i == pytest.approx(_untracked_winding(params, loop, _hermitian_field), abs=1e-6)
 
 
@@ -322,7 +322,7 @@ def test_split_pair_sums_to_parent_charge():
     big = Loop(center=parent, radius=0.05)
     total = winding_number(p, big, "F").value
     assert abs(total) == pytest.approx(1.0, abs=1e-9)
-    parts = sum(winding_number(p, make_loop(b.k, p, btps), "F").value for b in pair)
+    parts = sum(winding_number(p, make_loop(b.k, btps), "F").value for b in pair)
     assert parts == pytest.approx(total, abs=1e-9)
 
 
