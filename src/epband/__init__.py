@@ -24,7 +24,6 @@ from .btp import (
     EpRing,
     RingRegimeError,
     branch_level,
-    classify_btp,
     locate_btps,
     min_gap,
     trace_ep_ring,
@@ -48,6 +47,7 @@ from .winding import (
     Loop,
     LoopThroughDefectError,
     NonQuantizedLoopError,
+    UnresolvedLoopError,
     WindingError,
     WindingResult,
     make_loop,
@@ -69,13 +69,13 @@ __all__ = [
     "Momentum",
     "NonQuantizedLoopError",
     "RingRegimeError",
+    "UnresolvedLoopError",
     "WindingError",
     "WindingResult",
     "block_check",
     "branch_level",
     "build_momentum_basis",
     "build_realspace",
-    "classify_btp",
     "detect_boundaries",
     "expected_dispersion",
     "fit_power_law",

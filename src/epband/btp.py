@@ -36,7 +36,6 @@ __all__ = [
     "RingRegimeError",
     "branch_level",
     "locate_btps",
-    "classify_btp",
     "trace_ep_ring",
     "min_gap",
 ]
@@ -98,7 +97,8 @@ def _merged_locations(c: float):
             (-_HALF_PI, -_HALF_PI),
         ]
     if abs(c + 1.0) <= MERGER_TOL:
-        return [(math.pi, _HALF_PI), (math.pi, -_HALF_PI), (_HALF_PI, math.pi), (-_HALF_PI, math.pi)]
+        return [(math.pi, _HALF_PI), (math.pi, -_HALF_PI),
+                (_HALF_PI, math.pi), (-_HALF_PI, math.pi)]
     return None
 
 
@@ -174,29 +174,6 @@ def locate_btps(params: ModelParams) -> list[Btp]:
                 locs, kind = _generic_locations(c), NORMAL_EP
             btps.extend(Btp(Momentum(x, y), s, kind) for x, y in locs)
     return _sorted_btps(btps)
-
-
-def classify_btp(params: ModelParams, btp: Btp, w_i: float) -> str:
-    """Kind of a band touching from its computed field winding w_i."""
-    snapped = round(2.0 * w_i) / 2.0
-    if abs(2.0 * w_i - round(2.0 * w_i)) > 1e-6 or abs(snapped) > 1.0:
-        raise ValueError(f"winding {w_i!r} is not in {{0, +-1/2, +-1}}")
-    hermitian = abs(params.gamma) < _T_ZERO
-    if hermitian:
-        if abs(snapped) == 1.0:
-            return DIRAC_POINT
-        if snapped == 0.0:
-            return SEMI_DIRAC_POINT
-        raise ValueError("half-integer winding is impossible at gamma = 0")
-    if abs(params.t) < _T_ZERO:
-        if snapped == 0.0:
-            return TRIVIAL_ISOLATED_EP
-        raise ValueError("a trivial isolated EP must carry zero winding")
-    if abs(snapped) == 0.5:
-        return NORMAL_EP
-    if snapped == 0.0:
-        return HYBRID_EP
-    raise ValueError("integer winding is impossible at gamma != 0")
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,9 @@ class DispersionSample:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if q.size and (np.any(np.diff(q) <= 0) or q[0] < Q_MIN * (1 - 1e-9) or q[-1] > Q_MAX * (1 + 1e-9)):
+        if q.size and (
+            np.any(np.diff(q) <= 0) or q[0] < Q_MIN * (1 - 1e-9) or q[-1] > Q_MAX * (1 + 1e-9)
+        ):
             raise ValueError(f"q values must increase strictly within [{Q_MIN}, {Q_MAX}]")
         if not np.all(np.isfinite(self.abs_e)) or np.any(np.asarray(self.abs_e) < 0):
             raise ValueError("|E| samples must be finite and non-negative")
@@ -151,9 +153,11 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
             return None
         if kind == SEMI_DIRAC_POINT:
             if on_diag:
-                return ExpectedDispersion(1.0, 4.0 * abs(j) * abs(u[0]), "semidirac-diagonal-linear")
+                amp = 4.0 * abs(j) * abs(u[0])
+                return ExpectedDispersion(1.0, amp, "semidirac-diagonal-linear")
             if on_anti:
-                return ExpectedDispersion(2.0, 4.0 * abs(t) * u[0] ** 2, "semidirac-antidiagonal-quadratic")
+                amp = 4.0 * abs(t) * u[0] ** 2
+                return ExpectedDispersion(2.0, amp, "semidirac-antidiagonal-quadratic")
             return None
         return None
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import Btp, branch_level, classify_btp, locate_btps
-from .winding import WindingError, make_loop, wind_loops
+from .btp import DIRAC_POINT, NORMAL_EP, Btp, branch_level, locate_btps
+from .winding import UnresolvedLoopError, WindingError, make_loop, wind_loops
 
 __all__ = [
     "ConfigurationSignature",
@@ -34,6 +34,7 @@ __all__ = [
 
 _LINE_TOL = 1e-6
 _BOUNDARY_TOL = 1e-9
+_ABS_WI = {DIRAC_POINT: 1.0, NORMAL_EP: 0.5}  # |w_I| per kind; every other kind carries 0
 
 _TYPE_TABLE = {
     (4, 0, 0): "I",
@@ -89,10 +90,6 @@ class ConfigurationSignature:
         }
 
 
-def _near_any(value: float, targets, tol: float) -> bool:
-    return any(abs(value - v) < tol for v in targets)
-
-
 def _sgn(x: float) -> int:
     if abs(x) < 1e-9:
         return 0
@@ -115,26 +112,33 @@ def _discrete_label(b: Btp):
 
 
 def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature:
-    """Locate all band touchings, wind each loop, and assemble the census."""
+    """Locate all band touchings, wind each loop, and assemble the census.
+
+    A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`.
+    """
     btps = locate_btps(params)
     boundary = abs(params.gamma) < _BOUNDARY_TOL or any(
-        _near_any(branch_level(params, s), (-1.0, 0.0, 1.0), _BOUNDARY_TOL) for s in (1, -1)
+        abs(branch_level(params, s) - c) < _BOUNDARY_TOL for s in (1, -1) for c in (-1.0, 0.0, 1.0)
     )
     loops, failure = [], None
     for b in btps:
         try:
             loops.append(make_loop(b.k, btps, samples=samples))
-        except ValueError as exc:
-            failure = exc  # raised once the touchings before it are wound and classified
+        except UnresolvedLoopError as exc:
+            failure = exc  # raised once the touchings before it are wound and checked
             break
     done = []
-    # Per touching, errors surface in the order F winding, E winding, classification.
-    for b, windings in zip(btps, wind_loops(params, loops)):
+    # Errors surface per touching: F winding, E winding, kind law.  Every loop
+    # settles first, refinements too: failing at the first broken law leaves
+    # merger ops too short for the benchmark's speed calibration (ROADMAP item 5).
+    for b, windings in zip(btps, list(wind_loops(params, loops))):
         for outcome in windings:
             if isinstance(outcome, WindingError):
                 raise outcome
         wi, wii = (w.value for w in windings)
-        done.append(replace(b, w_i=wi, w_ii=wii, kind=classify_btp(params, b, wi)))
+        if abs(wi) != _ABS_WI.get(b.kind, 0.0):
+            raise UnresolvedLoopError(f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}")
+        done.append(replace(b, w_i=wi, w_ii=wii))
     if failure is not None:
         raise failure
     counts = {0.0: 0, 0.5: 0, 1.0: 0}

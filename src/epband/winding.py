@@ -2,10 +2,12 @@
 
 Both invariants are angle accumulations along a small counterclockwise loop:
 w_I follows F = (<sigma_x>, <sigma_z>) of one continuously tracked
-eigenbranch, w_II follows (Re E, Im E) of its eigenvalue.  Tracking picks,
-sample by sample, the candidate eigenvector with the larger overlap
-magnitude against the previous one; encircling an exceptional point swaps
-the branch after one turn and the winding lands on a half-odd value.
+eigenbranch, w_II follows (Re E, Im E) of its eigenvalue.  Chiral symmetry,
+sigma_y h sigma_y = -h, makes sigma_y v the -E eigenvector of the +E
+eigenvector v, with F(sigma_y v) = -F(v).  Tracking picks, sample by sample,
+v or sigma_y v by the larger overlap magnitude against the previous one;
+encircling an exceptional point swaps the branch after one turn and the
+winding lands on a half-odd value.
 Results are snapped to the nearest half-integer and the snap residual is
 reported.  :func:`wind_loops` winds many loops and both kinds in one pass
 over a (loops, samples) array; :func:`winding_number` is its one-loop case.
@@ -35,6 +37,7 @@ __all__ = [
     "LoopThroughDefectError",
     "DegenerateTrackingError",
     "NonQuantizedLoopError",
+    "UnresolvedLoopError",
     "make_loop",
     "winding_number",
     "wind_loops",
@@ -56,6 +59,10 @@ class LoopThroughDefectError(WindingError):
 
 class DegenerateTrackingError(WindingError):
     """Branch overlaps tied; the loop passes through a degeneracy."""
+
+
+class UnresolvedLoopError(WindingError):
+    """No loop resolves a touching: its partner is too close, or its winding breaks its kind."""
 
 
 class NonQuantizedLoopError(WindingError):
@@ -86,8 +93,9 @@ def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
 
     radius = min(0.4 * distance to the nearest listed BTP other than the
     center itself, 0.1).  A radius below 1e-4 means two touchings are about
-    to merge and no loop separates them.  A loop that runs through a touching
-    fails when it is wound, with a :class:`LoopThroughDefectError`.
+    to merge and no loop separates them: an :class:`UnresolvedLoopError`.  A
+    loop that runs through a touching fails when it is wound, with a
+    :class:`LoopThroughDefectError`.
     """
     dmin = None
     for b in all_btps:
@@ -96,7 +104,7 @@ def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
             dmin = d if dmin is None else min(dmin, d)
     radius = 0.1 if dmin is None else min(0.4 * dmin, 0.1)
     if radius < 1e-4:
-        raise ValueError(
+        raise UnresolvedLoopError(
             f"loop radius {radius:.2e} below 1e-4: band touchings too close to separate"
         )
     return Loop(center=center, radius=radius, samples=samples)
@@ -131,12 +139,6 @@ class WindingResult:
             "radius": self.radius,
             "samples": self.samples,
         }
-
-
-def _overlap(u, v):
-    """|<u_n|v_n+1>| between consecutive samples of every loop."""
-    a, b = u[:, :-1].conj(), v[:, 1:]
-    return np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
 
 
 def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared):
@@ -178,12 +180,12 @@ def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared):
     return outcomes
 
 
-def _attempt(params: ModelParams, loops, m: int, kinds, start_branch: str):
+def _attempt(params: ModelParams, loops, m: int, kinds):
     """One tracked pass at ``m`` samples over all loops, fused across kinds.
 
     Returns one tuple per loop with one outcome per kind: a WindingResult,
     the WindingError the loop hit, or a float, the raw angle of a pass that
-    needs more samples (nan when the branch tracking was ambiguous).
+    needs more samples.
     """
     theta = 2.0 * np.pi * np.arange(m) / m
     radius = np.array([[loop.radius] for loop in loops])
@@ -196,20 +198,18 @@ def _attempt(params: ModelParams, loops, m: int, kinds, start_branch: str):
     # the defect error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore"):
         e = principal_sqrt(bx * bx + by * by)
-        plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
-        for v in (plus, minus):
-            v /= np.linalg.norm(v, axis=-1)[..., None]
-        o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
-        o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
-        flip_from_plus = o_pm > o_pp
-        ambiguous = np.any(flip_from_plus != (o_mp > o_mm), axis=1)
-        parity = np.cumsum(flip_from_plus, axis=1) % 2
-        parity = np.concatenate([np.zeros((len(loops), 1), parity.dtype), parity], axis=1)
-        on_plus = parity == 0 if start_branch == "plus" else parity == 1
-        margins = np.where(on_plus[:, :-1], np.abs(o_pp - o_pm), np.abs(o_mm - o_mp))
+        v = right_eigvec(bx, by, e)
+        v /= np.linalg.norm(v, axis=-1)[..., None]
+        a, b = v[..., 0], v[..., 1]
+        # |<v_n|v_n+1>| against |<v_n|sigma_y v_n+1>|; sigma_y is unitary, so
+        # the same pair serves a loop that currently runs on the minus branch.
+        stay = np.abs(a[:, :-1].conj() * a[:, 1:] + b[:, :-1].conj() * b[:, 1:])
+        flip = np.abs(a[:, :-1].conj() * b[:, 1:] - b[:, :-1].conj() * a[:, 1:])
+        parity = np.cumsum(flip > stay, axis=1) % 2
+        sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
         h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
-        margin_min = np.min(margins, axis=1)
+        margin_min = np.min(np.abs(stay - flip), axis=1)
 
         shared = []
         for i in range(len(loops)):
@@ -217,48 +217,39 @@ def _attempt(params: ModelParams, loops, m: int, kinds, start_branch: str):
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif ambiguous[i]:
-                shared.append(math.nan)  # ambiguous tracking, resolve by refining
             elif margin_min[i] < _TIE_TOL:
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
-        swapped = (on_plus[:, -1] != on_plus[:, 0]).tolist()
+        swapped = (sign[:, -1] < 0).tolist()
         per_kind = []
         for kind in kinds:
             if kind == "F":
-                a = np.where(on_plus, plus[..., 0], minus[..., 0])
-                b = np.where(on_plus, plus[..., 1], minus[..., 1])
-                cross = a.conj() * b
-                fx, fy = 2.0 * cross.real, np.abs(a) ** 2 - np.abs(b) ** 2
+                fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
             else:
-                e_tr = np.where(on_plus, e, -e)
-                fx, fy = e_tr.real, e_tr.imag
-            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
+                fx, fy = e.real, e.imag
+            per_kind.append(_kind_outcomes(loops, kind, m, sign * fx, sign * fy, swapped, shared))
     return list(zip(*per_kind))
 
 
-def _refine(params: ModelParams, loop: Loop, kind: str, start_branch: str, outcome):
+def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
     """Double this loop's samples, on its own, until ``outcome`` settles."""
     m = loop.samples
-    raw = math.nan
     while isinstance(outcome, float):
-        if not math.isnan(outcome):
-            raw = outcome
         if m >= MAX_SAMPLES:
-            return NonQuantizedLoopError(raw)
+            return NonQuantizedLoopError(outcome)
         m *= 2
-        ((outcome,),) = _attempt(params, [loop], m, (kind,), start_branch)
+        ((outcome,),) = _attempt(params, [loop], m, (kind,))
     return outcome
 
 
-def wind_loops(params: ModelParams, loops, kinds=("F", "E"), start_branch: str = "plus"):
+def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     """Windings of every loop for each field kind, from one fused pass.
 
-    The field, the candidate eigenvectors and the branch tracking are
-    evaluated once on a (loops, samples + 1) array and shared by all kinds.
-    Only that first pass is batched: a loop and kind that need more samples
-    double them on their own, up to 2^16, as in :func:`winding_number`.
+    The field, the eigenvector and the branch tracking are evaluated once on
+    a (loops, samples + 1) array and shared by all kinds.  Only that first
+    pass is batched: a loop and kind that need more samples double them on
+    their own, up to 2^16, as in :func:`winding_number`.
 
     Returns an iterator that yields, per loop and in order, a tuple with one
     outcome per kind: the :class:`WindingResult`, or the
@@ -269,19 +260,14 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E"), start_branch: str =
     for kind in kinds:
         if kind not in ("F", "E"):
             raise ValueError(f"field_kind must be 'F' or 'E', got {kind!r}")
-    if start_branch not in ("plus", "minus"):
-        raise ValueError(f"start_branch must be 'plus' or 'minus', got {start_branch!r}")
     loops = list(loops)
     if not loops:
         return iter(())
     if len({loop.samples for loop in loops}) > 1:
         raise ValueError("loops wound together must share a sample count")
-    first = _attempt(params, loops, loops[0].samples, kinds, start_branch)
+    first = _attempt(params, loops, loops[0].samples, kinds)
     return (
-        tuple(
-            _refine(params, loop, kind, start_branch, outcome)
-            for kind, outcome in zip(kinds, outcomes)
-        )
+        tuple(_refine(params, loop, kind, outcome) for kind, outcome in zip(kinds, outcomes))
         for loop, outcomes in zip(loops, first)
     )
 
@@ -292,25 +278,22 @@ def _settled(outcome) -> WindingResult:
     return outcome
 
 
-def winding_number(
-    params: ModelParams, loop: Loop, field_kind: str = "F", start_branch: str = "plus"
-) -> WindingResult:
+def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> WindingResult:
     """Winding of the chosen field along the loop, in half-integer units.
 
     Parameters
     ----------
     field_kind : "F" or "E"
         "F" winds the planar spin texture (w_I); "E" winds the complex
-        eigenvalue (w_II).
-    start_branch : "plus" or "minus"
-        Eigenbranch the tracking starts from; the winding value does not
-        depend on it.
+        eigenvalue (w_II).  Tracking starts on the +E branch; starting on
+        the -E branch would flip the sign of F and E everywhere, which
+        leaves every winding unchanged.
 
     The sample count doubles (up to 2^16) whenever some wrapped angle step
     exceeds pi/2; if the total still fails to quantize, the raw angle is
     reported in a :class:`NonQuantizedLoopError`.
     """
-    ((outcome,),) = wind_loops(params, [loop], (field_kind,), start_branch)
+    ((outcome,),) = wind_loops(params, [loop], (field_kind,))
     return _settled(outcome)
 
 
@@ -331,7 +314,7 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
     for b in enclosed:
         try:
             loops.append(make_loop(b.k, btps))
-        except ValueError as exc:
+        except UnresolvedLoopError as exc:
             failure = exc  # raised during the F comparison, after the parts before it
             break
     totals = next(wind_loops(params, [big_loop]))

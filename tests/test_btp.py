@@ -10,7 +10,6 @@ from epband import (
     ModelParams,
     RingRegimeError,
     branch_level,
-    classify_btp,
     locate_btps,
     min_gap,
     trace_ep_ring,
@@ -302,23 +301,6 @@ def test_refine_gapped_empty():
 def test_refine_rejects_small_grid():
     with pytest.raises(ValueError):
         refine_btps_numeric(ANCHOR, coarse_n=16)
-
-
-# ---------------------------------------------------------------- classification
-
-
-def test_classify_from_winding():
-    b = locate_btps(ANCHOR)[0]
-    assert classify_btp(ModelParams(1.0, -1.5, 0.5, 0.5), b, -0.5) == NORMAL_EP
-    assert classify_btp(ModelParams(1.0, -1.0, 0.5, 0.0), b, 1.0) == DIRAC_POINT
-    assert classify_btp(ModelParams(1.0, -1.5, 0.5, 0.5), b, 0.0) == HYBRID_EP
-    assert classify_btp(ModelParams(1.0, -1.0, 0.5, 0.0), b, 0.0) == SEMI_DIRAC_POINT
-
-
-def test_classify_rejects_unquantized():
-    b = locate_btps(ANCHOR)[0]
-    with pytest.raises(ValueError):
-        classify_btp(ANCHOR, b, 0.3)
 
 
 # ---------------------------------------------------------------- rings at t=0

@@ -194,6 +194,20 @@ def test_winding_loop_through_defect_exit3():
     assert "vanishes" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--T", "-1", "--gamma", "1e-5"), "too close to separate"),  # partner EPs 1e-5 apart
+        (("--T", "-1.99998", "--gamma", "0"), "contradicts its kind"),  # aliased Dirac windings
+    ],
+)
+def test_btps_unresolved_touching_exits_3(flags, message):
+    proc = run_cli("btps", *flags, "--t", "0.5")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert message in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -9,8 +9,8 @@ import epband.phase
 from epband import (
     ModelParams,
     RingRegimeError,
+    UnresolvedLoopError,
     WindingError,
-    classify_btp,
     detect_boundaries,
     locate_btps,
     make_loop,
@@ -105,15 +105,18 @@ def test_signature_gapped_empty():
 
 
 def _first_sequential_error(params):
-    """The error of treating each touching in turn: loop, F, E, then kind."""
+    """The error of treating each touching in turn: loop, F, E, then kind law."""
+    law = {"DiracPoint": 1.0, "NormalEP": 0.5}
     btps = locate_btps(params)
     try:
         for b in btps:
             loop = make_loop(b.k, btps)
             wi = winding_number(params, loop, "F").value
             winding_number(params, loop, "E")
-            classify_btp(params, b, wi)
-    except (ValueError, WindingError) as exc:
+            if abs(wi) != law.get(b.kind, 0.0):
+                msg = f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}"
+                return UnresolvedLoopError(msg)
+    except WindingError as exc:
         return exc
     return None
 
@@ -127,28 +130,38 @@ def _first_sequential_error(params):
 )
 def test_signature_raises_first_sequential_error(params):
     expected = _first_sequential_error(params)
-    assert expected is not None
-    with pytest.raises(type(expected)) as info:
+    assert isinstance(expected, UnresolvedLoopError)
+    with pytest.raises(UnresolvedLoopError) as info:
         signature(params)
     assert type(info.value) is type(expected)
     assert str(info.value) == str(expected)
 
 
-@pytest.mark.parametrize("failing, message", [(0, "planted"), (2, "half-integer winding")])
+@pytest.mark.parametrize("big_t", [-2.0 + 2e-5, -2.0 + 2e-4])
+def test_signature_rejects_winding_against_kind(big_t):
+    # near the semi-Dirac merger the 512-sample loops around the Dirac
+    # points alias to w_I = 0 or +-1/2; the census must not relabel them
+    params = ModelParams(1.0, big_t, T05, 0.0)
+    assert {b.kind for b in locate_btps(params)} == {"DiracPoint"}
+    with pytest.raises(UnresolvedLoopError, match="contradicts its kind DiracPoint"):
+        signature(params)
+
+
+@pytest.mark.parametrize("failing, message", [(0, "planted"), (2, "contradicts its kind")])
 def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, message):
-    # Every touching here fails its classification; a loop that cannot be
-    # built for touching ``failing`` must only win when it comes first.
+    # Every touching here breaks its kind's winding law; a loop that cannot
+    # be built for touching ``failing`` must only win when it comes first.
     params = ModelParams(1.0, -2.0 + 2e-4, T05, 0.0)
     btps = locate_btps(params)
     real = epband.phase.make_loop
 
     def make_loop_failing(center, *args, **kwargs):
         if center == btps[failing].k:
-            raise ValueError("planted")
+            raise UnresolvedLoopError("planted")
         return real(center, *args, **kwargs)
 
     monkeypatch.setattr(epband.phase, "make_loop", make_loop_failing)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(UnresolvedLoopError, match=message):
         signature(params)
 
 
@@ -156,7 +169,7 @@ def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, 
 def test_signature_reports_unseparated_partner_eps(gamma):
     # the partner EPs of each split Dirac point sit about gamma apart: no
     # loop separates them, and the census must say so instead of merging them
-    with pytest.raises(ValueError, match="too close to separate"):
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
         signature(ModelParams(1.0, -1.0, T05, gamma))
 
 

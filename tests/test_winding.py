@@ -11,7 +11,9 @@ from epband import (
     LoopThroughDefectError,
     ModelParams,
     Momentum,
+    UnresolvedLoopError,
     WindingError,
+    WindingResult,
     locate_btps,
     make_loop,
     signature,
@@ -19,8 +21,15 @@ from epband import (
     winding_additivity_check,
     winding_number,
 )
-from epband.bloch import bloch_field_grid, torus_distance, wrap_angle
+from epband.bloch import bloch_field_grid, principal_sqrt, right_eigvec, torus_distance, wrap_angle
 from epband.phase import candidate_line_distance
+from epband.winding import (
+    _FIELD_FLOOR,
+    _TIE_TOL,
+    DegenerateTrackingError,
+    _attempt,
+    _kind_outcomes,
+)
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -100,7 +109,7 @@ def test_make_loop_rejects_unresolved_pair():
     a = Momentum(1.0, 1.0)
     b = Momentum(1.0 + 1e-5, 1.0)
     fake = [type("B", (), {"k": b})()]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
         make_loop(a, fake)
 
 
@@ -165,7 +174,6 @@ def test_independence_of_discretization():
         ANCHOR, Loop(center=Momentum(*center), radius=0.1, samples=1024), "F"
     )
     assert r.value == base
-    assert _wind(ANCHOR, center, "F", start_branch="minus").value == base
 
 
 def test_quantization_random_draws():
@@ -269,6 +277,111 @@ def test_wind_loops_validation():
     assert list(wind_loops(ANCHOR, [])) == []
 
 
+def _overlap(u, v):
+    a, b = u[:, :-1].conj(), v[:, 1:]
+    return np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+
+
+def _two_eigenvector_attempt(params, loops, m, kinds):
+    """Reference first pass: solve for both eigenvectors and track by four overlaps.
+
+    Returns what ``_attempt`` returns, with nan in place of the raw angle
+    when the two branches disagree on where the tracking flips.
+    """
+    theta = 2.0 * np.pi * np.arange(m) / m
+    radius = np.array([[loop.radius] for loop in loops])
+    kx = np.array([[loop.center.kx] for loop in loops]) + radius * np.cos(theta)
+    ky = np.array([[loop.center.ky] for loop in loops]) + radius * np.sin(theta)
+    kx = np.concatenate([kx, kx[:, :1]], axis=1)
+    ky = np.concatenate([ky, ky[:, :1]], axis=1)
+    bx, by = bloch_field_grid(params, kx, ky)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = principal_sqrt(bx * bx + by * by)
+        plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
+        for v in (plus, minus):
+            v /= np.linalg.norm(v, axis=-1)[..., None]
+        o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
+        o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
+        flip_from_plus = o_pm > o_pp
+        ambiguous = np.any(flip_from_plus != (o_mp > o_mm), axis=1)
+        parity = np.cumsum(flip_from_plus, axis=1) % 2
+        parity = np.concatenate([np.zeros((len(loops), 1), parity.dtype), parity], axis=1)
+        on_plus = parity == 0
+        margins = np.where(on_plus[:, :-1], np.abs(o_pp - o_pm), np.abs(o_mm - o_mp))
+        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
+        e_min = np.min(np.abs(e), axis=1)
+        margin_min = np.min(margins, axis=1)
+        shared = []
+        for i in range(len(loops)):
+            if h_min[i] < 1e-12:
+                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
+            elif e_min[i] < _FIELD_FLOOR:
+                shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
+            elif ambiguous[i]:
+                shared.append(math.nan)
+            elif margin_min[i] < _TIE_TOL:
+                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
+            else:
+                shared.append(None)
+        swapped = (on_plus[:, -1] != on_plus[:, 0]).tolist()
+        per_kind = []
+        for kind in kinds:
+            if kind == "F":
+                a = np.where(on_plus, plus[..., 0], minus[..., 0])
+                b = np.where(on_plus, plus[..., 1], minus[..., 1])
+                cross = a.conj() * b
+                fx, fy = 2.0 * cross.real, np.abs(a) ** 2 - np.abs(b) ** 2
+            else:
+                e_tr = np.where(on_plus, e, -e)
+                fx, fy = e_tr.real, e_tr.imag
+            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
+    return list(zip(*per_kind))
+
+
+def _family_draws(rng, n):
+    """Generic, near-merger, small-gamma and small-t couplings, n of each."""
+    for _ in range(n):
+        big_t, sign = rng.uniform(-1.8, -0.2), rng.choice([-1.0, 1.0])
+        yield ModelParams(1.0, rng.uniform(-3.0, 3.0), rng.uniform(-1.0, 1.0), rng.uniform(-2, 2))
+        yield ModelParams(1.0, -2.0 + 10.0 ** rng.uniform(-6.0, -1.0), 0.5, 0.0)
+        yield ModelParams(1.0, big_t, 0.5, sign * 10.0 ** rng.uniform(-6.0, -1.0))
+        yield ModelParams(1.0, big_t, sign * 10.0 ** rng.uniform(-11.0, -1.0), 0.5)
+
+
+def test_one_eigenvector_kernel_matches_two_eigenvector_reference():
+    # sigma_y v is the -E eigenvector, so tracking v against sigma_y v must
+    # give the outcomes of tracking both solved eigenvectors
+    rng = np.random.default_rng(9)
+    draws = [_diamond_draw(rng) for _ in range(12)] + list(_family_draws(rng, 30))
+    compared = swapped = 0
+    for p in draws:
+        btps = locate_btps(p)
+        loops = []
+        for b in btps:
+            try:
+                loops.append(make_loop(b.k, btps))
+            except UnresolvedLoopError:
+                break
+        if not loops:
+            continue
+        new = _attempt(p, loops, 512, ("F", "E"))
+        ref = _two_eigenvector_attempt(p, loops, 512, ("F", "E"))
+        for got, want in ((g, w) for row in zip(new, ref) for g, w in zip(*row)):
+            if isinstance(want, WindingResult):
+                assert isinstance(got, WindingResult)
+                assert (got.value, got.branch_swapped, got.samples) == (
+                    want.value, want.branch_swapped, want.samples
+                )
+                assert abs(got.raw_angle - want.raw_angle) <= 1e-15
+                swapped += got.branch_swapped
+            elif isinstance(want, float):  # a raw angle: this loop needs more samples
+                assert isinstance(got, float) and abs(got - want) <= 1e-15
+            else:
+                assert type(got) is type(want)
+            compared += 1
+    assert compared > 1000 and swapped > 300
+
+
 # ---------------------------------------------------------------- tracking-free cross-checks
 
 
@@ -367,8 +480,6 @@ def test_field_kind_validation():
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
     with pytest.raises(ValueError):
         winding_number(ANCHOR, loop, "G")
-    with pytest.raises(ValueError):
-        winding_number(ANCHOR, loop, "F", start_branch="up")
 
 
 def test_result_json_shape():
