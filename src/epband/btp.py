@@ -5,9 +5,9 @@ kx = +-pi/2 or ky = +-pi/2: solving Bx = +-gamma, By = +-i Bx gives
 |k_c| = arccos((-T + s*gamma)/(2J)) per branch s, with points at
 (+-k_c, +-pi/2) and (+-pi/2, +-k_c).  Each valid branch contributes eight
 points generically and four when k_c hits {0, pi/2, pi} (pair mergers).
-At t = 0 with gamma != 0 the touchings form rings cos kx + cos ky = c_s
-instead, except at |gamma| = |T -+ 4J| where a ring degenerates to the
-single point (pi, pi) or (0, 0).
+At t = 0 with gamma != 0 a branch's touchings form the ring
+cos kx + cos ky = c_s instead, or the single point (pi, pi) or (0, 0) at
+|c_s| = 2; a ring on either branch makes the whole census a ring regime.
 """
 
 from __future__ import annotations
@@ -85,94 +85,52 @@ def branch_level(params: ModelParams, s: int) -> float:
     return (-params.T + s * params.gamma) / (2.0 * params.J)
 
 
-def _merged_locations(c: float):
-    """Point set for a branch whose k_c sits exactly on a merger value."""
-    if abs(c - 1.0) <= MERGER_TOL:
-        return [(0.0, _HALF_PI), (0.0, -_HALF_PI), (_HALF_PI, 0.0), (-_HALF_PI, 0.0)]
-    if abs(c) <= MERGER_TOL:
-        return [
-            (_HALF_PI, _HALF_PI),
-            (_HALF_PI, -_HALF_PI),
-            (-_HALF_PI, _HALF_PI),
-            (-_HALF_PI, -_HALF_PI),
-        ]
-    if abs(c + 1.0) <= MERGER_TOL:
-        return [(math.pi, _HALF_PI), (math.pi, -_HALF_PI),
-                (_HALF_PI, math.pi), (-_HALF_PI, math.pi)]
-    return None
-
-
-def _generic_locations(c: float):
-    kc = math.acos(c)
-    pts = []
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            pts.append((sx * kc, sy * _HALF_PI))
-            pts.append((sx * _HALF_PI, sy * kc))
-    return pts
-
-
 def _sorted_btps(btps):
     return sorted(btps, key=lambda b: (round(b.k.kx, 12), round(b.k.ky, 12), b.branch))
 
 
 def locate_btps(params: ModelParams) -> list[Btp]:
-    """All isolated band-touching points, closed form.
+    """All isolated band-touching points, closed form, one rule per branch.
 
-    Requires t != 0 whenever the touchings would otherwise lie on rings;
-    the t = 0 exceptions |gamma| = |T -+ 4J| return the single trivial EP at
-    (pi, pi) or (0, 0).  A gapped system returns an empty list.
+    The branches are s = 0 at gamma = 0 and s = +-1 otherwise.  For t != 0 a
+    branch with |c_s| <= 1 touches at |k_c| = arccos(c_s); a level within
+    MERGER_TOL of -1, 0 or 1 is snapped onto it, where the points pair up into
+    four merged ones.  At t = 0 a branch with |c_s| = 2 is the trivial EP at
+    (0, 0) or (pi, pi), and any branch with |c_s| < 2 is a ring, which raises
+    RingRegimeError.  A gapped system returns an empty list.
     """
-    gamma, t = params.gamma, params.t
-    if abs(t) < _T_ZERO:
-        if abs(gamma) < _T_ZERO:
-            raise ValueError(
-                "t = gamma = 0 degenerates the band touchings to nodal lines; "
-                "no isolated-point description exists there"
-            )
-        pts = []
-        ring_branches = []
-        for s in (1, -1):
-            c = branch_level(params, s)
-            if abs(c + 2.0) <= MERGER_TOL:
-                pts.append(Btp(Momentum(math.pi, math.pi), s, TRIVIAL_ISOLATED_EP))
-            elif abs(c - 2.0) <= MERGER_TOL:
-                pts.append(Btp(Momentum(0.0, 0.0), s, TRIVIAL_ISOLATED_EP))
+    at_t_zero = abs(params.t) < _T_ZERO
+    branches = (0,) if abs(params.gamma) < _T_ZERO else (1, -1)
+    if at_t_zero and branches == (0,):
+        raise ValueError(
+            "t = gamma = 0 degenerates the band touchings to nodal lines; "
+            "no isolated-point description exists there"
+        )
+    btps, rings = [], []
+    for s in branches:
+        c = branch_level(params, s or 1)  # branch 0: |gamma| < 1e-12, c_+ is c_- to 1e-12/J
+        if at_t_zero:
+            if abs(abs(c) - 2.0) <= MERGER_TOL:
+                k = math.pi if c < 0.0 else 0.0
+                btps.append(Btp(Momentum(k, k), s, TRIVIAL_ISOLATED_EP))
             elif abs(c) < 2.0:
-                ring_branches.append(s)
-        if pts:
-            return _sorted_btps(pts)
-        if ring_branches:
-            raise RingRegimeError(
-                "t = 0 with gamma != 0 puts the band touchings on rings "
-                f"(branches {ring_branches}); use trace_ep_ring"
-            )
-        return []  # gapped
-
-    btps = []
-    if abs(gamma) < _T_ZERO:
-        c = branch_level(params, 1)
+                rings.append(s)
+            continue
         if abs(c) > 1.0 + MERGER_TOL:
-            return []
+            continue
         c = min(1.0, max(-1.0, c))
-        merged = _merged_locations(c)
-        if merged is not None:
-            locs, kind = merged, SEMI_DIRAC_POINT
-        else:
-            locs, kind = _generic_locations(c), DIRAC_POINT
-        btps = [Btp(Momentum(x, y), 0, kind) for x, y in locs]
-    else:
-        for s in (1, -1):
-            c = branch_level(params, s)
-            if abs(c) > 1.0 + MERGER_TOL:
-                continue
-            c = min(1.0, max(-1.0, c))
-            merged = _merged_locations(c)
-            if merged is not None:
-                locs, kind = merged, HYBRID_EP
-            else:
-                locs, kind = _generic_locations(c), NORMAL_EP
-            btps.extend(Btp(Momentum(x, y), s, kind) for x, y in locs)
+        merged = abs(c - round(c)) <= MERGER_TOL  # at -1, 0 or 1 the pairs coincide
+        kc = math.acos(round(c) if merged else c)
+        kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
+        pts = [(k, h) for k in kcs for h in (_HALF_PI, -_HALF_PI)]
+        locs = dict.fromkeys(pts + [(h, k) for k, h in pts])
+        kinds = (DIRAC_POINT, SEMI_DIRAC_POINT) if s == 0 else (NORMAL_EP, HYBRID_EP)
+        btps.extend(Btp(Momentum(x, y), s, kinds[merged]) for x, y in locs)
+    if rings:
+        raise RingRegimeError(
+            "t = 0 with gamma != 0 puts the band touchings on rings "
+            f"(branches {rings}); use trace_ep_ring"
+        )
     return _sorted_btps(btps)
 
 
@@ -222,21 +180,13 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
     bottom = np.column_stack([kxs[::-1], -kys[::-1]])
     verts = np.vstack([top, bottom])
     verts = np.column_stack([wrap_angle(verts[:, 0]), wrap_angle(verts[:, 1])])
-    # Remove consecutive duplicates (arc endpoints have ky = 0 or wrap onto
-    # each other), then a duplicated closing vertex if present.
-    keep = [0]
-    for i in range(1, len(verts)):
-        d = np.hypot(
-            wrap_angle(verts[i, 0] - verts[keep[-1], 0]),
-            wrap_angle(verts[i, 1] - verts[keep[-1], 1]),
-        )
-        if d > 1e-12:
-            keep.append(i)
+    # Drop a vertex that repeats the one before it (the two arcs meet at ky = 0
+    # or pi) and a closing vertex that repeats vertex 0.
+    step = verts - np.roll(verts, 1, axis=0)  # row 0 steps from the last vertex
+    keep = np.hypot(wrap_angle(step[:, 0]), wrap_angle(step[:, 1])) > 1e-12
+    keep[-1] &= keep[0]
+    keep[0] = True
     verts = verts[keep]
-    if len(verts) > 1:
-        d = np.hypot(wrap_angle(verts[-1, 0] - verts[0, 0]), wrap_angle(verts[-1, 1] - verts[0, 1]))
-        if d <= 1e-12:
-            verts = verts[:-1]
 
     level_err = np.max(np.abs(np.cos(verts[:, 0]) + np.cos(verts[:, 1]) - c))
     if level_err >= 1e-8:

@@ -26,7 +26,7 @@ import numpy as np
 from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
 from .btp import (
     DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP,
-    RingRegimeError, branch_level, trace_ep_ring,
+    MERGER_TOL, RingRegimeError, _T_ZERO, branch_level, locate_btps, trace_ep_ring,
 )
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
@@ -198,7 +198,7 @@ def _params(args) -> ModelParams:
 
 def cmd_btps(args) -> int:
     params = _params(args)
-    if args.ring and abs(params.t) > 1e-12:
+    if args.ring and abs(params.t) >= _T_ZERO:
         raise UsageError("--ring applies only at t = 0")
     try:
         sig = signature(params, samples=args.samples)
@@ -220,10 +220,11 @@ def cmd_btps(args) -> int:
     elif not btps:
         report["note"] = "gapped"
     if args.ring:
+        # a trivial EP beside a ring (|c_s| = 2) is listed as its one-vertex ring
         rings = (
             trace_ep_ring(params, s, samples=args.samples)
-            for s in (1, -1)
-            if abs(branch_level(params, s)) < 2.0 - 1e-9
+            for s in ((1, -1) if sig is None else ())
+            if abs(branch_level(params, s)) <= 2.0 + MERGER_TOL
         )
         report["rings"] = [
             {"branch": r.branch, "level": r.level, "vertices": r.vertices.tolist()} for r in rings
@@ -286,8 +287,7 @@ def cmd_dispersion(args) -> int:
     origin = Momentum(args.kx, args.ky)
     kind = args.kind
     if kind is None:
-        sig = signature(params, samples=args.samples)
-        hit = next((b for b in sig.btps if torus_distance(b.k, origin) < 1e-6), None)
+        hit = next((b for b in locate_btps(params) if torus_distance(b.k, origin) < 1e-6), None)
         if hit is None:
             raise UsageError(
                 f"no band touching at ({origin.kx:.6f}, {origin.ky:.6f}); pass --kind to override"
@@ -530,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dy", type=parse_angle, required=True, help="ray direction y component")
     kinds = (DIRAC_POINT, SEMI_DIRAC_POINT, NORMAL_EP, HYBRID_EP, TRIVIAL_ISOLATED_EP)
     p.add_argument("--kind", choices=kinds, default=None, help="override touching kind")
-    p.add_argument("--samples", type=int, default=512)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_dispersion)
 

@@ -255,10 +255,10 @@ def test_criterion_5_t_zero_regime(capfd):
                 bad.append(f"{p} branch {s}: ring |E| {abs_e:.2e}")
             traced += 1
 
-    p_triv = ModelParams(J=1.0, T=3.0, t=0.0, gamma=1.0)
+    p_triv = ModelParams(J=1.0, T=5.0, t=0.0, gamma=-1.0)  # c_- = -2, c_+ = -3 (gapped)
     pts = locate_btps(p_triv)
     if len(pts) != 1 or pts[0].kind != TRIVIAL_ISOLATED_EP:
-        bad.append(f"(1, 3): expected one trivial EP, got {[b.kind for b in pts]}")
+        bad.append(f"(-1, 5): expected one trivial EP, got {[b.kind for b in pts]}")
     else:
         k = pts[0].k
         if abs(k.kx - math.pi) > 1e-9 or abs(k.ky - math.pi) > 1e-9:

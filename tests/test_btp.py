@@ -98,6 +98,42 @@ def test_locate_merged_dirac_points():
     }
 
 
+_MERGED = {
+    1.0: {(0.0, HALF_PI), (0.0, -HALF_PI), (HALF_PI, 0.0), (-HALF_PI, 0.0)},
+    0.0: {(sx * HALF_PI, sy * HALF_PI) for sx in (1, -1) for sy in (1, -1)},
+    -1.0: {(math.pi, HALF_PI), (math.pi, -HALF_PI), (HALF_PI, math.pi), (-HALF_PI, math.pi)},
+}
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+@pytest.mark.parametrize("offset", [0.0, 9e-10, -9e-10, 1e-9, -1e-9, 1.1e-9, -1.1e-9])
+@pytest.mark.parametrize("merger", [-1.0, 0.0, 1.0])
+def test_locate_merger_edges(merger, offset, gamma):
+    # A level within MERGER_TOL of -1, 0 or 1 gives the four merged points
+    # exactly; just outside it gives eight generic ones.  |c| in (1, 1 + 1e-9]
+    # is clamped onto the merger instead of failing in arccos.
+    p = ModelParams(1.0, gamma - 2.0 * (merger + offset), 0.5, gamma)
+    c = branch_level(p, 1)
+    assert c == pytest.approx(merger + offset, abs=1e-15)
+    branch = 1 if gamma else 0
+    btps = [b for b in locate_btps(p) if b.branch == branch]
+    merged_kind, kind = (SEMI_DIRAC_POINT, DIRAC_POINT) if branch == 0 else (HYBRID_EP, NORMAL_EP)
+    if abs(c) > 1.0 + 1e-9:
+        assert btps == []
+    elif abs(min(1.0, max(-1.0, c)) - merger) <= 1e-9:
+        assert abs(offset) < 1.1e-9
+        assert {(b.k.kx, b.k.ky) for b in btps} == _MERGED[merger]
+        assert {b.kind for b in btps} == {merged_kind}
+        assert len(btps) == 4
+    else:
+        assert abs(offset) > 9e-10
+        assert len({(b.k.kx, b.k.ky) for b in btps}) == len(btps) == 8
+        assert {b.kind for b in btps} == {kind}
+        for b in btps:
+            bx, by = bloch_field_grid(p, b.k.kx, b.k.ky)
+            assert abs(bx**2 + by**2) < 1e-12
+
+
 def test_locate_eight_dirac_points():
     btps = locate_btps(ModelParams(1.0, -1.0, 0.5, 0.0))
     assert len(btps) == 8
@@ -110,7 +146,8 @@ def test_locate_gapped_empty():
 
 
 def test_locate_trivial_isolated_point():
-    btps = locate_btps(ModelParams(1.0, 3.0, 0.0, 1.0))
+    # c_- = -2 is the trivial EP at (pi, pi); c_+ = -3 is gapped
+    btps = locate_btps(ModelParams(1.0, 5.0, 0.0, -1.0))
     assert len(btps) == 1
     b = btps[0]
     assert b.kind == TRIVIAL_ISOLATED_EP
@@ -125,6 +162,17 @@ def test_locate_rejects_nodal_lines():
 def test_locate_ring_regime_raises():
     with pytest.raises(RingRegimeError):
         locate_btps(ModelParams(1.0, 0.0, 0.0, 1.0))
+
+
+def test_locate_ring_beside_trivial_point_raises():
+    # c_- = -2 degenerates to the trivial EP at (pi, pi), but c_+ = -1 rings:
+    # |E| vanishes at (pi, pi/2), which a lone trivial EP would leave out
+    p = ModelParams(1.0, 3.0, 0.0, 1.0)
+    assert (branch_level(p, 1), branch_level(p, -1)) == (-1.0, -2.0)
+    bx, by = bloch_field_grid(p, math.pi, HALF_PI)
+    assert abs(principal_sqrt(bx * bx + by * by)) < 1e-7
+    with pytest.raises(RingRegimeError, match=r"branches \[1\]"):
+        locate_btps(p)
 
 
 def test_locate_points_really_touch():

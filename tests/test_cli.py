@@ -129,6 +129,31 @@ def test_btps_ring_flag_requires_t_zero():
     assert "t = 0" in proc.stderr
 
 
+def test_btps_ring_flag_uses_the_locator_t_zero_cutoff(capsys):
+    # t = 1e-12 is not t = 0 for locate_btps, so --ring is refused up front
+    assert cli.main(["btps", "--T", "0", "--t", "1e-12", "--gamma", "1", "--ring"]) == 2
+    assert "--ring applies only at t = 0" in capsys.readouterr().err
+
+
+def test_btps_ring_beside_trivial_point_exits_2(capsys):
+    # branch -1 is the trivial EP at (pi, pi), branch +1 rings through (pi, pi/2)
+    assert cli.main(["btps", "--T", "3", "--gamma", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rings" in captured.err and "pass --ring" in captured.err
+
+
+def test_btps_ring_lists_trivial_point_beside_ring(capsys):
+    assert cli.main(["btps", "--T", "3", "--gamma", "1", "--ring"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["note"] == "ring regime"
+    assert report["count"] == 0
+    rings = {r["branch"]: r for r in report["rings"]}
+    assert rings[1]["level"] == -1.0 and len(rings[1]["vertices"]) > 8
+    assert rings[-1]["level"] == -2.0
+    assert rings[-1]["vertices"] == [[pytest.approx(math.pi, abs=1e-10)] * 2]
+
+
 def test_btps_ring_regime_needs_flag():
     proc = run_cli("btps", "--gamma", "1", "--T", "0", "--t", "0")
     assert proc.returncode == 2
@@ -280,6 +305,24 @@ def test_dispersion_finds_touching_across_zone_seam():
     assert report["kind"] == "HybridEP"
     assert report["origin"]["kx"] == pytest.approx(math.pi, abs=1e-10)
     assert seam.stdout == run_cli("dispersion", *flags, "--kx", "pi", *ray).stdout
+
+
+def test_dispersion_kind_needs_no_winding(capsys):
+    # a Dirac point next to the semi-Dirac merger: the loop windings there cannot
+    # be resolved, but the kind is closed form
+    argv = ["dispersion", "--T", "-1.99998", "--t", "0.5", "--gamma", "0", "--kx", "-pi/2",
+            "--ky", "0.0044721396817779535", "--dx", "0", "--dy", "1"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "DiracPoint"
+    assert report["caseId"] == "dirac-linear"
+
+
+def test_dispersion_has_no_samples_flag():
+    proc = run_cli("dispersion", *ANCHOR_FLAGS, "--kx", "0", "--ky", "pi/2", "--dx", "1",
+                   "--dy", "0", "--samples", "64")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --samples" in proc.stderr
 
 
 def test_dispersion_requires_touching_or_kind():

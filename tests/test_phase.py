@@ -87,8 +87,14 @@ def test_signature_ring_regime_raises():
         signature(ModelParams(1.0, 0.0, 0.0, 1.0))
 
 
+def test_signature_ring_beside_trivial_point_raises():
+    # branch -1 is the trivial EP at (pi, pi) while branch +1 rings
+    with pytest.raises(RingRegimeError):
+        signature(ModelParams(1.0, 3.0, 0.0, 1.0))
+
+
 def test_signature_trivial_point_at_t_zero():
-    sig = signature(ModelParams(1.0, 3.0, 0.0, 1.0))
+    sig = signature(ModelParams(1.0, 5.0, 0.0, -1.0))
     assert sig.n_btps == 1
     b = sig.btps[0]
     assert b.w_i == 0.0 and b.w_ii == 0.0

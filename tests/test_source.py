@@ -1,0 +1,31 @@
+"""Source conventions of the package: Python 3.10 syntax and lines of at most 100 characters."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import epband
+
+SOURCES = sorted(Path(epband.__file__).parent.glob("**/*.py"))
+MAX_LINE = 100
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "btp.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_parses_as_python_3_10(path):
+    # pyproject promises requires-python >= 3.10; the parser rejects newer syntax
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_lines_fit(path):
+    long = [
+        f"{path.name}:{n}: {len(line)} characters"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long == []
