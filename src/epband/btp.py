@@ -35,6 +35,7 @@ __all__ = [
     "EpRing",
     "RingRegimeError",
     "branch_level",
+    "merger_level",
     "locate_btps",
     "trace_ep_ring",
     "min_gap",
@@ -85,6 +86,13 @@ def branch_level(params: ModelParams, s: int) -> float:
     return (-params.T + s * params.gamma) / (2.0 * params.J)
 
 
+def merger_level(c: float, levels=(-1.0, 0.0, 1.0)) -> float | None:
+    """The level of ``levels`` within MERGER_TOL of branch level c, or None: where c snaps."""
+    if abs(c) <= 1.0 + MERGER_TOL:  # as arccos needs; 1 + MERGER_TOL, rounded up, snaps onto 1
+        c = min(1.0, max(-1.0, c))
+    return next((m for m in levels if abs(c - m) <= MERGER_TOL), None)
+
+
 def _sorted_btps(btps):
     return sorted(btps, key=lambda b: (round(b.k.kx, 12), round(b.k.ky, 12), b.branch))
 
@@ -110,22 +118,21 @@ def locate_btps(params: ModelParams) -> list[Btp]:
     for s in branches:
         c = branch_level(params, s or 1)  # branch 0: |gamma| < 1e-12, c_+ is c_- to 1e-12/J
         if at_t_zero:
-            if abs(abs(c) - 2.0) <= MERGER_TOL:
+            if merger_level(c, (-2.0, 2.0)) is not None:
                 k = math.pi if c < 0.0 else 0.0
                 btps.append(Btp(Momentum(k, k), s, TRIVIAL_ISOLATED_EP))
             elif abs(c) < 2.0:
                 rings.append(s)
             continue
-        if abs(c) > 1.0 + MERGER_TOL:
+        level = merger_level(c)  # at -1, 0 or 1 the pairs coincide
+        if level is None and abs(c) > 1.0:
             continue
-        c = min(1.0, max(-1.0, c))
-        merged = abs(c - round(c)) <= MERGER_TOL  # at -1, 0 or 1 the pairs coincide
-        kc = math.acos(round(c) if merged else c)
+        kc = math.acos(c if level is None else level)
         kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
         pts = [(k, h) for k in kcs for h in (_HALF_PI, -_HALF_PI)]
         locs = dict.fromkeys(pts + [(h, k) for k, h in pts])
         kinds = (DIRAC_POINT, SEMI_DIRAC_POINT) if s == 0 else (NORMAL_EP, HYBRID_EP)
-        btps.extend(Btp(Momentum(x, y), s, kinds[merged]) for x, y in locs)
+        btps.extend(Btp(Momentum(x, y), s, kinds[level is not None]) for x, y in locs)
     if rings:
         raise RingRegimeError(
             "t = 0 with gamma != 0 puts the band touchings on rings "
@@ -193,7 +200,8 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
         raise RuntimeError(f"ring vertex off the level set by {level_err:.3g}")
     bx, by = bloch_field_grid(params, verts[:, 0], verts[:, 1])
     abs_e = np.abs(principal_sqrt(bx * bx + by * by))
-    if np.max(abs_e) >= 1e-6:
+    # on the ring |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|, which 0 < |t| < _T_ZERO lifts
+    if np.max(abs_e) >= 1e-6 + math.sqrt(8.0 * abs(params.gamma * params.t) + 16.0 * params.t**2):
         raise RuntimeError(f"ring vertex with |E| = {np.max(abs_e):.3g}")
     return EpRing(verts, branch, c)
 

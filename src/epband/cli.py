@@ -564,8 +564,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_merge_value_flags(raw))
     try:
         return args.func(args)
-    except RingRegimeError as exc:
-        sys.stderr.write(f"error: {exc} (pass --ring to trace it)\n")
+    except RingRegimeError as exc:  # only btps has a --ring flag to offer
+        hint = " (pass --ring to trace it)" if hasattr(args, "ring") else ""
+        sys.stderr.write(f"error: {exc}{hint}\n")
         return 2
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

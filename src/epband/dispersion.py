@@ -1,11 +1,9 @@
 """Low-energy dispersion along rays from a band touching, and its power law.
 
-The exact |E+| is sampled on a short ray and fitted to C * q^alpha in
-log-log space; the closed-form expansions near each kind of touching give
-the expected (alpha, |C|) for comparison.  Ray distance q is arc length
-along a unit direction, so a coefficient quoted against a single momentum
-component picks up the corresponding direction factor (for example a
-diagonal linear law in q_x becomes C/sqrt(2) in arc length).
+The exact |E+| is sampled on a short ray and fitted to C * q^alpha in log-log
+space; the Taylor jet of E^2 along the ray gives the expected (alpha, |C|).
+Ray distance q is arc length along a unit direction, so a law quoted against
+one momentum component picks up its direction factor.
 """
 
 from __future__ import annotations
@@ -16,28 +14,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
-from .btp import (
-    DIRAC_POINT,
-    HYBRID_EP,
-    NORMAL_EP,
-    SEMI_DIRAC_POINT,
-    TRIVIAL_ISOLATED_EP,
-)
+from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt
+from .btp import DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP
+from .btp import MERGER_TOL, branch_level, merger_level
 
-__all__ = [
-    "DispersionSample",
-    "PowerLawFit",
-    "ExpectedDispersion",
-    "default_qs",
-    "sample_dispersion",
-    "fit_power_law",
-    "expected_dispersion",
-]
+__all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "default_qs",
+           "sample_dispersion", "fit_power_law", "expected_dispersion"]
 
 Q_MIN = 1e-4
 Q_MAX = 1e-2
 _DIR_TOL = 1e-9
+_ORDER_NAMES = (None, "sqrt", "linear", "threehalves", "quadratic")  # the jet runs through q^4
+# kind -> (caseId stem, order of its simple zero, levels locate_btps snaps its branch onto)
+_KINDS = {
+    NORMAL_EP: ("normal", 1, None),
+    DIRAC_POINT: ("dirac", 2, None),
+    HYBRID_EP: ("hybrid", None, (-1.0, 0.0, 1.0)),
+    SEMI_DIRAC_POINT: ("semidirac", None, (-1.0, 0.0, 1.0)),
+    TRIVIAL_ISOLATED_EP: ("trivial", None, (-2.0, 2.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -72,12 +67,7 @@ class ExpectedDispersion(NamedTuple):
 
 
 def default_qs(n: int = 16) -> np.ndarray:
-    """Log-spaced ray distances in the lower decade of the allowed window.
-
-    Samples anywhere in [Q_MIN, Q_MAX] are accepted; the default stops at
-    1e-3 because the subleading corrections near the top of the window bias
-    a free two-parameter fit by more than the prefactor tolerance.
-    """
+    """Log-spaced ray distances in [Q_MIN, 10 Q_MIN]; larger q bias a free two-parameter fit."""
     return np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), n)
 
 
@@ -106,8 +96,7 @@ def fit_power_law(sample: DispersionSample) -> PowerLawFit:
         raise ValueError("need at least 8 samples for a power-law fit")
     if np.any(sample.abs_e <= 0):
         raise ValueError("cannot take log of a vanishing |E| sample")
-    lx = np.log(sample.q)
-    ly = np.log(sample.abs_e)
+    lx, ly = np.log(sample.q), np.log(sample.abs_e)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -115,97 +104,48 @@ def fit_power_law(sample: DispersionSample) -> PowerLawFit:
     return PowerLawFit(alpha=float(slope), c=float(math.exp(intercept)), r2=r2)
 
 
-def _is_half_pi(x: float) -> bool:
-    return abs(abs(wrap_angle(x)) - 0.5 * math.pi) < 1e-9
+def _cos_jet(k: float, v: float) -> np.ndarray:
+    """cos(k + q v) = sum_n cos(k + n pi/2) (q v)^n / n!, n = 0..4, read off cos k and sin k."""
+    c, s = math.cos(k), math.sin(k)
+    return np.array([c, -s * v, -c * v**2 / 2.0, s * v**3 / 6.0, c * v**4 / 24.0])
 
 
-def _near(x: float, v: float) -> bool:
-    return abs(wrap_angle(x - v)) < 1e-9
+def _e2_jet(params: ModelParams, big_t: float, origin: Momentum, u) -> np.ndarray:
+    """Coefficients of E^2 = Bx^2 + By^2 at origin + q u in q, orders 0 to 4."""
+    cx, cy = _cos_jet(origin.kx, u[0]), _cos_jet(origin.ky, u[1])
+    bx = 2.0 * params.J * (cx + cy) + np.array([big_t, 0.0, 0.0, 0.0, 0.0])
+    by = 4.0 * params.t * np.convolve(cx, cy)[:5] + np.array([1j * params.gamma, 0, 0, 0, 0])
+    return (np.convolve(bx, bx) + np.convolve(by, by))[:5]
 
 
 def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelParams):
-    """Closed-form (alpha, |C|) for the given touching kind and ray.
+    """(alpha, |C|) of |E| = |C| q^alpha on the ray, from the jet of E^2, in arc length.
 
-    Returns an :class:`ExpectedDispersion`, or None when no closed form
-    covers this (kind, direction) combination.  |C| is quoted in arc-length
-    units of the unit ray direction.
+    The leading order n >= 1 of the jet (the origin is a touching) gives
+    alpha = n/2 and |C| = sqrt|coef_n|.  NormalEP and DiracPoint take the
+    order of their simple zero; the other kinds the first coefficient above
+    MERGER_TOL (largest coupling)^2, with T moved by at most 2 |J| MERGER_TOL
+    onto the level locate_btps snapped the branch nearest cos kx + cos ky to.
+    None for an unknown kind or when orders 1 to 4 all vanish.
     """
-    u = _unit(direction)
-    j, big_t, t, gamma = params.J, params.T, params.t, params.gamma
-    if kind == TRIVIAL_ISOLATED_EP:
+    if kind not in _KINDS:
         return None
-
-    half_x = _is_half_pi(origin.kx)
-    half_y = _is_half_pi(origin.ky)
-
-    if half_x and half_y:
-        lam1 = 1.0 if wrap_angle(origin.kx) > 0 else -1.0
-        lam2 = 1.0 if wrap_angle(origin.ky) > 0 else -1.0
-        on_diag = abs(lam1 * u[0] - lam2 * u[1]) < _DIR_TOL
-        on_anti = abs(lam1 * u[0] + lam2 * u[1]) < _DIR_TOL
-        if kind == HYBRID_EP:
-            if on_diag:
-                amp = 2.0 * math.sqrt(abs(2.0 * j * big_t))
-                return ExpectedDispersion(0.5, amp * math.sqrt(abs(u[0])), "hybrid-diagonal-sqrt")
-            if on_anti:
-                amp = 2.0 * math.sqrt(2.0 * abs(gamma * t))
-                return ExpectedDispersion(1.0, amp * abs(u[0]), "hybrid-antidiagonal-linear")
+    stem, n, levels = _KINDS[kind]
+    u, big_t = _unit(direction), params.T
+    if levels is not None:
+        here = math.cos(origin.kx) + math.cos(origin.ky)
+        s = min((1, -1), key=lambda s: abs(branch_level(params, s) - here))
+        level = merger_level(branch_level(params, s), levels)
+        big_t = big_t if level is None else s * params.gamma - 2.0 * params.J * level
+    coefs = _e2_jet(params, big_t, origin, u)
+    if n is None:
+        zero = MERGER_TOL * max(abs(params.J), abs(params.T), abs(params.t), abs(params.gamma)) ** 2
+        n = next((n for n in range(1, 5) if abs(coefs[n]) > zero), None)
+        if n is None:
             return None
-        if kind == SEMI_DIRAC_POINT:
-            if on_diag:
-                amp = 4.0 * abs(j) * abs(u[0])
-                return ExpectedDispersion(1.0, amp, "semidirac-diagonal-linear")
-            if on_anti:
-                amp = 4.0 * abs(t) * u[0] ** 2
-                return ExpectedDispersion(2.0, amp, "semidirac-antidiagonal-quadratic")
-            return None
-        return None
-
-    # Normalize the (+-pi/2, k_c) family onto (k_c, sigma*pi/2) by swapping axes.
-    if half_y and not half_x:
-        k_c, sigma, vx, vy = origin.kx, (1.0 if wrap_angle(origin.ky) > 0 else -1.0), u[0], u[1]
-    elif half_x and not half_y:
-        k_c, sigma, vx, vy = origin.ky, (1.0 if wrap_angle(origin.kx) > 0 else -1.0), u[1], u[0]
-    else:
-        return None
-
-    at_zero = _near(k_c, 0.0)
-    at_pi = _near(k_c, math.pi)
-    axis_x = abs(vy) < _DIR_TOL
-    axis_y = abs(vx) < _DIR_TOL
-
-    if kind == HYBRID_EP and (at_zero or at_pi):
-        if axis_y:
-            inside = j * big_t + 2.0 * j * j + 2.0j * gamma * t
-            if at_pi:
-                inside = j * big_t - 2.0 * j * j - 2.0j * gamma * t
-            amp = 2.0 * math.sqrt(abs(inside))
-            return ExpectedDispersion(0.5, amp * math.sqrt(abs(vy)), "hybrid-axis-sqrt")
-        if axis_x:
-            lin = -2.0 * j * big_t - 4.0 * j * j if at_zero else 2.0 * j * big_t - 4.0 * j * j
-            return ExpectedDispersion(1.0, math.sqrt(abs(lin)) * abs(vx), "hybrid-axis-linear")
-        return None
-
-    if kind == SEMI_DIRAC_POINT and (at_zero or at_pi):
-        if axis_y:
-            amp = 2.0 * math.sqrt(j * j + 4.0 * t * t)
-            return ExpectedDispersion(1.0, amp * abs(vy), "semidirac-axis-linear")
-        if axis_x:
-            return ExpectedDispersion(2.0, abs(j) * vx**2, "semidirac-axis-quadratic")
-        return None
-
-    # Generic point of either family: linear combination sin(k_c)*v_par +
-    # sigma*v_perp controls the branch-point term, v_perp alone the
-    # imaginary one.  v_par runs along the k_c coordinate.
-    sin_c = math.sin(k_c)
-    cos_c = math.cos(k_c)
-    mix = sin_c * vx + sigma * vy
-    if kind == NORMAL_EP:
-        inside = -j * (big_t + 2.0 * j * cos_c) * mix - 2.0j * sigma * gamma * t * vy * cos_c
-        return ExpectedDispersion(0.5, 2.0 * math.sqrt(abs(inside)), "normal-sqrt")
-
-    if kind == DIRAC_POINT:
-        amp = 2.0 * math.sqrt(j * j * mix * mix + 4.0 * t * t * vy * vy * cos_c * cos_c)
-        return ExpectedDispersion(1.0, amp, "dirac-linear")
-
-    return None
+        # diagonal runs along (sign kx, sign ky), a sign of +1 for k > 0 and -1 otherwise
+        vx, vy = (u_k if k > 0 else -u_k for k, u_k in zip(origin.xy, u))
+        classes = ((min(abs(vx), abs(vy)), "axis"), (abs(vx - vy), "diagonal"),
+                   (abs(vx + vy), "antidiagonal"))
+        stem += next((f"-{name}" for d, name in classes if d < _DIR_TOL), "-oblique")
+    return ExpectedDispersion(n / 2.0, math.sqrt(abs(coefs[n])), f"{stem}-{_ORDER_NAMES[n]}")

@@ -322,7 +322,10 @@ def test_criterion_6_dispersion_battery(capfd):
         cases.append((p_dp, DIRAC_POINT, origin, d))
 
     for params, kind, origin, direction in cases:
-        tag = f"{kind} at ({origin.kx:.3f},{origin.ky:.3f}) dir ({direction[0]:+.2f},{direction[1]:+.2f})"
+        tag = (
+            f"{kind} at ({origin.kx:.3f},{origin.ky:.3f})"
+            f" dir ({direction[0]:+.2f},{direction[1]:+.2f})"
+        )
         exp = expected_dispersion(kind, origin, direction, params)
         if exp is None:
             bad.append(f"{tag}: no closed form")
@@ -417,7 +420,8 @@ def test_criterion_8_parameter_sweep(capfd):
         for cell in row:
             if cell.sig is None:
                 continue
-            levels = [branch_level(ModelParams(1.0, cell.big_t, 0.5, cell.gamma), s) for s in (1, -1)]
+            params = ModelParams(1.0, cell.big_t, 0.5, cell.gamma)
+            levels = [branch_level(params, s) for s in (1, -1)]
             live = sum(1 for c in levels if abs(c) < 1.0 - 1e-9)
             dead = sum(1 for c in levels if abs(c) > 1.0 + 1e-9)
             if live == 1 and dead == 1:

@@ -24,6 +24,7 @@ from epband.btp import (
     TRIVIAL_ISOLATED_EP,
     Btp,
     _sorted_btps,
+    merger_level,
 )
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
@@ -384,6 +385,28 @@ def test_ring_vertices_on_level_set():
             np.angle(np.exp(1j * (verts[:, 1] - rolled[:, 1]))),
         )
         assert np.max(gaps) < 0.35
+
+
+@pytest.mark.parametrize("t", [1e-13, -1e-13])
+@pytest.mark.parametrize("branch", [1, -1])
+def test_ring_gate_just_above_t_zero(t, branch):
+    # 0 < |t| < _T_ZERO traces the t = 0 ring, where |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|
+    # reaches 8 |gamma t| = 1.6e-12, so |E| = 1.26e-6 sits above a flat 1e-6 gate
+    p = ModelParams(1.0, -2.0, t, 2.0)
+    ring = trace_ep_ring(p, branch)
+    bx, by = bloch_field_grid(p, ring.vertices[:, 0], ring.vertices[:, 1])
+    abs_e = np.abs(principal_sqrt(bx * bx + by * by))
+    assert np.max(abs_e) <= math.sqrt(8.0 * abs(p.gamma * t) + 16.0 * t * t) + 1e-6
+    if branch == -1:  # c_- = 0: the ring passes through cx cy = +-1/4
+        assert np.max(abs_e) > 1e-6
+
+
+def test_merger_level_snaps_within_merger_tol():
+    assert merger_level(1.0 + 1e-9) == 1.0  # rounds to 1 + 1.00000008e-9, clamped first
+    assert merger_level(-1e-9) == 0.0 and merger_level(1.1e-9) is None
+    assert merger_level(0.5) is None and merger_level(1.5) is None
+    assert merger_level(-2.0 + 9e-10, (-2.0, 2.0)) == -2.0
+    assert merger_level(2.0 + 1e-9, (-2.0, 2.0)) is None  # the t = 0 levels are not clamped
 
 
 def test_ring_degenerate_point():

@@ -160,6 +160,28 @@ def test_btps_ring_regime_needs_flag():
     assert "pass --ring" in proc.stderr
 
 
+def test_ring_hint_only_where_there_is_a_ring_flag(capsys):
+    # dispersion has no --ring flag, so its ring-regime error offers none
+    argv = ["dispersion", "--T", "3", "--gamma", "1", "--t", "0", "--kx", "pi", "--ky", "pi",
+            "--dx", "1", "--dy", "0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rings" in captured.err and "--ring" not in captured.err
+
+
+@pytest.mark.parametrize("t", ["1e-13", "-1e-13"])
+def test_ring_traced_just_above_t_zero(capsys, t):
+    # |E| on the ring is 1.26e-6 here; a flat 1e-6 vertex gate exited 3
+    flags = ["--T", "-2", "--gamma", "2", "--t", t]
+    assert cli.main(["btps", *flags, "--ring"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["note"] == "ring regime"
+    assert [r["level"] for r in report["rings"]] == [2.0, 0.0]
+    assert cli.main(["ring", *flags, "--branch", "-1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] > 8
+
+
 def test_btps_ring_regime_traced():
     report = run_json("btps", "--gamma", "1", "--T", "0", "--t", "0", "--ring")
     assert report["note"] == "ring regime"

@@ -394,7 +394,8 @@ def test_energy_vorticity_is_half_the_discriminant_winding():
         sig = signature(p)
         for b in sig.btps:
             loop = make_loop(b.k, sig.btps)
-            assert b.w_ii == pytest.approx(0.5 * _untracked_winding(p, loop, _discriminant), abs=1e-6)
+            field_winding = _untracked_winding(p, loop, _discriminant)
+            assert b.w_ii == pytest.approx(0.5 * field_winding, abs=1e-6)
             checked += 1
     assert checked > 400
 
