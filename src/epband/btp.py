@@ -87,9 +87,14 @@ def branch_level(params: ModelParams, s: int) -> float:
 
 
 def merger_level(c: float, levels=(-1.0, 0.0, 1.0)) -> float | None:
-    """The level of ``levels`` within MERGER_TOL of branch level c, or None: where c snaps."""
-    if abs(c) <= 1.0 + MERGER_TOL:  # as arccos needs; 1 + MERGER_TOL, rounded up, snaps onto 1
-        c = min(1.0, max(-1.0, c))
+    """The level of ``levels`` within MERGER_TOL of branch level c, or None: where c snaps.
+
+    The one rule for where a branch level sits.  Both outer levels clamp a c up to
+    MERGER_TOL past them first, so fl(1 + 1e-9) snaps onto 1 and fl(2 + 1e-9) onto 2.
+    """
+    lo, hi = levels[0], levels[-1]
+    if lo - MERGER_TOL <= c <= hi + MERGER_TOL:
+        c = min(hi, max(lo, c))
     return next((m for m in levels if abs(c - m) <= MERGER_TOL), None)
 
 
@@ -118,8 +123,9 @@ def locate_btps(params: ModelParams) -> list[Btp]:
     for s in branches:
         c = branch_level(params, s or 1)  # branch 0: |gamma| < 1e-12, c_+ is c_- to 1e-12/J
         if at_t_zero:
-            if merger_level(c, (-2.0, 2.0)) is not None:
-                k = math.pi if c < 0.0 else 0.0
+            level = merger_level(c, (-2.0, 2.0))
+            if level is not None:
+                k = math.pi if level < 0.0 else 0.0
                 btps.append(Btp(Momentum(k, k), s, TRIVIAL_ISOLATED_EP))
             elif abs(c) < 2.0:
                 rings.append(s)
@@ -155,7 +161,8 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
 
     The level set is solved in closed form, ky = +-arccos(c - cos kx), while
     kx marches over the admissible arc; the two half-arcs are stitched into
-    one closed polyline.  |c| >= 2 degenerates to a point or to nothing.
+    one closed polyline.  A level that snaps onto +-2 is the one-vertex
+    trivial EP, and a level past it is gapped, with no vertex.
     """
     if abs(params.t) >= _T_ZERO:
         raise ValueError("EP rings exist only at t = 0")
@@ -166,12 +173,12 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
     if samples < 8:
         raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)
-    if abs(c) > 2.0 + MERGER_TOL:
+    level = merger_level(c, (-2.0, 2.0))  # a trivial point, nothing or a ring, as locate_btps
+    if level is not None:
+        k = math.pi if level < 0.0 else 0.0
+        return EpRing(np.array([[k, k]]), branch, c)
+    if abs(c) > 2.0:
         return EpRing(np.empty((0, 2)), branch, c)
-    if c >= 2.0 - MERGER_TOL:
-        return EpRing(np.array([[0.0, 0.0]]), branch, c)
-    if c <= -2.0 + MERGER_TOL:
-        return EpRing(np.array([[math.pi, math.pi]]), branch, c)
 
     # Admissible kx arc: cos ky = c - cos kx must land in [-1, 1].
     if c > 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
 from .btp import (
     DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP,
-    MERGER_TOL, RingRegimeError, _T_ZERO, branch_level, locate_btps, trace_ep_ring,
+    RingRegimeError, _T_ZERO, locate_btps, trace_ep_ring,
 )
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
@@ -207,28 +207,18 @@ def cmd_btps(args) -> int:
             raise
         sig = None  # the ring regime
 
-    btps = sig.btps if sig is not None else ()
-    report = _report(
-        "btps",
-        params,
-        count=len(btps),
-        type=census_type(sig) if sig is not None else None,
-        btps=[b.to_json_dict() for b in btps],
-    )
+    btps, kind = (sig.btps, census_type(sig)) if sig is not None else ((), None)
+    report = _report("btps", params, count=len(btps), type=kind,
+                     btps=[b.to_json_dict() for b in btps])
     if sig is None:
         report["note"] = "ring regime"
     elif not btps:
         report["note"] = "gapped"
     if args.ring:
-        # a trivial EP beside a ring (|c_s| = 2) is listed as its one-vertex ring
-        rings = (
-            trace_ep_ring(params, s, samples=args.samples)
-            for s in ((1, -1) if sig is None else ())
-            if abs(branch_level(params, s)) <= 2.0 + MERGER_TOL
-        )
-        report["rings"] = [
-            {"branch": r.branch, "level": r.level, "vertices": r.vertices.tolist()} for r in rings
-        ]
+        # every ring that is not empty; a trivial EP beside a ring is its one-vertex ring
+        rings = (trace_ep_ring(params, s, samples=args.samples) for s in (1, -1) if sig is None)
+        report["rings"] = [{"branch": r.branch, "level": r.level, "vertices": r.vertices.tolist()}
+                           for r in rings if len(r.vertices)]
 
     rows = (
         [_fmt(b.k.kx), _fmt(b.k.ky), str(b.branch), b.kind, _fmt(b.w_i), _fmt(b.w_ii)]

@@ -126,7 +126,8 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
     order of their simple zero; the other kinds the first coefficient above
     MERGER_TOL (largest coupling)^2, with T moved by at most 2 |J| MERGER_TOL
     onto the level locate_btps snapped the branch nearest cos kx + cos ky to.
-    None for an unknown kind or when orders 1 to 4 all vanish.
+    None for an unknown kind, off a touching (order 0 above that zero test),
+    or when orders 1 to 4 all vanish.
     """
     if kind not in _KINDS:
         return None
@@ -138,8 +139,10 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         level = merger_level(branch_level(params, s), levels)
         big_t = big_t if level is None else s * params.gamma - 2.0 * params.J * level
     coefs = _e2_jet(params, big_t, origin, u)
+    zero = MERGER_TOL * max(abs(params.J), abs(params.T), abs(params.t), abs(params.gamma)) ** 2
+    if abs(coefs[0]) > zero:
+        return None  # E^2 does not vanish at the origin: no touching there
     if n is None:
-        zero = MERGER_TOL * max(abs(params.J), abs(params.T), abs(params.t), abs(params.gamma)) ** 2
         n = next((n for n in range(1, 5) if abs(coefs[n]) > zero), None)
         if n is None:
             return None

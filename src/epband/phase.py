@@ -10,6 +10,7 @@ the scanner flags cells sitting on those lines instead of classifying them.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import DIRAC_POINT, NORMAL_EP, Btp, branch_level, locate_btps
+from .btp import DIRAC_POINT, NORMAL_EP, _T_ZERO, Btp, branch_level, locate_btps, merger_level
 from .winding import UnresolvedLoopError, WindingError, make_loop, wind_loops
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 _LINE_TOL = 1e-6
-_BOUNDARY_TOL = 1e-9
+_MERGERS = (-1.0, 0.0, 1.0)
 _ABS_WI = {DIRAC_POINT: 1.0, NORMAL_EP: 0.5}  # |w_I| per kind; every other kind carries 0
 
 _TYPE_TABLE = {
@@ -111,15 +112,27 @@ def _discrete_label(b: Btp):
     )
 
 
+def _face(params: ModelParams, levels=_MERGERS) -> tuple:
+    """Where gamma (against 0) and the branch levels c_+, c_- (against ``levels``) sit.
+
+    Each entry is 2i + 1 where btp.merger_level snaps the value onto the i-th level, else 2i
+    for the open interval below it.  An odd entry puts the point on a candidate line; points
+    with equal entries lie in the same face of the lines, where no touching merges.
+    """
+    def place(c, marks):
+        m = merger_level(c, marks)
+        return 2 * bisect.bisect(marks, c) if m is None else 2 * marks.index(m) + 1
+
+    return (place(params.gamma, (0.0,)), *(place(branch_level(params, s), levels) for s in (1, -1)))
+
+
 def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature:
     """Locate all band touchings, wind each loop, and assemble the census.
 
     A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`.
     """
     btps = locate_btps(params)
-    boundary = abs(params.gamma) < _BOUNDARY_TOL or any(
-        abs(branch_level(params, s) - c) < _BOUNDARY_TOL for s in (1, -1) for c in (-1.0, 0.0, 1.0)
-    )
+    boundary = any(place % 2 for place in _face(params))
     loops, failure = [], None
     for b in btps:
         try:
@@ -242,46 +255,33 @@ class BoundarySegment:
 @dataclass(frozen=True)
 class BoundaryReport:
     segments: tuple
-    violations: tuple  # segments farther than one cell width from every line
+    violations: tuple  # segments whose two cells lie in the same face of the lines
 
 
 def detect_boundaries(grid: PhaseGrid) -> BoundaryReport:
     """Edges between adjacent classified cells whose signatures differ.
 
-    Each differing edge is annotated with the nearest candidate line; edges
-    farther than one cell width from all lines land in ``violations`` and
-    indicate either a bug or an undocumented transition.
+    Each differing edge is annotated with the nearest candidate line.  An
+    edge whose two cells lie in the same face (the same sign of gamma and
+    the same interval of each branch level among -1, 0 and 1, or -2 and 2
+    at t = 0) crosses no line, so it lands in ``violations``: a bug or an
+    undocumented transition.
     """
-    step_g = float(grid.gammas[1] - grid.gammas[0]) if len(grid.gammas) > 1 else 0.0
-    step_t = float(grid.big_ts[1] - grid.big_ts[0]) if len(grid.big_ts) > 1 else 0.0
-    cell_width = max(step_g, step_t)
-    segments = []
-    violations = []
+    levels = (-2.0, 2.0) if abs(grid.base.t) < _T_ZERO else _MERGERS
     ni, nj = len(grid.gammas), len(grid.big_ts)
-    for i in range(ni):
-        for jj in range(nj):
-            a = grid.cells[i][jj]
-            if not a.classified:
+    segments, violations = [], []
+    for i, jj in np.ndindex(ni, nj):
+        a = grid.cells[i][jj]
+        for i2, j2 in ((i + 1, jj), (i, jj + 1)):
+            if i2 == ni or j2 == nj:
                 continue
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, jj + dj
-                if i2 >= ni or j2 >= nj:
-                    continue
-                b = grid.cells[i2][j2]
-                if not b.classified:
-                    continue
-                if a.sig.key() == b.sig.key():
-                    continue
-                mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
-                line, dist = candidate_line_distance(mid[0], mid[1], grid.base.J)
-                seg = BoundarySegment(
-                    cell_a=(i, jj),
-                    cell_b=(i2, j2),
-                    midpoint=mid,
-                    nearest_line=line,
-                    distance=dist,
-                )
-                segments.append(seg)
-                if dist > cell_width:
-                    violations.append(seg)
+            b = grid.cells[i2][j2]
+            if not (a.classified and b.classified) or a.sig.key() == b.sig.key():
+                continue
+            mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
+            line, dist = candidate_line_distance(*mid, grid.base.J)
+            segments.append(BoundarySegment((i, jj), (i2, j2), mid, line, dist))
+            faces = {_face(replace(grid.base, T=c.big_t, gamma=c.gamma), levels) for c in (a, b)}
+            if len(faces) == 1:
+                violations.append(segments[-1])
     return BoundaryReport(segments=tuple(segments), violations=tuple(violations))

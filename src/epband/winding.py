@@ -92,17 +92,16 @@ def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
     """Loop around ``center`` sized off the nearest other band touching.
 
     radius = min(0.4 * distance to the nearest listed BTP other than the
-    center itself, 0.1).  A radius below 1e-4 means two touchings are about
-    to merge and no loop separates them: an :class:`UnresolvedLoopError`.  A
-    loop that runs through a touching fails when it is wound, with a
-    :class:`LoopThroughDefectError`.
+    center itself, 0.1).  The center's own entry is the nearest one within
+    1e-9, and only it is skipped: a partner EP as close counts.  A radius
+    below 1e-4 means two touchings are about to merge and no loop separates
+    them: an :class:`UnresolvedLoopError`.  A loop that runs through a
+    touching fails when it is wound, with a :class:`LoopThroughDefectError`.
     """
-    dmin = None
-    for b in all_btps:
-        d = torus_distance(center, b.k)
-        if d > 1e-9:
-            dmin = d if dmin is None else min(dmin, d)
-    radius = 0.1 if dmin is None else min(0.4 * dmin, 0.1)
+    dists = sorted(torus_distance(center, b.k) for b in all_btps)
+    if dists and dists[0] <= 1e-9:
+        del dists[0]
+    radius = min(0.4 * dists[0], 0.1) if dists else 0.1
     if radius < 1e-4:
         raise UnresolvedLoopError(
             f"loop radius {radius:.2e} below 1e-4: band touchings too close to separate"

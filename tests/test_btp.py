@@ -1,10 +1,14 @@
 """Band-touching locations: closed form, numeric cross-check, rings, gaps."""
 
+import contextlib
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epband import (
     ModelParams,
@@ -26,6 +30,8 @@ from epband.btp import (
     _sorted_btps,
     merger_level,
 )
+from epband.cli import main as cli_main
+from epband.phase import _face
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -406,7 +412,7 @@ def test_merger_level_snaps_within_merger_tol():
     assert merger_level(-1e-9) == 0.0 and merger_level(1.1e-9) is None
     assert merger_level(0.5) is None and merger_level(1.5) is None
     assert merger_level(-2.0 + 9e-10, (-2.0, 2.0)) == -2.0
-    assert merger_level(2.0 + 1e-9, (-2.0, 2.0)) is None  # the t = 0 levels are not clamped
+    assert merger_level(2.0 + 1e-9, (-2.0, 2.0)) == 2.0  # both ends are clamped alike
 
 
 def test_ring_degenerate_point():
@@ -427,6 +433,87 @@ def test_ring_preconditions():
         trace_ep_ring(ModelParams(1.0, 0.0, 0.0, 1.0), 0)
     with pytest.raises(ValueError):
         trace_ep_ring(ModelParams(1.0, 0.0, 0.0, 0.0), 1)
+
+
+# ---------------------------------------------------------------- one level rule
+
+_PAST_TWO = ModelParams(J=-1.0, T=-5.661200375591189, t=-5e-13, gamma=-1.6612003735911895)
+
+
+def _btps_ring(p):
+    """``epband btps --ring`` in process: exit code and JSON report."""
+    argv = ["btps", "--J", repr(p.J), "--T", repr(p.T), "--t", repr(p.t),
+            "--gamma", repr(p.gamma), "--ring"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def test_trivial_level_rounded_past_two_is_one_touching_everywhere():
+    # c_+ = -fl(2 + 1e-9), 1.00000008e-9 past -2: every caller snaps it onto -2, the
+    # trivial EP, and none reads the branch as gapped
+    assert branch_level(_PAST_TWO, 1) == -(2.0 + 1e-9)
+    (b,) = locate_btps(_PAST_TWO)
+    assert (b.k.xy, b.branch, b.kind) == ((math.pi, math.pi), 1, TRIVIAL_ISOLATED_EP)
+    np.testing.assert_array_equal(trace_ep_ring(_PAST_TWO, 1).vertices, [[math.pi, math.pi]])
+    code, report = _btps_ring(_PAST_TWO)
+    assert code == 0 and report["count"] == 1 and report["rings"] == []
+    assert report["btps"][0]["kind"] == TRIVIAL_ISOLATED_EP
+
+
+def _verdict(n_vertices):
+    return ("gapped", "point")[n_vertices] if n_vertices < 2 else "ring"
+
+
+_OFFSETS = st.sampled_from([0.0, 1e-10, -1e-10, 9e-10, -9e-10, 1e-9, -1e-9, 1.1e-9, -1.1e-9,
+                            2e-9, -2e-9]) | st.floats(-2e-9, 2e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.sampled_from([1.0, -1.0]) | st.floats(0.3, 2.0) | st.floats(-2.0, -0.3),
+    at_zero=st.booleans(),
+    t=st.sampled_from([0.0, 5e-13, -5e-13]),
+    t_big=st.sampled_from([1e-3, -1e-3, 0.5, -0.5]) | st.floats(-1.0, 1.0).filter(
+        lambda t: abs(t) > 1e-6),
+    s=st.sampled_from([1, -1]),
+    gamma=st.floats(0.05, 2.0) | st.floats(-2.0, -0.05),
+    level_index=st.integers(0, 2),
+    offset=_OFFSETS,
+)
+def test_one_level_rule_per_branch(j, at_zero, t, t_big, s, gamma, level_index, offset):
+    """Per branch, locate_btps, trace_ep_ring and btps --ring agree at t = 0, and at t != 0
+    locate_btps merges exactly the branches whose place in the face (the boundary flag's)
+    is on a level."""
+    levels = (-2.0, 2.0) if at_zero else (-1.0, 0.0, 1.0)
+    level = levels[level_index % len(levels)]
+    p = ModelParams(J=j, T=s * gamma - 2.0 * j * (level + offset), t=t if at_zero else t_big,
+                    gamma=gamma)
+    try:
+        found, rings = locate_btps(p), []
+    except RingRegimeError as exc:
+        found, rings = None, json.loads(str(exc).split("branches ")[1].split(")")[0])
+    if not at_zero:
+        for b, place in zip((1, -1), _face(p)[1:]):
+            kinds = {x.kind for x in found if x.branch == b}
+            want = {HYBRID_EP} if place % 2 else ({NORMAL_EP} if place in (2, 4) else set())
+            assert kinds == want, (p, b)
+        return
+    code, report = _btps_ring(p)
+    assert code == 0
+    listed = {r["branch"]: len(r["vertices"]) for r in report["rings"]}
+    for b in (1, -1):
+        traced = _verdict(len(trace_ep_ring(p, b).vertices))
+        if found is None:
+            assert report["note"] == "ring regime"
+            assert _verdict(listed.get(b, 0)) == traced, (p, b)
+            assert (b in rings) == (traced == "ring"), (p, b)
+        else:
+            assert listed == {}
+            on_b = [x for x in found if x.branch == b]
+            assert _verdict(len(on_b)) == traced, (p, b)
+            assert [x["branch"] for x in report["btps"]].count(b) == len(on_b)
 
 
 # ---------------------------------------------------------------- gap probe

@@ -1,7 +1,9 @@
 """End-to-end command-line checks, in subprocesses and in process through `cli.main`."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import shutil
@@ -314,6 +316,17 @@ def test_dispersion_linear_direction_unit_prefactor():
     assert report["caseId"] == "hybrid-axis-linear"
     assert report["expectedC"] == 1.0
     assert report["alpha"] == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("ky", ["1", "pi/2"])
+def test_dispersion_kind_off_a_touching_has_no_expected_law(ky):
+    # (1, 1) and (1, pi/2) are gapped at the anchor: the jet's order 0 does not vanish, so
+    # no law is expected (order 1 would read normal-sqrt, alpha 0.5, against a fit of 0)
+    report = run_json("dispersion", *ANCHOR_FLAGS, "--kx", "1", "--ky", ky, "--dx", "1",
+                      "--dy", "0", "--kind", "NormalEP")
+    assert report["expectedAlpha"] is None and report["expectedC"] is None
+    assert report["caseId"] is None
+    assert abs(report["alpha"]) < 0.01
 
 
 def test_dispersion_finds_touching_across_zone_seam():
@@ -713,3 +726,15 @@ def test_stdout_matches_benchmark_reference(capsys, tmp_path, label):
     files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
              for name in reference["files"]}
     assert files == reference["files"]
+
+
+def test_benchmark_commands_write_nothing_past_redirected_stdout(capfd, tmp_path):
+    # the benchmark's cli warm-up runs cli.main in process under redirect_stdout; its last
+    # stdout line must be its own JSON result, so no command may write to fd 1 directly
+    for label, (argv, written) in sorted(_COMMANDS.items()):
+        argv = [str(tmp_path / Path(a).name) if a in written else a for a in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == _REFERENCE[label]["returncode"]
+        assert bool(out.getvalue()) == (not written), label
+    assert capfd.readouterr().out == ""

@@ -122,6 +122,12 @@ def test_generic_direction_jet_matches_fit():
     assert exp.case_id == "semidirac-oblique-linear"
 
 
+@pytest.mark.parametrize("kind", [NORMAL_EP, DIRAC_POINT, HYBRID_EP, TRIVIAL_ISOLATED_EP])
+@pytest.mark.parametrize("origin", [(1.0, 1.0), (1.0, HALF_PI), (0.3, -HALF_PI)])
+def test_no_expected_law_off_a_touching(kind, origin):
+    assert expected_dispersion(kind, Momentum(*origin), (1, 0), ANCHOR) is None
+
+
 def test_hybrid_axis_closed_forms_at_anchor():
     origin = Momentum(0.0, -HALF_PI)
     soft = expected_dispersion(HYBRID_EP, origin, (0, 1), ANCHOR)

@@ -1,5 +1,6 @@
 """Winding census per parameter point and the deterministic phase scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -259,6 +260,67 @@ def test_scan_boundaries_straddling_diagonal():
     assert len(report.segments) > 0
     assert all(s.nearest_line == "T=gamma" for s in report.segments)
     assert report.violations == ()
+
+
+def _line_sides(cell, j=1.0):
+    """Which side of each of the seven candidate lines the cell lies on."""
+    g, bt = cell.gamma, cell.big_t
+    values = (g, bt - g, bt + g, bt + g - 2 * j, bt + g + 2 * j, bt - g - 2 * j, bt - g + 2 * j)
+    return tuple(v > 0 for v in values)
+
+
+@pytest.fixture(scope="module")
+def off_lattice_grid():
+    # step 5/18: the lines T +- gamma = +-2J miss every grid point, so classified cells
+    # sit on both sides of them and the edges between those cells cross a line
+    return scan_phase_diagram((-2.5, 2.5), (-2.5, 2.5), 19, ModelParams(1.0, 0.0, -0.7, 0.0))
+
+
+def test_boundary_check_off_lattice_every_segment_crosses_a_line(off_lattice_grid):
+    grid = off_lattice_grid
+    report = detect_boundaries(grid)
+    assert len(report.segments) == 66
+    for seg in report.segments:
+        a, b = (grid.cells[i][j] for i, j in (seg.cell_a, seg.cell_b))
+        assert _line_sides(a) != _line_sides(b)
+    assert report.violations == ()
+
+
+def test_boundary_check_flags_a_differing_census_within_one_face(off_lattice_grid):
+    # two same-face cells within one cell width of a line, one of them given another
+    # cell's census: a test by distance to the nearest line would let that edge pass
+    grid = off_lattice_grid
+    width = float(grid.gammas[1] - grid.gammas[0])
+    cells = [list(row) for row in grid.cells]
+    flat = [c for row in cells for c in row if c.classified]
+    n = len(grid.gammas)
+    pairs = [((i, j), (i + di, j + dj)) for i in range(n) for j in range(n)
+             for di, dj in ((1, 0), (0, 1)) if i + di < n and j + dj < n]
+    for (i, j), (i2, j2) in pairs:
+        a, b = cells[i][j], cells[i2][j2]
+        mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
+        if (a.classified and b.classified and _line_sides(a) == _line_sides(b)
+                and candidate_line_distance(*mid, 1.0)[1] < width):
+            break
+    else:
+        pytest.fail("no same-face pair near a line")
+    other = next(c for c in flat if c.sig.key() != a.sig.key())
+    cells[i2][j2] = dataclasses.replace(b, sig=other.sig)
+    planted = dataclasses.replace(grid, cells=tuple(map(tuple, cells)))
+    report = detect_boundaries(planted)
+    assert ((i, j), (i2, j2)) in [(s.cell_a, s.cell_b) for s in report.violations]
+    assert all((i2, j2) in (s.cell_a, s.cell_b) for s in report.violations)
+
+
+@pytest.mark.parametrize("offset,flag", [(0.0, True), (9e-10, True), (-9e-10, True),
+                                         (1e-9, True), (1.1e-9, False), (2e-9, False)])
+def test_boundary_flag_is_the_merger_snap(offset, flag):
+    # c_+ = 1 + offset at gamma = 0.5; the flag and locate_btps' merged kind share the snap
+    p = ModelParams(1.0, -1.5 - 2.0 * offset, 0.5, 0.5)
+    sig = signature(p)
+    assert sig.boundary_flag == flag
+    merged = {b.kind for b in sig.btps if b.branch == 1} == {"HybridEP"}
+    assert merged == flag
 
 
 def test_scan_uniform_region_no_boundaries():

@@ -113,6 +113,14 @@ def test_make_loop_rejects_unresolved_pair():
         make_loop(a, fake)
 
 
+def test_make_loop_skips_only_its_own_entry():
+    center = Momentum(1.0, 1.0)
+    own = type("B", (), {"k": Momentum(1.0 + 2e-16, 1.0)})()
+    assert make_loop(center, [own]).radius == 0.1
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
+        make_loop(center, [own, own])  # a second touching as close counts
+
+
 def test_loop_validation():
     with pytest.raises(ValueError):
         Loop(center=Momentum(0, 0), radius=-1.0)
@@ -445,6 +453,21 @@ def test_additivity_check_passes():
     btps = locate_btps(p)
     big = Loop(center=Momentum(math.acos(0.5), HALF_PI), radius=0.05)
     assert winding_additivity_check(p, btps, big)
+
+
+@pytest.mark.parametrize("gamma", [1e-10, -1e-10, 5e-10])
+def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
+    # at 1e-12 < |gamma| < 1e-9 the partner EP lies within make_loop's 1e-9 self-match;
+    # skipping it too would make each part loop enclose both EPs and the check read False
+    p = ModelParams(1.0, -1.0, 0.5, gamma)
+    btps = locate_btps(p)
+    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05, samples=1024)
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
+        winding_additivity_check(p, btps, big)
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
+        signature(p)
+    p = ModelParams(1.0, -1.0, 0.5, 0.05)
+    assert winding_additivity_check(p, locate_btps(p), big)
 
 
 def test_additivity_rejects_touching_on_path():
