@@ -24,6 +24,7 @@ from .btp import (
     EpRing,
     RingRegimeError,
     branch_level,
+    face,
     locate_btps,
     min_gap,
     trace_ep_ring,
@@ -78,6 +79,7 @@ __all__ = [
     "build_realspace",
     "detect_boundaries",
     "expected_dispersion",
+    "face",
     "fit_power_law",
     "locate_btps",
     "make_loop",

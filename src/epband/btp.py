@@ -12,34 +12,18 @@ cos kx + cos ky = c_s instead, or the single point (pi, pi) or (0, 0) at
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (
-    ModelParams,
-    Momentum,
-    bloch_field_grid,
-    principal_sqrt,
-    wrap_angle,
-)
+from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
 
-__all__ = [
-    "DIRAC_POINT",
-    "SEMI_DIRAC_POINT",
-    "NORMAL_EP",
-    "HYBRID_EP",
-    "TRIVIAL_ISOLATED_EP",
-    "Btp",
-    "EpRing",
-    "RingRegimeError",
-    "branch_level",
-    "merger_level",
-    "locate_btps",
-    "trace_ep_ring",
-    "min_gap",
-]
+__all__ = ["DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP",
+           "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level", "face",
+           "locate_btps", "trace_ep_ring", "min_gap"]
 
 DIRAC_POINT = "DiracPoint"
 SEMI_DIRAC_POINT = "SemiDiracPoint"
@@ -49,6 +33,8 @@ TRIVIAL_ISOLATED_EP = "TrivialIsolatedEP"
 
 MERGER_TOL = 1e-9
 _T_ZERO = 1e-12
+_RING_LEVELS = (-2.0, 2.0)  # t = 0: a trivial EP on either, a ring between them
+_MERGER_LEVELS = (-1.0, 0.0, 1.0)  # t != 0: the touchings pair up into merged points
 _HALF_PI = 0.5 * math.pi
 
 
@@ -86,11 +72,11 @@ def branch_level(params: ModelParams, s: int) -> float:
     return (-params.T + s * params.gamma) / (2.0 * params.J)
 
 
-def merger_level(c: float, levels=(-1.0, 0.0, 1.0)) -> float | None:
+def merger_level(c: float, levels=_MERGER_LEVELS) -> float | None:
     """The level of ``levels`` within MERGER_TOL of branch level c, or None: where c snaps.
 
-    The one rule for where a branch level sits.  Both outer levels clamp a c up to
-    MERGER_TOL past them first, so fl(1 + 1e-9) snaps onto 1 and fl(2 + 1e-9) onto 2.
+    Both outer levels clamp a c up to MERGER_TOL past them first, so fl(1 + 1e-9) snaps
+    onto 1 and fl(2 + 1e-9) onto 2.
     """
     lo, hi = levels[0], levels[-1]
     if lo - MERGER_TOL <= c <= hi + MERGER_TOL:
@@ -98,42 +84,86 @@ def merger_level(c: float, levels=(-1.0, 0.0, 1.0)) -> float | None:
     return next((m for m in levels if abs(c - m) <= MERGER_TOL), None)
 
 
+class Face(NamedTuple):
+    """Where a parameter point sits among the candidate lines, as :func:`face` places it."""
+
+    gamma: int
+    plus: int
+    minus: int
+    levels: tuple  # the marks of both branch levels
+
+    @property
+    def on_line(self) -> bool:
+        """An odd entry: some value sits on its mark, where touchings merge or split."""
+        return any(place % 2 for place in self[:3])
+
+    @property
+    def at_t_zero(self) -> bool:
+        return self.levels == _RING_LEVELS
+
+    def level(self, place: int) -> float | None:
+        """The mark an odd ``place`` sits on, or None between two marks."""
+        return self.levels[place // 2] if place % 2 else None
+
+
+def face(params: ModelParams) -> Face:
+    """The one rule for where gamma and the branch levels c_+, c_- sit.
+
+    Each entry is 2i + 1 where :func:`merger_level` snaps the value onto the i-th mark,
+    else 2i for the open interval below it.  The marks of c_+ and c_- are -2 and 2 at
+    t = 0 (|t| < 1e-12) and -1, 0 and 1 otherwise.  gamma/2|J| is placed against 0:
+    |gamma| <= 2|J| MERGER_TOL is gamma = 0, as is a gamma just past it that rounding
+    leaves with both branches on one mark.  Both branch entries are then those of -T/2J,
+    so no two branches share a mark.  An odd entry puts the point on a candidate line;
+    points with equal faces lie in one face of the lines, where no touching merges.
+    """
+    levels = _RING_LEVELS if abs(params.t) < _T_ZERO else _MERGER_LEVELS
+
+    def place(c, marks):
+        m = merger_level(c, marks)
+        return 2 * bisect.bisect(marks, c) if m is None else 2 * marks.index(m) + 1
+
+    g = place(params.gamma / (2.0 * abs(params.J)), (0.0,))
+    plus, minus = (place(branch_level(params, s), levels) for s in (1, -1))
+    if g == 1 or (plus == minus and plus % 2):
+        g, plus = 1, place(branch_level(params, 0), levels)
+        minus = plus
+    return Face(g, plus, minus, levels)
+
+
 def _sorted_btps(btps):
     return sorted(btps, key=lambda b: (round(b.k.kx, 12), round(b.k.ky, 12), b.branch))
 
 
 def locate_btps(params: ModelParams) -> list[Btp]:
-    """All isolated band-touching points, closed form, one rule per branch.
+    """All isolated band-touching points, closed form, read off :func:`face`.
 
-    The branches are s = 0 at gamma = 0 and s = +-1 otherwise.  For t != 0 a
-    branch with |c_s| <= 1 touches at |k_c| = arccos(c_s); a level within
-    MERGER_TOL of -1, 0 or 1 is snapped onto it, where the points pair up into
-    four merged ones.  At t = 0 a branch with |c_s| = 2 is the trivial EP at
-    (0, 0) or (pi, pi), and any branch with |c_s| < 2 is a ring, which raises
-    RingRegimeError.  A gapped system returns an empty list.
+    The branches are s = 0 on gamma = 0 and s = +-1 otherwise.  For t != 0 a
+    branch with |c_s| <= 1 touches at |k_c| = arccos(c_s); on -1, 0 or 1 the
+    points pair up into four merged ones.  At t = 0 a branch on -2 or 2 is the
+    trivial EP at (pi, pi) or (0, 0), and any branch between them is a ring,
+    which raises RingRegimeError.  A gapped system returns an empty list.
     """
-    at_t_zero = abs(params.t) < _T_ZERO
-    branches = (0,) if abs(params.gamma) < _T_ZERO else (1, -1)
-    if at_t_zero and branches == (0,):
+    f = face(params)
+    branches = (0,) if f.gamma == 1 else (1, -1)
+    if f.at_t_zero and branches == (0,):
         raise ValueError(
             "t = gamma = 0 degenerates the band touchings to nodal lines; "
             "no isolated-point description exists there"
         )
     btps, rings = [], []
-    for s in branches:
-        c = branch_level(params, s or 1)  # branch 0: |gamma| < 1e-12, c_+ is c_- to 1e-12/J
-        if at_t_zero:
-            level = merger_level(c, (-2.0, 2.0))
-            if level is not None:
+    for s, place in zip(branches, (f.plus, f.minus)):
+        if not 0 < place < 2 * len(f.levels):
+            continue  # past the outer marks: gapped
+        level = f.level(place)
+        if f.at_t_zero:
+            if level is None:
+                rings.append(s)
+            else:
                 k = math.pi if level < 0.0 else 0.0
                 btps.append(Btp(Momentum(k, k), s, TRIVIAL_ISOLATED_EP))
-            elif abs(c) < 2.0:
-                rings.append(s)
             continue
-        level = merger_level(c)  # at -1, 0 or 1 the pairs coincide
-        if level is None and abs(c) > 1.0:
-            continue
-        kc = math.acos(c if level is None else level)
+        kc = math.acos(branch_level(params, s) if level is None else level)
         kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
         pts = [(k, h) for k in kcs for h in (_HALF_PI, -_HALF_PI)]
         locs = dict.fromkeys(pts + [(h, k) for k, h in pts])
@@ -164,20 +194,22 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
     one closed polyline.  A level that snaps onto +-2 is the one-vertex
     trivial EP, and a level past it is gapped, with no vertex.
     """
-    if abs(params.t) >= _T_ZERO:
+    f = face(params)
+    if not f.at_t_zero:
         raise ValueError("EP rings exist only at t = 0")
-    if abs(params.gamma) < _T_ZERO:
+    if f.gamma == 1:
         raise ValueError("gamma must be nonzero for exceptional rings")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
     if samples < 8:
         raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)
-    level = merger_level(c, (-2.0, 2.0))  # a trivial point, nothing or a ring, as locate_btps
+    place = f.plus if branch == 1 else f.minus  # as locate_btps places the branch
+    level = f.level(place)
     if level is not None:
         k = math.pi if level < 0.0 else 0.0
         return EpRing(np.array([[k, k]]), branch, c)
-    if abs(c) > 2.0:
+    if place != 2:  # below -2 or above 2
         return EpRing(np.empty((0, 2)), branch, c)
 
     # Admissible kx arc: cos ky = c - cos kx must land in [-1, 1].

@@ -26,7 +26,7 @@ import numpy as np
 from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
 from .btp import (
     DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP,
-    RingRegimeError, _T_ZERO, locate_btps, trace_ep_ring,
+    RingRegimeError, face, locate_btps, trace_ep_ring,
 )
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
@@ -198,7 +198,7 @@ def _params(args) -> ModelParams:
 
 def cmd_btps(args) -> int:
     params = _params(args)
-    if args.ring and abs(params.t) >= _T_ZERO:
+    if args.ring and not face(params).at_t_zero:
         raise UsageError("--ring applies only at t = 0")
     try:
         sig = signature(params, samples=args.samples)
@@ -505,10 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("scan", parents=[model, outp], help="phase-diagram grid scan")
-    p.add_argument("--gamma-range", type=parse_range, default=(-2.0, 2.0), metavar="LO:HI")
-    p.add_argument(
-        "--T-range", dest="T_range", type=parse_range, default=(-2.0, 2.0), metavar="LO:HI"
-    )
+    # a string default goes through parse_range like a typed flag
+    p.add_argument("--gamma-range", type=parse_range, default="-2:2", metavar="LO:HI")
+    p.add_argument("--T-range", dest="T_range", type=parse_range, default="-2:2", metavar="LO:HI")
     p.add_argument("--res", type=int, default=41, help="grid points per axis")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_scan)

@@ -9,14 +9,14 @@ one momentum component picks up its direction factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt
 from .btp import DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP
-from .btp import MERGER_TOL, branch_level, merger_level
+from .btp import MERGER_TOL, branch_level, face
 
 __all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "default_qs",
            "sample_dispersion", "fit_power_law", "expected_dispersion"]
@@ -25,13 +25,13 @@ Q_MIN = 1e-4
 Q_MAX = 1e-2
 _DIR_TOL = 1e-9
 _ORDER_NAMES = (None, "sqrt", "linear", "threehalves", "quadratic")  # the jet runs through q^4
-# kind -> (caseId stem, order of its simple zero, levels locate_btps snaps its branch onto)
+# kind -> (caseId stem, order of its simple zero, or None for a kind that sits on a merger level)
 _KINDS = {
-    NORMAL_EP: ("normal", 1, None),
-    DIRAC_POINT: ("dirac", 2, None),
-    HYBRID_EP: ("hybrid", None, (-1.0, 0.0, 1.0)),
-    SEMI_DIRAC_POINT: ("semidirac", None, (-1.0, 0.0, 1.0)),
-    TRIVIAL_ISOLATED_EP: ("trivial", None, (-2.0, 2.0)),
+    NORMAL_EP: ("normal", 1),
+    DIRAC_POINT: ("dirac", 2),
+    HYBRID_EP: ("hybrid", None),
+    SEMI_DIRAC_POINT: ("semidirac", None),
+    TRIVIAL_ISOLATED_EP: ("trivial", None),
 }
 
 
@@ -110,10 +110,10 @@ def _cos_jet(k: float, v: float) -> np.ndarray:
     return np.array([c, -s * v, -c * v**2 / 2.0, s * v**3 / 6.0, c * v**4 / 24.0])
 
 
-def _e2_jet(params: ModelParams, big_t: float, origin: Momentum, u) -> np.ndarray:
+def _e2_jet(params: ModelParams, origin: Momentum, u) -> np.ndarray:
     """Coefficients of E^2 = Bx^2 + By^2 at origin + q u in q, orders 0 to 4."""
     cx, cy = _cos_jet(origin.kx, u[0]), _cos_jet(origin.ky, u[1])
-    bx = 2.0 * params.J * (cx + cy) + np.array([big_t, 0.0, 0.0, 0.0, 0.0])
+    bx = 2.0 * params.J * (cx + cy) + np.array([params.T, 0.0, 0.0, 0.0, 0.0])
     by = 4.0 * params.t * np.convolve(cx, cy)[:5] + np.array([1j * params.gamma, 0, 0, 0, 0])
     return (np.convolve(bx, bx) + np.convolve(by, by))[:5]
 
@@ -124,21 +124,24 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
     The leading order n >= 1 of the jet (the origin is a touching) gives
     alpha = n/2 and |C| = sqrt|coef_n|.  NormalEP and DiracPoint take the
     order of their simple zero; the other kinds the first coefficient above
-    MERGER_TOL (largest coupling)^2, with T moved by at most 2 |J| MERGER_TOL
-    onto the level locate_btps snapped the branch nearest cos kx + cos ky to.
+    MERGER_TOL (largest coupling)^2.  The jet is taken where :func:`epband.btp.face`
+    snaps the point: gamma on 0 when it snaps there, and T moved by at most
+    2 |J| MERGER_TOL onto the level of the branch nearest cos kx + cos ky.
     None for an unknown kind, off a touching (order 0 above that zero test),
     or when orders 1 to 4 all vanish.
     """
     if kind not in _KINDS:
         return None
-    stem, n, levels = _KINDS[kind]
-    u, big_t = _unit(direction), params.T
-    if levels is not None:
+    stem, n = _KINDS[kind]
+    u, f = _unit(direction), face(params)
+    snapped = params if f.gamma != 1 else replace(params, gamma=0.0)
+    if n is None:
         here = math.cos(origin.kx) + math.cos(origin.ky)
         s = min((1, -1), key=lambda s: abs(branch_level(params, s) - here))
-        level = merger_level(branch_level(params, s), levels)
-        big_t = big_t if level is None else s * params.gamma - 2.0 * params.J * level
-    coefs = _e2_jet(params, big_t, origin, u)
+        level = f.level(f.plus if s == 1 else f.minus)
+        if level is not None:
+            snapped = replace(snapped, T=s * snapped.gamma - 2.0 * params.J * level)
+    coefs = _e2_jet(snapped, origin, u)
     zero = MERGER_TOL * max(abs(params.J), abs(params.T), abs(params.t), abs(params.gamma)) ** 2
     if abs(coefs[0]) > zero:
         return None  # E^2 does not vanish at the origin: no touching there

@@ -4,13 +4,13 @@ A configuration signature is the winding census of all band touchings:
 counts of |w_I| in {0, 1/2, 1} plus the canonically ordered list of signed
 w_II values with their locations.  Two parameter points belong to the same
 phase iff their signatures match entry by entry.  Signature changes can only
-happen across the candidate lines {gamma = 0, T = +-gamma, T +- gamma = +-2J};
-the scanner flags cells sitting on those lines instead of classifying them.
+happen across the candidate lines of :func:`epband.btp.face` (for t != 0
+{gamma = 0, T = +-gamma, T +- gamma = +-2J}); the scanner flags cells sitting
+on those lines instead of classifying them.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -18,23 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import DIRAC_POINT, NORMAL_EP, _T_ZERO, Btp, branch_level, locate_btps, merger_level
+from .btp import DIRAC_POINT, NORMAL_EP, Btp, face, locate_btps
 from .winding import UnresolvedLoopError, WindingError, make_loop, wind_loops
 
-__all__ = [
-    "ConfigurationSignature",
-    "PhaseCell",
-    "PhaseGrid",
-    "BoundaryReport",
-    "signature",
-    "census_type",
-    "scan_phase_diagram",
-    "detect_boundaries",
-    "candidate_line_distance",
-]
+__all__ = ["ConfigurationSignature", "PhaseCell", "PhaseGrid", "BoundaryReport", "signature",
+           "census_type", "scan_phase_diagram", "detect_boundaries", "candidate_line_distance"]
 
-_LINE_TOL = 1e-6
-_MERGERS = (-1.0, 0.0, 1.0)
 _ABS_WI = {DIRAC_POINT: 1.0, NORMAL_EP: 0.5}  # |w_I| per kind; every other kind carries 0
 
 _TYPE_TABLE = {
@@ -112,27 +101,13 @@ def _discrete_label(b: Btp):
     )
 
 
-def _face(params: ModelParams, levels=_MERGERS) -> tuple:
-    """Where gamma (against 0) and the branch levels c_+, c_- (against ``levels``) sit.
-
-    Each entry is 2i + 1 where btp.merger_level snaps the value onto the i-th level, else 2i
-    for the open interval below it.  An odd entry puts the point on a candidate line; points
-    with equal entries lie in the same face of the lines, where no touching merges.
-    """
-    def place(c, marks):
-        m = merger_level(c, marks)
-        return 2 * bisect.bisect(marks, c) if m is None else 2 * marks.index(m) + 1
-
-    return (place(params.gamma, (0.0,)), *(place(branch_level(params, s), levels) for s in (1, -1)))
-
-
 def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature:
     """Locate all band touchings, wind each loop, and assemble the census.
 
     A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`.
     """
     btps = locate_btps(params)
-    boundary = any(place % 2 for place in _face(params))
+    boundary = face(params).on_line
     loops, failure = [], None
     for b in btps:
         try:
@@ -141,10 +116,9 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
             failure = exc  # raised once the touchings before it are wound and checked
             break
     done = []
-    # Errors surface per touching: F winding, E winding, kind law.  Every loop
-    # settles first, refinements too: failing at the first broken law leaves
-    # merger ops too short for the benchmark's speed calibration (ROADMAP item 5).
-    for b, windings in zip(btps, list(wind_loops(params, loops))):
+    # Errors surface per touching: F winding, E winding, kind law, once every loop
+    # has settled, refinements too
+    for b, windings in zip(btps, wind_loops(params, loops)):
         for outcome in windings:
             if isinstance(outcome, WindingError):
                 raise outcome
@@ -173,7 +147,7 @@ def census_type(sig: ConfigurationSignature):
 
 
 def candidate_line_distance(gamma: float, big_t: float, j: float):
-    """Distance to the nearest analytic phase-boundary line, with its name."""
+    """The nearest of the seven t != 0 candidate lines and the distance to it, to name a line."""
     lines = [
         ("gamma=0", abs(gamma)),
         ("T=gamma", abs(big_t - gamma) / math.sqrt(2.0)),
@@ -216,7 +190,7 @@ def _axis(lo: float, hi: float, resolution: int) -> np.ndarray:
 
 
 def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams) -> PhaseGrid:
-    """Signature at every grid cell; cells on candidate lines are flagged.
+    """Signature at every grid cell; cells on candidate lines (an odd face entry) are flagged.
 
     ``base`` supplies J and t.  Degenerate ranges (lo == hi) collapse to a
     single grid point on that axis.
@@ -229,11 +203,10 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
     for g in gammas:
         row = []
         for bt in big_ts:
-            _, dist = candidate_line_distance(float(g), float(bt), base.J)
-            if dist < _LINE_TOL:
+            params = ModelParams(J=base.J, T=float(bt), t=base.t, gamma=float(g))
+            if face(params).on_line:
                 row.append(PhaseCell(float(g), float(bt), boundary=True))
                 continue
-            params = ModelParams(J=base.J, T=float(bt), t=base.t, gamma=float(g))
             try:
                 sig = signature(params)
                 row.append(PhaseCell(float(g), float(bt), boundary=False, sig=sig))
@@ -262,12 +235,9 @@ def detect_boundaries(grid: PhaseGrid) -> BoundaryReport:
     """Edges between adjacent classified cells whose signatures differ.
 
     Each differing edge is annotated with the nearest candidate line.  An
-    edge whose two cells lie in the same face (the same sign of gamma and
-    the same interval of each branch level among -1, 0 and 1, or -2 and 2
-    at t = 0) crosses no line, so it lands in ``violations``: a bug or an
-    undocumented transition.
+    edge whose two cells have the same :func:`epband.btp.face` crosses no
+    line, so it lands in ``violations``: a bug or an undocumented transition.
     """
-    levels = (-2.0, 2.0) if abs(grid.base.t) < _T_ZERO else _MERGERS
     ni, nj = len(grid.gammas), len(grid.big_ts)
     segments, violations = [], []
     for i, jj in np.ndindex(ni, nj):
@@ -281,7 +251,7 @@ def detect_boundaries(grid: PhaseGrid) -> BoundaryReport:
             mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
             line, dist = candidate_line_distance(*mid, grid.base.J)
             segments.append(BoundarySegment((i, jj), (i2, j2), mid, line, dist))
-            faces = {_face(replace(grid.base, T=c.big_t, gamma=c.gamma), levels) for c in (a, b)}
+            faces = {face(replace(grid.base, T=c.big_t, gamma=c.gamma)) for c in (a, b)}
             if len(faces) == 1:
                 violations.append(segments[-1])
     return BoundaryReport(segments=tuple(segments), violations=tuple(violations))

@@ -20,29 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    ModelParams,
-    Momentum,
-    bloch_field_grid,
-    principal_sqrt,
-    right_eigvec,
-    torus_distance,
-    wrap_angle,
-)
+from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
+                    torus_distance, wrap_angle)
 
-__all__ = [
-    "Loop",
-    "WindingResult",
-    "WindingError",
-    "LoopThroughDefectError",
-    "DegenerateTrackingError",
-    "NonQuantizedLoopError",
-    "UnresolvedLoopError",
-    "make_loop",
-    "winding_number",
-    "wind_loops",
-    "winding_additivity_check",
-]
+__all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
+           "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
+           "winding_number", "wind_loops", "winding_additivity_check"]
 
 MAX_SAMPLES = 2**16
 _FIELD_FLOOR = 1e-10
@@ -250,25 +233,23 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     pass is batched: a loop and kind that need more samples double them on
     their own, up to 2^16, as in :func:`winding_number`.
 
-    Returns an iterator that yields, per loop and in order, a tuple with one
-    outcome per kind: the :class:`WindingResult`, or the
-    :class:`WindingError` that loop and kind ran into.  Refinement runs as
-    the iterator reaches each loop, so a caller that stops at the first
-    error does not refine the loops after it.
+    Returns a list with, per loop and in order, a tuple with one outcome per
+    kind: the :class:`WindingResult`, or the :class:`WindingError` that loop
+    and kind ran into.
     """
     for kind in kinds:
         if kind not in ("F", "E"):
             raise ValueError(f"field_kind must be 'F' or 'E', got {kind!r}")
     loops = list(loops)
     if not loops:
-        return iter(())
+        return []
     if len({loop.samples for loop in loops}) > 1:
         raise ValueError("loops wound together must share a sample count")
     first = _attempt(params, loops, loops[0].samples, kinds)
-    return (
+    return [
         tuple(_refine(params, loop, kind, outcome) for kind, outcome in zip(kinds, outcomes))
         for loop, outcomes in zip(loops, first)
-    )
+    ]
 
 
 def _settled(outcome) -> WindingResult:
@@ -316,8 +297,8 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
         except UnresolvedLoopError as exc:
             failure = exc  # raised during the F comparison, after the parts before it
             break
-    totals = next(wind_loops(params, [big_loop]))
-    parts = list(wind_loops(params, loops))
+    totals = wind_loops(params, [big_loop])[0]
+    parts = wind_loops(params, loops)
     for i in range(2):  # F, then E
         total = _settled(totals[i]).value
         part_sum = sum(_settled(p[i]).value for p in parts)

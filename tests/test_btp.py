@@ -28,10 +28,10 @@ from epband.btp import (
     TRIVIAL_ISOLATED_EP,
     Btp,
     _sorted_btps,
+    face,
     merger_level,
 )
 from epband.cli import main as cli_main
-from epband.phase import _face
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -495,7 +495,7 @@ def test_one_level_rule_per_branch(j, at_zero, t, t_big, s, gamma, level_index, 
     except RingRegimeError as exc:
         found, rings = None, json.loads(str(exc).split("branches ")[1].split(")")[0])
     if not at_zero:
-        for b, place in zip((1, -1), _face(p)[1:]):
+        for b, place in zip((1, -1), face(p)[1:3]):
             kinds = {x.kind for x in found if x.branch == b}
             want = {HYBRID_EP} if place % 2 else ({NORMAL_EP} if place in (2, 4) else set())
             assert kinds == want, (p, b)
@@ -514,6 +514,46 @@ def test_one_level_rule_per_branch(j, at_zero, t, t_big, s, gamma, level_index, 
             on_b = [x for x in found if x.branch == b]
             assert _verdict(len(on_b)) == traced, (p, b)
             assert [x["branch"] for x in report["btps"]].count(b) == len(on_b)
+
+
+# ---------------------------------------------------------------- one face per point
+
+
+def _census(p):
+    """The (branch, kind) multiset locate_btps lists, or the class of the error it raises."""
+    try:
+        return sorted((b.branch, b.kind) for b in locate_btps(p))
+    except ValueError as exc:  # a ring, or t = gamma = 0
+        return type(exc).__name__
+
+
+_SNAP_RATIO = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-8, 1.0 + 1e-6, 1.5, 2.0]) | st.floats(0, 3)
+_LEVEL_OFFSET = st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]) | st.floats(-3e-9, 3e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    j=st.sampled_from([1.0, -1.0]) | st.floats(0.3, 2.0) | st.floats(-2.0, -0.3),
+    t=st.sampled_from([5e-13, -5e-13, 0.5, -0.5]) | st.floats(-1.5, 1.5).filter(
+        lambda t: abs(t) > 1e-6),
+    level=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]),
+    points=st.lists(st.tuples(st.sampled_from([1, -1]), _SNAP_RATIO, _LEVEL_OFFSET),
+                    min_size=2, max_size=2),
+)
+def test_one_face_one_census_near_the_gamma_snap(j, t, level, points):
+    """With |gamma| near 2|J| 1e-9 and -T/2J near a level, equal faces list the same
+    (branch, kind) multiset, and no census lists two touchings within 1e-9 of each other."""
+    ps = [ModelParams(J=j, T=-2.0 * j * (level + offset), t=t, gamma=sign * ratio * 2e-9 * abs(j))
+          for sign, ratio, offset in points]
+    for p in ps:
+        try:
+            found = locate_btps(p)
+        except ValueError:
+            continue
+        for i, a in enumerate(found):
+            assert all(torus_distance(a.k, b.k) > 1e-9 for b in found[:i]), (p, a)
+    if face(ps[0]) == face(ps[1]):
+        assert _census(ps[0]) == _census(ps[1]), ps
 
 
 # ---------------------------------------------------------------- gap probe

@@ -257,6 +257,28 @@ def test_btps_unresolved_touching_exits_3(flags, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("gamma", ["5e-10", "-5e-10", "2e-09"])
+def test_btps_gamma_within_the_snap_prints_the_gamma_zero_census(capsys, gamma):
+    # |gamma| <= 2|J| 1e-9 is gamma = 0: one Dirac point per partner pair, not an exit 3
+    flags = ["btps", "--T", "-1.5", "--t", "0.5", "--gamma"]
+    assert cli.main([*flags, "0"]) == 0
+    want = capsys.readouterr().out.splitlines()
+    assert cli.main([*flags, gamma]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert len(got) == len(want)
+    assert [(a.strip(), b.strip()) for a, b in zip(want, got) if a != b] == [
+        ('"gamma": 0.0', f'"gamma": {gamma}')]
+
+
+def test_btps_trivial_twins_within_the_gamma_snap_exit_2(capsys):
+    # both branch levels snap onto 2 at t = 0: gamma = 0 there, so no twin trivial EPs
+    argv = ["btps", "--J", "-1.7655530938855897", "--T", "-7.062212376954801", "--t", "-5e-13",
+            "--gamma", "1.7655532399681078e-09"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t = gamma = 0 degenerates" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # scan
 

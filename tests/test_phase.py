@@ -323,6 +323,21 @@ def test_boundary_flag_is_the_merger_snap(offset, flag):
     assert merged == flag
 
 
+def test_boundary_flag_at_t_zero_is_the_trivial_ep_level():
+    # c_- = 2 at t = 0, where the trivial EP appears; the flag once read -1, 0 and 1 there
+    sig = signature(ModelParams(1.0, -5.0, 0.0, 1.0))
+    assert [b.kind for b in sig.btps] == ["TrivialIsolatedEP"]
+    assert sig.boundary_flag
+
+
+def test_t_zero_scan_flags_the_trivial_ep_line():
+    # at t = 0 the lines are c_+- = +-2; here T + gamma = -4J crosses the grid at 5 cells
+    grid = scan_phase_diagram((0.5, 1.5), (-6.0, -4.0), 11, ModelParams(1.0, 0.0, 0.0, 0.0))
+    flagged = [(c.gamma, c.big_t) for row in grid.cells for c in row if c.boundary]
+    assert len(flagged) == 5
+    assert all(abs(big_t + gamma + 4.0) < 1e-12 for gamma, big_t in flagged)
+
+
 def test_scan_uniform_region_no_boundaries():
     grid = scan_phase_diagram((0.4, 0.6), (-1.2, -0.9), 8, ModelParams(1.0, 0.0, T05, 0.0))
     report = detect_boundaries(grid)

@@ -36,3 +36,14 @@ def test_source_lines_fit(path):
         if len(line) > MAX_LINE
     ]
     assert long == []
+
+
+# btp.face alone picks the merger levels by t, snaps gamma onto 0 and places each branch level
+_FACE_RULES = ("_T_ZERO", "merger_level(", "(-2.0, 2.0)", "(-1.0, 0.0, 1.0)")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
+def test_only_btp_places_a_point_among_the_lines(path):
+    text = path.read_text(encoding="utf-8")
+    found = [rule for rule in _FACE_RULES if rule in text]
+    assert found == (list(_FACE_RULES) if path.name == "btp.py" else [])

@@ -1,5 +1,6 @@
 """Loop windings of the spin texture (F) and the complex energy (E)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -276,6 +277,13 @@ def test_wind_loops_reports_errors_per_loop():
     assert f_ok.value == 0.0 and e_ok.value == 0.0
 
 
+def test_wind_loops_returns_every_loop_settled():
+    loops = [Loop(center=Momentum(0.0, -HALF_PI), radius=0.1), Loop(Momentum(1.0, 1.0), 0.1)]
+    results = wind_loops(ANCHOR, loops)
+    assert isinstance(results, list) and len(results) == 2
+    assert all(isinstance(w, (WindingResult, WindingError)) for pair in results for w in pair)
+
+
 def test_wind_loops_validation():
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
     with pytest.raises(ValueError):
@@ -457,11 +465,16 @@ def test_additivity_check_passes():
 
 @pytest.mark.parametrize("gamma", [1e-10, -1e-10, 5e-10])
 def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
-    # at 1e-12 < |gamma| < 1e-9 the partner EP lies within make_loop's 1e-9 self-match;
-    # skipping it too would make each part loop enclose both EPs and the check read False
-    p = ModelParams(1.0, -1.0, 0.5, gamma)
-    btps = locate_btps(p)
+    # |gamma| <= 2|J| 1e-9 snaps onto gamma = 0: one Dirac point where the partner EPs
+    # lie within make_loop's 1e-9 self-match, whose loop encloses both
     big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05, samples=1024)
+    p = ModelParams(1.0, -1.0, 0.5, gamma)
+    assert signature(p).btps == signature(dataclasses.replace(p, gamma=0.0)).btps
+    assert winding_additivity_check(p, locate_btps(p), big)
+    # past the snap the partner lies 3.5e-9 off and no loop separates the two
+    p = ModelParams(1.0, -1.0, 0.5, math.copysign(3e-9, gamma))
+    btps = locate_btps(p)
+    assert {b.kind for b in btps} == {"NormalEP"}
     with pytest.raises(UnresolvedLoopError, match="too close to separate"):
         winding_additivity_check(p, btps, big)
     with pytest.raises(UnresolvedLoopError, match="too close to separate"):
