@@ -59,7 +59,8 @@ def principal_sqrt(w):
     """
     e = np.sqrt(np.asarray(w, dtype=complex))
     flip = (e.real < 0) | ((e.real == 0) & (e.imag < 0))
-    e = np.where(flip, -e, e)
+    if flip.any():
+        e = np.where(flip, -e, e)
     if np.ndim(w) == 0:
         return complex(e)
     return e
@@ -113,18 +114,18 @@ def bloch_field_grid(params: ModelParams, kx, ky):
 
 
 def right_eigvec(bx, by, e):
-    """Right eigenvector of h = [[By, Bx], [Bx, -By]] for eigenvalue ``e``, unnormalized.
+    """Right eigenvector (a, b) of h = [[By, Bx], [Bx, -By]] for eigenvalue ``e``, and its norm.
 
     (Bx, e - By) and (e + By, Bx) both span the kernel of h - e; the one with
-    the larger norm is returned, so the Bx = 0 and By = 0 corners are both
-    safe.  At an exceptional point both collapse onto the Jordan vector; at
-    h = 0 the result is the zero vector.  bx, by and e share one shape; the
-    result has that shape + (2,).
+    the larger norm, sqrt(Bx^2 + |w|^2) summed in numpy's 2-norm float order,
+    is returned unnormalized, so the Bx = 0 and By = 0 corners are both safe.
+    At an exceptional point both collapse onto the Jordan vector; at h = 0 the
+    result is the zero vector.  bx, by, e, a, b and norm share one shape.
     """
-    v1 = np.stack([bx, e - by], axis=-1)
-    v2 = np.stack([e + by, bx], axis=-1)
-    use1 = np.linalg.norm(v1, axis=-1) >= np.linalg.norm(v2, axis=-1)
-    return np.where(use1[..., None], v1, v2)
+    w1, w2 = np.asarray(e - by), np.asarray(e + by)  # scalar complex products round otherwise
+    n1, n2 = (np.sqrt(bx * bx + (np.conj(w) * w).real) for w in (w1, w2))
+    use1 = n1 >= n2
+    return np.where(use1, bx, w2), np.where(use1, w1, bx), np.where(use1, n1, n2)
 
 
 def observables_grid(params: ModelParams, kx, ky):
@@ -136,8 +137,7 @@ def observables_grid(params: ModelParams, kx, ky):
     there instead of blowing up; at h = 0 all three are 0.
     """
     bx, by = bloch_field_grid(params, kx, ky)
-    v = right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
-    a, b = v[..., 0], v[..., 1]
+    a, b, _ = right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
     norm = np.abs(a) ** 2 + np.abs(b) ** 2
     norm = np.where(norm == 0.0, 1.0, norm)
     cross = np.conj(a) * b

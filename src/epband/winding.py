@@ -180,13 +180,15 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     # the defect error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore"):
         e = principal_sqrt(bx * bx + by * by)
-        v = right_eigvec(bx, by, e)
-        v /= np.linalg.norm(v, axis=-1)[..., None]
-        a, b = v[..., 0], v[..., 1]
+        a, b, norm = right_eigvec(bx, by, e)
+        a /= norm
+        b /= norm
+        ac, bc = a.conj(), b.conj()
         # |<v_n|v_n+1>| against |<v_n|sigma_y v_n+1>|; sigma_y is unitary, so
         # the same pair serves a loop that currently runs on the minus branch.
-        stay = np.abs(a[:, :-1].conj() * a[:, 1:] + b[:, :-1].conj() * b[:, 1:])
-        flip = np.abs(a[:, :-1].conj() * b[:, 1:] - b[:, :-1].conj() * a[:, 1:])
+        stay = np.abs(ac[:, :-1] * a[:, 1:] + bc[:, :-1] * b[:, 1:])
+        flip = np.abs(ac[:, :-1] * b[:, 1:] - bc[:, :-1] * a[:, 1:])
+        del norm, bc  # keeps the peak low on refined loops: F needs only a, b and ac
         parity = np.cumsum(flip > stay, axis=1) % 2
         sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
         h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
@@ -207,7 +209,7 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         per_kind = []
         for kind in kinds:
             if kind == "F":
-                fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
+                fx, fy = 2.0 * (ac * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
             else:
                 fx, fy = e.real, e.imag
             per_kind.append(_kind_outcomes(loops, kind, m, sign * fx, sign * fy, swapped, shared))

@@ -31,6 +31,19 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def stacked_eigvec(bx, by, e):
+    """``right_eigvec``'s components stacked into (..., 2) vectors.
+
+    The norm it returns must be numpy's 2-norm of that vector, bit for bit.
+    """
+    a, b, norm = right_eigvec(bx, by, e)
+    v = np.stack([a, b], axis=-1)
+    np.testing.assert_array_equal(
+        np.asarray(norm).view(np.uint64), np.asarray(np.linalg.norm(v, axis=-1)).view(np.uint64)
+    )
+    return v
+
+
 def _eig_state(h, e):
     """numpy's unit eigenvector of h for the eigenvalue closest to e."""
     vals, vecs = np.linalg.eig(h)
@@ -107,7 +120,7 @@ def test_wrap_angle_range():
 def test_matrix_zero():
     # h = 0: E = 0 and the kernel claims no direction (both candidates vanish)
     for e in (0.0, principal_sqrt(0.0)):
-        v = right_eigvec(0.0, 0j, e)
+        v = stacked_eigvec(0.0, 0j, e)
         assert v.shape == (2,) and np.all(v == 0.0)
     np.testing.assert_array_equal(np.linalg.eigvals(_h(0.0, 0j)), [0.0, 0.0])
 
@@ -124,7 +137,7 @@ def test_matrix_layout():
         vals = np.sort_complex(np.linalg.eigvals(h))
         np.testing.assert_allclose(vals, np.sort_complex(np.array([e, -e])), atol=1e-14)
         for s in (e, -e):
-            v = right_eigvec(bx, by, s)
+            v = stacked_eigvec(bx, by, s)
             assert np.linalg.norm(h @ v - s * v) < 1e-14 * np.linalg.norm(v)
 
 
@@ -137,7 +150,7 @@ def test_matrix_is_sigma_combination():
         h = bx * SIGMA_X + by * SIGMA_Z
         e = principal_sqrt(bx * bx + by * by)
         for s in (e, -e):
-            v = right_eigvec(bx, by, s)
+            v = stacked_eigvec(bx, by, s)
             assert np.linalg.norm(h @ v - s * v) < 1e-13 * np.linalg.norm(v)
 
 
@@ -158,7 +171,7 @@ def test_eigensystem_hermitian_point():
     vals = np.sort(np.linalg.eigvals(_h(bx, by)).real)
     np.testing.assert_allclose(vals, [-math.sqrt(17.0), math.sqrt(17.0)], atol=1e-14)
     # not defective: the two branch vectors are orthonormal
-    u, w = _unit(right_eigvec(bx, by, e)), _unit(right_eigvec(bx, by, -e))
+    u, w = _unit(stacked_eigvec(bx, by, e)), _unit(stacked_eigvec(bx, by, -e))
     assert abs(np.vdot(u, w)) < 1e-14
 
 
@@ -170,7 +183,7 @@ def test_eigensystem_defective_point():
     assert e == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(h @ h, 0.0, atol=1e-15)  # nilpotent and h != 0
     assert np.max(np.abs(h)) == 0.5
-    plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
+    plus, minus = stacked_eigvec(bx, by, e), stacked_eigvec(bx, by, -e)
     target = np.array([1.0, 1.0j]) / math.sqrt(2.0)
     assert abs(np.vdot(target, _unit(plus))) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(plus, minus, atol=1e-15)
@@ -183,7 +196,7 @@ def test_eigensystem_zero_matrix_not_defective():
     vals, vecs = np.linalg.eig(_h(0.0, 0j))
     np.testing.assert_array_equal(vals, [0.0, 0.0])
     assert abs(np.linalg.det(vecs)) == pytest.approx(1.0)
-    assert np.all(right_eigvec(0.0, 0j, 0.0) == 0.0)
+    assert np.all(stacked_eigvec(0.0, 0j, 0.0) == 0.0)
     assert observables_grid(ModelParams(1.0, -4.0, 0.0, 0.0), 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
@@ -198,7 +211,7 @@ def test_eigensystem_residual_invariant():
         scale = max(1.0, np.max(np.abs(h)))
         e = principal_sqrt(bx * bx + by * by)
         for s in (e, -e):
-            v = right_eigvec(bx, by, s)
+            v = stacked_eigvec(bx, by, s)
             # the better-conditioned candidate is never small
             floor = math.sqrt(abs(bx) ** 2 + abs(by) ** 2 + abs(s) ** 2)
             assert np.linalg.norm(v) >= floor * (1.0 - 1e-12)
@@ -208,9 +221,9 @@ def test_eigensystem_residual_invariant():
     # the kernel broadcasts over any array shape
     bx, by = bloch_field_grid(ANCHOR, rng.uniform(-3, 3, (3, 4)), rng.uniform(-3, 3, (3, 4)))
     e = principal_sqrt(bx * bx + by * by)
-    v = right_eigvec(bx, by, e)
+    v = stacked_eigvec(bx, by, e)
     assert v.shape == (3, 4, 2)
-    np.testing.assert_array_equal(v[1, 2], right_eigvec(bx[1, 2], by[1, 2], e[1, 2]))
+    np.testing.assert_array_equal(v[1, 2], stacked_eigvec(bx[1, 2], by[1, 2], e[1, 2]))
 
 
 # ---------------------------------------------------------------- observables
@@ -315,7 +328,7 @@ def test_chiral_anticommutation_pointwise():
         h = _h(bx, by)
         np.testing.assert_allclose(SIGMA_Y @ h @ SIGMA_Y, -h, atol=1e-12)
         e = principal_sqrt(bx * bx + by * by)
-        plus, minus = _unit(right_eigvec(bx, by, e)), _unit(right_eigvec(bx, by, -e))
+        plus, minus = _unit(stacked_eigvec(bx, by, e)), _unit(stacked_eigvec(bx, by, -e))
         assert abs(np.vdot(minus, SIGMA_Y @ plus)) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -135,10 +135,10 @@ def test_spectral_multiset_matches_bloch():
 
 # N divisible by 4 puts the hybrid-EP momenta (0, +-pi/2) on the grid, where
 # the block eigenvalues are only accurate to sqrt(eps): spectralMismatch is
-# about 1e-8 against the 1e-10 gate.  ROADMAP item 2 asks for a fix in the
+# about 1e-8 against the 1e-10 gate.  ROADMAP item 3 asks for a fix in the
 # program (compare trace and determinant), not in the gate.
 _EP_ON_GRID = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 2: EP momenta on the grid at N = 0 (mod 4)"
+    strict=True, reason="ROADMAP item 3: EP momenta on the grid at N = 0 (mod 4)"
 )
 
 

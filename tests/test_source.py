@@ -47,3 +47,17 @@ def test_only_btp_places_a_point_among_the_lines(path):
     text = path.read_text(encoding="utf-8")
     found = [rule for rule in _FACE_RULES if rule in text]
     assert found == (list(_FACE_RULES) if path.name == "btp.py" else [])
+
+
+# The winding kernel works on eigenvector components and the one norm right_eigvec returns:
+# no stacked (..., 2) arrays and no second norm pass over them
+_STACKED_PASSES = ("stack", "linalg.norm")
+
+
+@pytest.mark.parametrize("name", ["winding.py", "bloch.py"])
+def test_kernel_builds_no_stacked_vectors(name):
+    (path,) = [p for p in SOURCES if p.name == name]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert "np.abs" in calls
+    assert [c for c in calls if c.endswith(_STACKED_PASSES)] == []

@@ -22,7 +22,10 @@ from epband import (
     winding_additivity_check,
     winding_number,
 )
-from epband.bloch import bloch_field_grid, principal_sqrt, right_eigvec, torus_distance, wrap_angle
+from epband.bloch import (bloch_field_grid, observables_grid, principal_sqrt, right_eigvec,
+                          torus_distance, wrap_angle)
+from epband.btp import face
+from epband.cli import _ARROW_GRID, _centers
 from epband.phase import candidate_line_distance
 from epband.winding import (
     _FIELD_FLOOR,
@@ -31,6 +34,7 @@ from epband.winding import (
     _attempt,
     _kind_outcomes,
 )
+from test_bloch import stacked_eigvec
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -298,22 +302,39 @@ def _overlap(u, v):
     return np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
 
 
-def _two_eigenvector_attempt(params, loops, m, kinds):
-    """Reference first pass: solve for both eigenvectors and track by four overlaps.
+def _loop_sets(params):
+    """The loops ``signature`` winds at ``params``, up to its first unresolved touching."""
+    btps = locate_btps(params)
+    loops = []
+    for b in btps:
+        try:
+            loops.append(make_loop(b.k, btps))
+        except UnresolvedLoopError:
+            break
+    return loops
 
-    Returns what ``_attempt`` returns, with nan in place of the raw angle
-    when the two branches disagree on where the tracking flips.
-    """
+
+def _loop_field(params, loops, m):
+    """(Bx, By) on each loop's m samples plus its first one again, as ``_attempt`` samples it."""
     theta = 2.0 * np.pi * np.arange(m) / m
     radius = np.array([[loop.radius] for loop in loops])
     kx = np.array([[loop.center.kx] for loop in loops]) + radius * np.cos(theta)
     ky = np.array([[loop.center.ky] for loop in loops]) + radius * np.sin(theta)
     kx = np.concatenate([kx, kx[:, :1]], axis=1)
     ky = np.concatenate([ky, ky[:, :1]], axis=1)
-    bx, by = bloch_field_grid(params, kx, ky)
+    return bloch_field_grid(params, kx, ky)
+
+
+def _two_eigenvector_attempt(params, loops, m, kinds):
+    """Reference first pass: solve for both eigenvectors and track by four overlaps.
+
+    Returns what ``_attempt`` returns, with nan in place of the raw angle
+    when the two branches disagree on where the tracking flips.
+    """
+    bx, by = _loop_field(params, loops, m)
     with np.errstate(invalid="ignore", divide="ignore"):
         e = principal_sqrt(bx * bx + by * by)
-        plus, minus = right_eigvec(bx, by, e), right_eigvec(bx, by, -e)
+        plus, minus = stacked_eigvec(bx, by, e), stacked_eigvec(bx, by, -e)
         for v in (plus, minus):
             v /= np.linalg.norm(v, axis=-1)[..., None]
         o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
@@ -371,13 +392,7 @@ def test_one_eigenvector_kernel_matches_two_eigenvector_reference():
     draws = [_diamond_draw(rng) for _ in range(12)] + list(_family_draws(rng, 30))
     compared = swapped = 0
     for p in draws:
-        btps = locate_btps(p)
-        loops = []
-        for b in btps:
-            try:
-                loops.append(make_loop(b.k, btps))
-            except UnresolvedLoopError:
-                break
+        loops = _loop_sets(p)
         if not loops:
             continue
         new = _attempt(p, loops, 512, ("F", "E"))
@@ -396,6 +411,118 @@ def test_one_eigenvector_kernel_matches_two_eigenvector_reference():
                 assert type(got) is type(want)
             compared += 1
     assert compared > 1000 and swapped > 300
+
+
+# ---------------------------------------------------------------- stacked-kernel reference
+
+
+def _stacked_right_eigvec(bx, by, e):
+    """The eigenvector kernel in its stacked form: (..., 2) candidates picked by numpy's 2-norm."""
+    v1 = np.stack([bx, e - by], axis=-1)
+    v2 = np.stack([e + by, bx], axis=-1)
+    use1 = np.linalg.norm(v1, axis=-1) >= np.linalg.norm(v2, axis=-1)
+    return np.where(use1[..., None], v1, v2)
+
+
+def _stacked_attempt(params, loops, m, kinds):
+    """Reference first pass on stacked eigenvectors, each normalized by a second 2-norm pass."""
+    bx, by = _loop_field(params, loops, m)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = principal_sqrt(bx * bx + by * by)
+        v = _stacked_right_eigvec(bx, by, e)
+        v /= np.linalg.norm(v, axis=-1)[..., None]
+        a, b = v[..., 0], v[..., 1]
+        stay = np.abs(a[:, :-1].conj() * a[:, 1:] + b[:, :-1].conj() * b[:, 1:])
+        flip = np.abs(a[:, :-1].conj() * b[:, 1:] - b[:, :-1].conj() * a[:, 1:])
+        parity = np.cumsum(flip > stay, axis=1) % 2
+        sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
+        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
+        e_min = np.min(np.abs(e), axis=1)
+        margin_min = np.min(np.abs(stay - flip), axis=1)
+        shared = []
+        for i in range(len(loops)):
+            if h_min[i] < 1e-12:
+                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
+            elif e_min[i] < _FIELD_FLOOR:
+                shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
+            elif margin_min[i] < _TIE_TOL:
+                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
+            else:
+                shared.append(None)
+        swapped = (sign[:, -1] < 0).tolist()
+        per_kind = []
+        for kind in kinds:
+            if kind == "F":
+                fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
+            else:
+                fx, fy = e.real, e.imag
+            per_kind.append(_kind_outcomes(loops, kind, m, sign * fx, sign * fy, swapped, shared))
+    return list(zip(*per_kind))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _scan_window_loop_sets():
+    """The loops every classified cell of the 11x11 t = 0.5 scan of [-2, 2]^2 winds."""
+    axis = np.linspace(-2.0, 2.0, 11)
+    cells = (ModelParams(1.0, float(big_t), 0.5, float(g)) for g in axis for big_t in axis)
+    return [(p, loops) for p in cells if not face(p).on_line and (loops := _loop_sets(p))]
+
+
+def _assert_same_attempt(params, loops, m):
+    got = _attempt(params, loops, m, ("F", "E"))
+    want = _stacked_attempt(params, loops, m, ("F", "E"))
+    for g, w in ((g, w) for row in zip(got, want, strict=True) for g, w in zip(*row, strict=True)):
+        assert type(g) is type(w)
+        # a WindingResult compares every field, its raw angle and residual too, with ==
+        assert str(g) == str(w) if isinstance(w, WindingError) else g == w
+
+
+def test_component_kernel_is_bit_identical_to_stacked_kernel():
+    # one norm per candidate, summed as numpy sums it, and the same complex-by-real
+    # division: every sample and every outcome equals the stacked kernel's exactly
+    readme = (ANCHOR, [Loop(Momentum(-math.pi / 3, -HALF_PI), 0.1)])
+    scan = _scan_window_loop_sets()
+    assert len(scan) == 72
+    rng = np.random.default_rng(16)
+    families = [(p, _loop_sets(p)) for p in _family_draws(rng, 6)]
+    # near-merger loops are the ones that refine the most
+    mergers = [(p, loops) for p, loops in families[1::4] if loops]
+    sets = [readme, *scan, *((p, loops) for p, loops in families if loops)]
+    for p, loops in sets:
+        _assert_same_attempt(p, loops, 512)
+        bx, by = _loop_field(p, loops, 512)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e = principal_sqrt(bx * bx + by * by)
+            a, b, norm = right_eigvec(bx, by, e)
+            v = _stacked_right_eigvec(bx, by, e)
+            np.testing.assert_array_equal(_bits(norm), _bits(np.linalg.norm(v, axis=-1)))
+            v /= np.linalg.norm(v, axis=-1)[..., None]
+            np.testing.assert_array_equal(_bits(a / norm), _bits(v[..., 0]))
+            np.testing.assert_array_equal(_bits(b / norm), _bits(v[..., 1]))
+    # refinement winds one loop at a time at 1024, 2048, ... samples
+    for p, loops in sets[::4]:
+        _assert_same_attempt(p, loops[:1], 4096)
+    for p, loops in [readme, *mergers]:
+        _assert_same_attempt(p, loops[:1], 65536)
+
+
+def test_observables_grid_is_bit_identical_to_stacked_kernel():
+    # field-export's two grids at the README couplings
+    for n in (128, _ARROW_GRID):
+        kx, ky = np.meshgrid(_centers(n), _centers(n), indexing="ij")
+        bx, by = bloch_field_grid(ANCHOR, kx, ky)
+        v = _stacked_right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
+        a, b = v[..., 0], v[..., 1]
+        norm = np.abs(a) ** 2 + np.abs(b) ** 2
+        norm = np.where(norm == 0.0, 1.0, norm)
+        cross = np.conj(a) * b
+        want = (2.0 * cross.real / norm, (np.abs(a) ** 2 - np.abs(b) ** 2) / norm,
+                2.0 * cross.imag / norm)
+        for got, ref in zip(observables_grid(ANCHOR, kx, ky), want, strict=True):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
 
 
 # ---------------------------------------------------------------- tracking-free cross-checks
@@ -438,6 +565,32 @@ def test_hermitian_texture_is_field_winding():
 )
 def test_hermitian_texture_is_field_winding_near_merger():
     _assert_texture_is_field_winding(ModelParams(1.0, -2.0 + 2e-5, 0.5, 0.0))
+
+
+# gamma = 0 and |t/J| = 1e-3: the Dirac cone is so anisotropic that the Bloch vector turns by
+# about pi within a short arc of the loop, and overlap tracking swaps branches twice there
+_SMALL_T = ModelParams(1.0, -1.0, 0.001, 0.0)
+_SMALL_T_DIRAC = Momentum(-HALF_PI, -1.0471975511965983)
+
+
+@pytest.mark.parametrize("radius", [0.1, 1e-3])
+def test_small_t_dirac_field_winding(radius):
+    loop = Loop(center=_SMALL_T_DIRAC, radius=radius)
+    assert _untracked_winding(_SMALL_T, loop, _hermitian_field) == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the tracked texture winds 0 around this w_I = -1 Dirac point "
+    "(no guard on the untracked field's turning)",
+)
+def test_small_t_dirac_winding_is_never_silently_wrong():
+    loop = Loop(center=_SMALL_T_DIRAC, radius=0.1)
+    try:
+        result = winding_number(_SMALL_T, loop, "F")
+    except WindingError:
+        return
+    assert result.value == -1.0
 
 
 # ---------------------------------------------------------------- additivity
