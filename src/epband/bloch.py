@@ -123,7 +123,8 @@ def right_eigvec(bx, by, e):
     result is the zero vector.  bx, by, e, a, b and norm share one shape.
     """
     w1, w2 = np.asarray(e - by), np.asarray(e + by)  # scalar complex products round otherwise
-    n1, n2 = (np.sqrt(bx * bx + (np.conj(w) * w).real) for w in (w1, w2))
+    bx2 = bx * bx
+    n1, n2 = (np.sqrt(bx2 + (np.conj(w) * w).real) for w in (w1, w2))
     use1 = n1 >= n2
     return np.where(use1, bx, w2), np.where(use1, w1, bx), np.where(use1, n1, n2)
 
@@ -136,7 +137,7 @@ def observables_grid(params: ModelParams, kx, ky):
     kernel vector is the Jordan vector, so the in-plane components vanish
     there instead of blowing up; at h = 0 all three are 0.
     """
-    bx, by = bloch_field_grid(params, kx, ky)
+    bx, by = bloch_field_grid(params, *np.atleast_1d(kx, ky))  # scalar products round otherwise
     a, b, _ = right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
     norm = np.abs(a) ** 2 + np.abs(b) ** 2
     norm = np.where(norm == 0.0, 1.0, norm)
@@ -144,7 +145,7 @@ def observables_grid(params: ModelParams, kx, ky):
     fx = 2.0 * cross.real / norm
     fy = (np.abs(a) ** 2 - np.abs(b) ** 2) / norm
     sy = 2.0 * cross.imag / norm
-    return fx, fy, sy
+    return (fx[0], fy[0], sy[0]) if np.ndim(kx) == np.ndim(ky) == 0 else (fx, fy, sy)
 
 
 # The eight momentum relations h(kx, ky) = h(. , .) implied by the C4/mirror

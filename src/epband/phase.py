@@ -104,7 +104,8 @@ def _discrete_label(b: Btp):
 def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature:
     """Locate all band touchings, wind each loop, and assemble the census.
 
-    A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`.
+    A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`,
+    and so do charges that do not sum to 0.
     """
     btps = locate_btps(params)
     boundary = face(params).on_line
@@ -128,6 +129,8 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
         done.append(replace(b, w_i=wi, w_ii=wii))
     if failure is not None:
         raise failure
+    if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0
+        raise UnresolvedLoopError(f"charges {[(b.w_i, b.w_ii) for b in done]} do not sum to 0")
     counts = {0.0: 0, 0.5: 0, 1.0: 0}
     for b in done:
         counts[abs(b.w_i)] += 1

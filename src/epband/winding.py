@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
-                    torus_distance, wrap_angle)
+                    torus_distance)
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
            "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
@@ -123,16 +123,25 @@ class WindingResult:
         }
 
 
+def _wrap_steps(d):
+    """:func:`~epband.bloch.wrap_angle` of angle steps in [-2 pi, 2 pi], bit for bit, in place."""
+    # a = pi - d lies in [-pi, 3 pi]; mod 2 pi it is a - 2 pi from 2 pi on, a + 2 pi below 0
+    np.subtract(np.pi, d, out=d)
+    np.subtract(d, 2.0 * np.pi, out=d, where=d >= 2.0 * np.pi)
+    np.add(d, 2.0 * np.pi, out=d, where=d < 0.0)  # may round onto 2 pi, as the remainder does
+    return np.subtract(np.pi, d, out=d)
+
+
 def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared):
     """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays.
 
     A loop whose ``shared`` entry is set already failed or needs refining
     for every kind and keeps that outcome.
     """
-    collapsed = np.min(np.hypot(fx, fy), axis=1) < _FIELD_FLOOR
-    d = wrap_angle(np.diff(np.arctan2(fy, fx), axis=1))
+    collapsed = (np.min(fx * fx + fy * fy, axis=1) < _FIELD_FLOOR**2).tolist()
+    d = _wrap_steps(np.diff(np.arctan2(fy, fx, out=fx), axis=1))  # fx is scratch
     raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
-    coarse = np.max(np.abs(d), axis=1) > 0.5 * np.pi
+    coarse = (np.max(np.abs(d, out=d), axis=1) > 0.5 * np.pi).tolist()
     outcomes = []
     for i, loop in enumerate(loops):
         if shared[i] is not None:
@@ -169,35 +178,38 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     the WindingError the loop hit, or a float, the raw angle of a pass that
     needs more samples.
     """
-    theta = 2.0 * np.pi * np.arange(m) / m
-    radius = np.array([[loop.radius] for loop in loops])
-    kx = np.array([[loop.center.kx] for loop in loops]) + radius * np.cos(theta)
-    ky = np.array([[loop.center.ky] for loop in loops]) + radius * np.sin(theta)
-    kx = np.concatenate([kx, kx[:, :1]], axis=1)  # close each loop on the same matrix
-    ky = np.concatenate([ky, ky[:, :1]], axis=1)
-    bx, by = bloch_field_grid(params, kx, ky)
+    theta = 2.0 * np.pi * np.arange(m + 1) / m
+    theta[m] = 0.0  # close each loop on the same matrix as its first sample
+    cx, cy, r = np.array([[lp.center.kx, lp.center.ky, lp.radius] for lp in loops]).T[..., None]
+    bx, by = bloch_field_grid(params, cx + r * np.cos(theta), cy + r * np.sin(theta))
     # A loop through a defect gets 0/0 in its own rows only; its outcome is
     # the defect error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore"):
+        h_small = (np.min(bx * bx + by.real**2 + by.imag**2, axis=1) < 1e-24).tolist()
         e = principal_sqrt(bx * bx + by * by)
+        e_min = np.min(np.abs(e), axis=1).tolist()
         a, b, norm = right_eigvec(bx, by, e)
         a /= norm
         b /= norm
+        del bx, by, norm  # keeps the peak low on refined loops
         ac, bc = a.conj(), b.conj()
         # |<v_n|v_n+1>| against |<v_n|sigma_y v_n+1>|; sigma_y is unitary, so
         # the same pair serves a loop that currently runs on the minus branch.
-        stay = np.abs(ac[:, :-1] * a[:, 1:] + bc[:, :-1] * b[:, 1:])
-        flip = np.abs(ac[:, :-1] * b[:, 1:] - bc[:, :-1] * a[:, 1:])
-        del norm, bc  # keeps the peak low on refined loops: F needs only a, b and ac
-        parity = np.cumsum(flip > stay, axis=1) % 2
-        sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
-        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
-        e_min = np.min(np.abs(e), axis=1)
-        margin_min = np.min(np.abs(stay - flip), axis=1)
-
+        x, y = ac[:, :-1] * a[:, 1:], bc[:, :-1] * b[:, 1:]
+        stay = np.abs(np.add(x, y, out=x))
+        np.multiply(ac[:, :-1], b[:, 1:], out=x)
+        np.multiply(bc[:, :-1], a[:, 1:], out=y)
+        flip = np.abs(np.subtract(x, y, out=x))
+        del x, y, bc  # F needs only a, b and ac
+        parity = np.logical_xor.accumulate(flip > stay, axis=1)
+        sign = np.ones((len(loops), m + 1))
+        sign[:, 1:][parity] = -1.0
+        stay -= flip
+        margin_min = np.min(np.abs(stay, out=stay), axis=1).tolist()
+        del stay, flip
         shared = []
         for i in range(len(loops)):
-            if h_min[i] < 1e-12:
+            if h_small[i]:
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
@@ -205,14 +217,17 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
-        swapped = (sign[:, -1] < 0).tolist()
+        swapped = parity[:, -1].tolist()
         per_kind = []
         for kind in kinds:
             if kind == "F":
-                fx, fy = 2.0 * (ac * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
+                fx, fy = 2.0 * (ac * b).real, np.abs(a) ** 2
+                fy -= np.abs(b) ** 2
             else:
-                fx, fy = e.real, e.imag
-            per_kind.append(_kind_outcomes(loops, kind, m, sign * fx, sign * fy, swapped, shared))
+                fx, fy = e.real.copy(), e.imag.copy()
+            fx *= sign
+            fy *= sign
+            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
     return list(zip(*per_kind))
 
 

@@ -270,6 +270,21 @@ def test_observables_hermitian_unit_length():
     np.testing.assert_allclose(sy[away], 0.0, atol=1e-10)
 
 
+def test_observables_grid_scalar_calls_match_the_array_call():
+    # numpy's scalar complex product rounds otherwise than its array loop; a scalar call must
+    # still return the array call's elements bit for bit
+    rng = np.random.default_rng(5)
+    kx, ky = rng.uniform(-np.pi, np.pi, (2, 2000))
+    grid = observables_grid(ANCHOR, kx, ky)
+    for i in range(kx.size):
+        got = observables_grid(ANCHOR, float(kx[i]), float(ky[i]))
+        assert all(type(g) is np.float64 for g in got)
+        assert [g.tobytes() for g in got] == [v[i].tobytes() for v in grid]
+    # a scalar broadcast against an array takes the array path as before
+    fx, _, _ = observables_grid(ANCHOR, 0.25, ky[:3])
+    assert fx.shape == (3,)
+
+
 def test_observables_grid_matches_pointwise():
     # reference: expectation values of numpy.linalg.eig's plus-branch vector
     rng = np.random.default_rng(23)

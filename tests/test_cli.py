@@ -655,16 +655,18 @@ def test_unwritable_out_exits_2(tmp_path, argv):
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _benchmark_commands():
+def _benchmark_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   _PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return {label: (argv, written) for label, argv, written in workloads.CLI_COMMANDS}
+    return workloads
 
 
-_COMMANDS = _benchmark_commands()
+# the benchmark's workloads module: its CLI commands here, its points draws in test_winding
+BENCHMARK_WORKLOADS = _benchmark_workloads()
+_COMMANDS = {label: (argv, written) for label, argv, written in BENCHMARK_WORKLOADS.CLI_COMMANDS}
 _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 
 # Output paths the benchmark does not run, recorded the same way before the CLI's output

@@ -172,6 +172,25 @@ def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, 
         signature(params)
 
 
+@pytest.mark.parametrize("kind", [0, 1])  # w_I, w_II
+def test_signature_rejects_a_census_that_is_not_charge_neutral(monkeypatch, kind):
+    # the indices on the torus sum to 0: one planted sign flip must not pass as a census
+    params = ModelParams(1.0, -1.5, T05, 0.5)
+    sig = signature(params)
+    assert sum(b.w_i for b in sig.btps) == sum(b.w_ii for b in sig.btps) == 0.0
+    real = epband.phase.wind_loops
+
+    def wind_loops_flipping_one(*args, **kwargs):
+        windings = [list(w) for w in real(*args, **kwargs)]
+        flipped = next(w for w in windings if w[kind].value != 0.0)
+        flipped[kind] = dataclasses.replace(flipped[kind], value=-flipped[kind].value)
+        return [tuple(w) for w in windings]
+
+    monkeypatch.setattr(epband.phase, "wind_loops", wind_loops_flipping_one)
+    with pytest.raises(UnresolvedLoopError, match="do not sum to 0"):
+        signature(params)
+
+
 @pytest.mark.parametrize("gamma", [1e-5, 3e-5])
 def test_signature_reports_unseparated_partner_eps(gamma):
     # the partner EPs of each split Dirac point sit about gamma apart: no

@@ -61,3 +61,16 @@ def test_kernel_builds_no_stacked_vectors(name):
     calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
     assert "np.abs" in calls
     assert [c for c in calls if c.endswith(_STACKED_PASSES)] == []
+
+
+# The winding pass guards on squared magnitudes, wraps its steps exactly and builds its closed
+# loops, parity and sign in place: no libm hypot pass, no float-remainder wrap, no copies
+_SLOW_PASSES = ("hypot", "wrap_angle", "concatenate", "cumsum")
+
+
+def test_winding_kernel_makes_no_slow_or_copying_pass():
+    (path,) = [p for p in SOURCES if p.name == "winding.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    assert {"np.arctan2", "np.logical_xor.accumulate"} <= calls
+    assert [c for c in calls if c.endswith(_SLOW_PASSES)] == []

@@ -32,9 +32,10 @@ from epband.winding import (
     _TIE_TOL,
     DegenerateTrackingError,
     _attempt,
-    _kind_outcomes,
+    _wrap_steps,
 )
 from test_bloch import stacked_eigvec
+from test_cli import BENCHMARK_WORKLOADS
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -371,7 +372,7 @@ def _two_eigenvector_attempt(params, loops, m, kinds):
             else:
                 e_tr = np.where(on_plus, e, -e)
                 fx, fy = e_tr.real, e_tr.imag
-            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
+            per_kind.append(_stacked_outcomes(loops, kind, m, fx, fy, swapped, shared))
     return list(zip(*per_kind))
 
 
@@ -414,6 +415,8 @@ def test_one_eigenvector_kernel_matches_two_eigenvector_reference():
 
 
 # ---------------------------------------------------------------- stacked-kernel reference
+# The reference kernel: stacked (..., 2) vectors, two 2-norm passes, np.hypot guards, the
+# float-remainder wrap and a cumsum parity, each the plain numpy form of its step.
 
 
 def _stacked_right_eigvec(bx, by, e):
@@ -422,6 +425,31 @@ def _stacked_right_eigvec(bx, by, e):
     v2 = np.stack([e + by, bx], axis=-1)
     use1 = np.linalg.norm(v1, axis=-1) >= np.linalg.norm(v2, axis=-1)
     return np.where(use1[..., None], v1, v2)
+
+
+def _stacked_outcomes(loops, kind, m, fx, fy, swapped, shared):
+    """Per-loop outcomes of one field, taken with np.hypot and wrap_angle's float remainder."""
+    collapsed = np.min(np.hypot(fx, fy), axis=1) < _FIELD_FLOOR
+    d = wrap_angle(np.diff(np.arctan2(fy, fx), axis=1))
+    raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
+    coarse = np.max(np.abs(d), axis=1) > 0.5 * np.pi
+    outcomes = []
+    for i, loop in enumerate(loops):
+        if shared[i] is not None:
+            outcomes.append(shared[i])
+            continue
+        if collapsed[i]:
+            outcomes.append(LoopThroughDefectError(f"{kind} field magnitude collapses on the loop"))
+            continue
+        raw = raws[i]
+        value = round(2.0 * raw) / 2.0
+        residual = abs(raw - value)
+        if coarse[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
+            outcomes.append(raw)
+            continue
+        outcomes.append(WindingResult(value, raw, residual, kind, swapped[i], loop.center,
+                                      loop.radius, m))
+    return outcomes
 
 
 def _stacked_attempt(params, loops, m, kinds):
@@ -456,7 +484,8 @@ def _stacked_attempt(params, loops, m, kinds):
                 fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
             else:
                 fx, fy = e.real, e.imag
-            per_kind.append(_kind_outcomes(loops, kind, m, sign * fx, sign * fy, swapped, shared))
+            per_kind.append(_stacked_outcomes(loops, kind, m, sign * fx, sign * fy, swapped,
+                                              shared))
     return list(zip(*per_kind))
 
 
@@ -481,8 +510,8 @@ def _assert_same_attempt(params, loops, m):
 
 
 def test_component_kernel_is_bit_identical_to_stacked_kernel():
-    # one norm per candidate, summed as numpy sums it, and the same complex-by-real
-    # division: every sample and every outcome equals the stacked kernel's exactly
+    # one norm per candidate, summed as numpy sums it, the same complex-by-real division,
+    # squared guards and an exact wrap: every outcome equals the stacked kernel's exactly
     readme = (ANCHOR, [Loop(Momentum(-math.pi / 3, -HALF_PI), 0.1)])
     scan = _scan_window_loop_sets()
     assert len(scan) == 72
@@ -491,6 +520,13 @@ def test_component_kernel_is_bit_identical_to_stacked_kernel():
     # near-merger loops are the ones that refine the most
     mergers = [(p, loops) for p, loops in families[1::4] if loops]
     sets = [readme, *scan, *((p, loops) for p, loops in families if loops)]
+    # and every loop set the benchmark's points pass winds, at seeds 1-4
+    points = [(label, p, loops) for seed in range(1, 5)
+              for label, p in BENCHMARK_WORKLOADS.draw_points(seed) if (loops := _loop_sets(p))]
+    assert len(points) > 600
+    for _, p, loops in points:
+        _assert_same_attempt(p, loops, 512)
+    mergers += [(p, loops) for label, p, loops in points if label == "merger"][::24]
     for p, loops in sets:
         _assert_same_attempt(p, loops, 512)
         bx, by = _loop_field(p, loops, 512)
@@ -507,6 +543,20 @@ def test_component_kernel_is_bit_identical_to_stacked_kernel():
         _assert_same_attempt(p, loops[:1], 4096)
     for p, loops in [readme, *mergers]:
         _assert_same_attempt(p, loops[:1], 65536)
+
+
+def test_exact_wrap_equals_wrap_angle_on_arctan2_steps():
+    # a step between two arctan2 values lies in [-2 pi, 2 pi]; there the compare-and-subtract
+    # wrap must give wrap_angle's float remainder bit for bit, signed zeros and ends included.
+    # One ulp above pi, wrap_angle rounds onto -pi; the exact wrap must do the same.
+    ends = np.array([math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 0.0, -0.0])
+    near = np.concatenate([np.nextafter(ends, math.inf), np.nextafter(ends, -math.inf)])
+    assert wrap_angle(np.nextafter(math.pi, 4.0)) == -math.pi
+    rng = np.random.default_rng(17)
+    angles = np.arctan2(rng.normal(size=(2, 10**6)), rng.normal(size=(2, 10**6)))
+    for d in (ends, near[np.abs(near) <= 2.0 * math.pi], rng.uniform(-2.0, 2.0, 10**6) * math.pi,
+              angles[1] - angles[0], np.diff(np.arctan2([0.0, -0.0, 0.0], [-1.0, -1.0, 1.0]))):
+        np.testing.assert_array_equal(_bits(_wrap_steps(d.copy())), _bits(wrap_angle(d)))
 
 
 def test_observables_grid_is_bit_identical_to_stacked_kernel():
