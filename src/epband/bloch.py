@@ -39,7 +39,7 @@ __all__ = [
 
 def wrap_angle(k):
     """Wrap an angle (scalar or array) onto the canonical interval (-pi, pi]."""
-    return np.pi - (np.pi - k) % (2.0 * np.pi)
+    return np.pi - (np.pi - k) % math.tau % math.tau  # the first remainder may round onto 2 pi
 
 
 def torus_distance(k1, k2):

@@ -6,12 +6,14 @@ has nearest-neighbor hopping J, diagonal hoppings t(-1)^(lam+j+l) to
 (j+1, l+-1), and on-site gain/loss i*gamma*(-1)^(lam+j+l); the layers are
 tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
-cross-check between the lattice and the closed-form field.
+cross-check between the lattice and the closed-form field.  Both builders
+return read-only arrays, so the O(N^6) transform is formed once per lattice;
+copy H or U before editing it.
 """
 
 from __future__ import annotations
 
-import hashlib
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +60,7 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
     """Dense Hamiltonian of the periodic bilayer.
 
     The Hermitian part collects J, t and T hoppings; the anti-Hermitian part
-    is the diagonal i*gamma*(-1)^(lam+j+l) staggering.
+    is the diagonal i*gamma*(-1)^(lam+j+l) staggering.  It is read-only.
     """
     n = size.n
     dim = size.dim
@@ -79,6 +81,7 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
     hop[here[: n * n], here[: n * n] + n * n] = params.T
     h = hop + hop.conj().T
     h[np.diag_indices(dim)] += 1j * params.gamma * sign
+    h.flags.writeable = False
     return h
 
 
@@ -97,6 +100,7 @@ def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
     Sublattice A collects layer-2 sites on even j+l and layer-1 sites on odd
     j+l; B is the complement.  Columns are (1/N) exp(i(kx j + ky l)) on the
     corresponding sublattice support, with kx, ky on the 2*pi*m/N grid.
+    ``u`` is read-only.
     """
     n = size.n
     dim = size.dim
@@ -116,6 +120,7 @@ def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
         cols = 2 * (mx * n + np.arange(n))
         u[flat_a.reshape(-1, 1), cols] = phase
         u[flat_b.reshape(-1, 1), cols + 1] = phase
+    u.flags.writeable = False
     momenta = tuple(Momentum(x, y) for x in k.tolist() for y in k.tolist())
     return MomentumBasis(u=u, momenta=momenta, n=n)
 
@@ -133,19 +138,10 @@ class BlockCheckResult:
         return max(self.offblock, self.blockdev) < 1e-10
 
 
-# The last transform's diagonal blocks and off-block maximum, keyed on the
-# content of H and U: block_check and spectral_mismatch on the same lattice
-# then share one O(N^6) product.  Neither matrix is referenced or copied.
-_last_transform = (None, None, None)
-
-
-def _content_key(*arrays) -> bytes:
-    digest = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        digest.update(f"{a.shape}{a.dtype.str};".encode())
-        digest.update(memoryview(a).cast("B"))
-    return digest.digest()
+# The last transform's diagonal blocks and off-block maximum, with weak references to the
+# read-only H and U it came from: block_check and spectral_mismatch on one lattice share one
+# O(N^6) product, and a freed array's reference is dead, so a new array reusing its id is not it.
+_last_transform = (None, None, None, None)
 
 
 def _transform(h: np.ndarray, u: np.ndarray):
@@ -160,17 +156,19 @@ def _transform(h: np.ndarray, u: np.ndarray):
 
 
 def _blocks(h: np.ndarray, basis: MomentumBasis):
-    """:func:`_transform` of H and ``basis.u``, reused while both keep their content."""
+    """:func:`_transform` of H and ``basis.u``, reused while both are the same read-only arrays."""
     global _last_transform
-    dim = basis.u.shape[0]
-    if h.shape != (dim, dim):
-        raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
-    key = _content_key(h, basis.u)
-    last_key, blocks, offblock = _last_transform
-    if key != last_key:
-        blocks, offblock = _transform(h, basis.u)
+    u = basis.u
+    if h.shape != u.shape:
+        raise ValueError(f"H has shape {h.shape}, basis expects {u.shape}")
+    # a writeable array, or a view whose base may be made writeable, is transformed every call
+    frozen = all(a.flags.owndata and not a.flags.writeable for a in (h, u))
+    last_h, last_u, blocks, offblock = _last_transform
+    if not (frozen and last_h is not None and last_h() is h and last_u() is u):
+        blocks, offblock = _transform(h, u)
         blocks.flags.writeable = False  # shared by every caller with this H and U
-        _last_transform = (key, blocks, offblock)
+        if frozen:
+            _last_transform = (weakref.ref(h), weakref.ref(u), blocks, offblock)
     return blocks, offblock
 
 

@@ -124,7 +124,8 @@ class WindingResult:
 
 
 def _wrap_steps(d):
-    """:func:`~epband.bloch.wrap_angle` of angle steps in [-2 pi, 2 pi], bit for bit, in place."""
+    """pi - (pi - d) % 2 pi of steps d in [-2 pi, 2 pi], bit for bit, in place: unlike
+    :func:`~epband.bloch.wrap_angle`, -pi one ulp above pi, a step refined either way."""
     # a = pi - d lies in [-pi, 3 pi]; mod 2 pi it is a - 2 pi from 2 pi on, a + 2 pi below 0
     np.subtract(np.pi, d, out=d)
     np.subtract(d, 2.0 * np.pi, out=d, where=d >= 2.0 * np.pi)

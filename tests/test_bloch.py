@@ -7,6 +7,7 @@ import pytest
 
 from epband import (
     ModelParams,
+    Momentum,
     principal_sqrt,
     spectral_reality,
     symmetry_residuals,
@@ -112,6 +113,30 @@ def test_wrap_angle_range():
     assert np.all(k > -np.pi - 1e-15) and np.all(k <= np.pi + 1e-15)
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
+
+
+def test_wrap_angle_keeps_pi_one_ulp_above_it():
+    # the float remainder (pi - k) % 2 pi of -4.4e-16 rounds up onto 2 pi, which used to give -pi
+    above = np.nextafter(np.pi, 4.0)
+    assert wrap_angle(above) == np.pi
+    assert wrap_angle(float(above)) == np.pi
+    np.testing.assert_array_equal(wrap_angle(np.array([above, np.pi, -np.pi])), np.pi)
+    assert Momentum(above, 0.0).kx == Momentum(np.pi, 0.0).kx == np.pi
+    assert Momentum(0.0, above).ky == np.pi
+
+
+def test_wrap_angle_moves_only_the_input_rounded_onto_two_pi():
+    rng = np.random.default_rng(42)
+    edges = np.pi * np.arange(-7.0, 8.0, 2.0)
+    k = np.concatenate([rng.uniform(-20.0, 20.0, 10**6), edges, np.nextafter(edges, 30.0),
+                        np.nextafter(edges, -30.0), np.array([0.0, -0.0])])
+    got = wrap_angle(k)
+    assert np.all(got > -np.pi) and np.all(got <= np.pi)
+    remainder = np.pi - (np.pi - k) % (2.0 * np.pi)
+    moved = got.view(np.uint64) != remainder.view(np.uint64)
+    np.testing.assert_array_equal(remainder[moved], -np.pi)
+    np.testing.assert_array_equal(got[moved], np.pi)
+    assert moved[k == np.nextafter(np.pi, 4.0)].all()
 
 
 # ---------------------------------------------------------------- matrix

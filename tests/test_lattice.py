@@ -7,6 +7,7 @@ as the subtractable J-only reference.
 
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -262,62 +263,142 @@ def test_builders_byte_identical_to_site_loops(n):
     assert basis.momenta == momenta
 
 
-def test_one_transform_per_lattice(monkeypatch):
+def _counted_transforms(monkeypatch):
     calls = []
+    transform = lattice._transform
 
     def counted(h, u):
         calls.append(h.shape)
         return transform(h, u)
 
-    transform = lattice._transform
     monkeypatch.setattr(lattice, "_transform", counted)
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None, None))
+    return calls
+
+
+def _flip_bond(h, n):
+    a, b = site_index(1, 2, 3, n), site_index(1, 2, 4, n)
+    h[a, b] = -h[a, b]
+    h[b, a] = -h[b, a]
+
+
+def test_one_transform_per_lattice(monkeypatch):
+    calls = _counted_transforms(monkeypatch)
     size = LatticeSize(6)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
-    assert len(calls) == 1
-    # an equal H in another array is the same transform
-    assert block_check(h.copy(), build_momentum_basis(size), ANCHOR) == check
-    assert len(calls) == 1
     assert block_spectrum(h, basis).shape == (72,)
     assert len(calls) == 1
+    # a writeable copy is transformed on its own and leaves the lattice's transform in place
+    assert block_check(h.copy(), basis, ANCHOR) == check
+    assert len(calls) == 2
+    assert spectral_mismatch(h, basis, ANCHOR) == mismatch
+    assert len(calls) == 2
+    # H with another read-only U is another transform: one column's sign flips its block
+    u = basis.u.copy()
+    u[:, 0] = -u[:, 0]
+    u.flags.writeable = False
+    assert block_check(h, MomentumBasis(u=u, momenta=basis.momenta, n=6), ANCHOR).blockdev > 0.1
+    assert len(calls) == 3
     # a new lattice is a new transform, and the old one is then formed again
     block_check(build_realspace(ANCHOR, LatticeSize(4)), build_momentum_basis(LatticeSize(4)),
                 ANCHOR)
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
-    assert len(calls) == 3
+    assert len(calls) == 5
+    # the memo holds no lattice alive
+    held = weakref.ref(h), weakref.ref(basis.u)
+    del h, basis
+    assert [r() for r in held] == [None, None]
+
+
+def test_builder_outputs_are_read_only():
+    size = LatticeSize(4)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    for a in (h, basis.u):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+        with pytest.raises(ValueError):
+            a[:].flags.writeable = True  # nor through a view
+    assert build_realspace(ANCHOR, size).tobytes() == h.tobytes()
+    assert build_momentum_basis(size).u.tobytes() == basis.u.tobytes()
 
 
 def test_transform_follows_in_place_changes(monkeypatch):
+    calls = _counted_transforms(monkeypatch)
     size = LatticeSize(6)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
+    bent = h.copy()
+    _flip_bond(bent, size.n)
+    bent.flags.writeable = False
+    bent_check = block_check(bent, basis, ANCHOR)
+    bent_mismatch = spectral_mismatch(bent, basis, ANCHOR)
     assert check.passed and mismatch < 1e-10
-    # flip one J bond in place between the two calls: same array, new content
-    block_check(h, basis, ANCHOR)
-    a, b = site_index(1, 2, 3, size.n), site_index(1, 2, 4, size.n)
-    h[a, b] = -h[a, b]
-    h[b, a] = -h[b, a]
-    changed_mismatch = spectral_mismatch(h, basis, ANCHOR)
-    changed = block_check(h, basis, ANCHOR)
-    assert changed_mismatch != mismatch and changed != check
-    assert changed.offblock > 1e-3 and not changed.passed
-    fresh = build_realspace(ANCHOR, size)
-    fresh[a, b] = -fresh[a, b]
-    fresh[b, a] = -fresh[b, a]
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
-    assert spectral_mismatch(fresh, basis, ANCHOR) == changed_mismatch
-    # the basis too: flipping the sign of one column flips the off-diagonal
-    # entries of its block
-    h = build_realspace(ANCHOR, size)
+    assert bent_check.offblock > 1e-3 and bent_mismatch != mismatch
+    assert len(calls) == 2
+    # a writeable copy changed in place between calls: a fresh transform on every call
+    w = h.copy()
+    assert block_check(w, basis, ANCHOR) == check
+    _flip_bond(w, size.n)
+    assert spectral_mismatch(w, basis, ANCHOR) == bent_mismatch
+    assert block_check(w, basis, ANCHOR) == bent_check
+    _flip_bond(w, size.n)
+    assert spectral_mismatch(w, basis, ANCHOR) == mismatch
+    assert len(calls) == 6
+    # a read-only view of it follows its base
+    v = w[:]
+    v.flags.writeable = False
+    assert block_check(v, basis, ANCHOR) == check
+    _flip_bond(w, size.n)
+    assert block_check(v, basis, ANCHOR) == bent_check
+    # the builder's own H with its writes enabled again
     assert block_check(h, basis, ANCHOR) == check
-    basis.u[:, 0] = -basis.u[:, 0]
-    assert block_check(h, basis, ANCHOR).blockdev > 0.1
+    h.flags.writeable = True
+    _flip_bond(h, size.n)
+    assert spectral_mismatch(h, basis, ANCHOR) == bent_mismatch
+    assert block_check(h, basis, ANCHOR) == bent_check
+    _flip_bond(h, size.n)
+    assert block_check(h, basis, ANCHOR) == check
+    # the basis too: flipping the sign of one column flips the off-diagonal entries of its
+    # block, in a writeable copy of U and in the builder's U with its writes enabled again
+    h = build_realspace(ANCHOR, size)
+    for u in (basis.u.copy(), basis.u):
+        changed = MomentumBasis(u=u, momenta=basis.momenta, n=size.n)
+        assert block_check(h, changed, ANCHOR) == check
+        u.flags.writeable = True
+        u[:, 0] = -u[:, 0]
+        assert block_check(h, changed, ANCHOR).blockdev > 0.1
+        assert spectral_mismatch(h, changed, ANCHOR) == mismatch  # the pair keeps its values
+        u[:, 0] = -u[:, 0]
+        assert block_check(h, changed, ANCHOR) == check
+
+
+def test_rebuilt_lattice_gets_its_own_transform(monkeypatch):
+    # a read-only lattice freed and rebuilt with other couplings at the same N; the new array
+    # here mostly takes the freed one's id, which must not bring back the freed transform
+    calls = _counted_transforms(monkeypatch)
+    size = LatticeSize(6)
+    couplings = (ANCHOR, ModelParams(J=1.0, T=0.7, t=-0.3, gamma=1.1))
+    basis = build_momentum_basis(size)
+    built = [build_realspace(p, size) for p in couplings]
+    want = [(block_check(h.copy(), basis, p), spectral_mismatch(h.copy(), basis, p))
+            for h, p in zip(built, couplings)]
+    assert len(calls) == 4 and want[0] != want[1] and all(c.passed for c, _ in want)
+    for i in (0, 1, 0, 1, 1, 0, 1, 0):
+        h = np.array(built[i])
+        h.flags.writeable = False
+        assert (block_check(h, basis, couplings[i]), spectral_mismatch(h, basis, couplings[i])) \
+            == want[i]
+        del h
+    assert len(calls) == 4 + 8
 
 
 def test_corrupted_hopping_detected():

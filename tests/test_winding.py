@@ -545,18 +545,25 @@ def test_component_kernel_is_bit_identical_to_stacked_kernel():
         _assert_same_attempt(p, loops[:1], 65536)
 
 
-def test_exact_wrap_equals_wrap_angle_on_arctan2_steps():
+def _remainder_wrap(d):
+    # the float-remainder wrap the winding kernel's steps reproduce
+    return math.pi - (math.pi - d) % (2.0 * math.pi)
+
+
+def test_exact_wrap_equals_float_remainder_on_arctan2_steps():
     # a step between two arctan2 values lies in [-2 pi, 2 pi]; there the compare-and-subtract
-    # wrap must give wrap_angle's float remainder bit for bit, signed zeros and ends included.
-    # One ulp above pi, wrap_angle rounds onto -pi; the exact wrap must do the same.
+    # wrap must give the float remainder bit for bit, signed zeros and ends included.  One ulp
+    # above pi the remainder rounds onto -pi (wrap_angle gives pi there); the exact wrap must do
+    # the same.  Either step is over pi / 2, so the loop is refined.
     ends = np.array([math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 0.0, -0.0])
     near = np.concatenate([np.nextafter(ends, math.inf), np.nextafter(ends, -math.inf)])
-    assert wrap_angle(np.nextafter(math.pi, 4.0)) == -math.pi
+    assert _remainder_wrap(np.nextafter(math.pi, 4.0)) == -math.pi
+    assert wrap_angle(np.nextafter(math.pi, 4.0)) == math.pi
     rng = np.random.default_rng(17)
     angles = np.arctan2(rng.normal(size=(2, 10**6)), rng.normal(size=(2, 10**6)))
     for d in (ends, near[np.abs(near) <= 2.0 * math.pi], rng.uniform(-2.0, 2.0, 10**6) * math.pi,
               angles[1] - angles[0], np.diff(np.arctan2([0.0, -0.0, 0.0], [-1.0, -1.0, 1.0]))):
-        np.testing.assert_array_equal(_bits(_wrap_steps(d.copy())), _bits(wrap_angle(d)))
+        np.testing.assert_array_equal(_bits(_wrap_steps(d.copy())), _bits(_remainder_wrap(d)))
 
 
 def test_observables_grid_is_bit_identical_to_stacked_kernel():
