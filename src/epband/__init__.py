@@ -12,12 +12,7 @@ The package is organized around a closed-form 2x2 Bloch problem:
 """
 
 from .bloch import (
-    ModelParams,
-    Momentum,
-    principal_sqrt,
-    spectral_reality,
-    symmetry_residuals,
-    wrap_angle,
+    ModelParams, Momentum, principal_sqrt, spectral_reality, symmetry_residuals, wrap_angle,
 )
 from .btp import (
     Btp,
@@ -31,18 +26,10 @@ from .btp import (
 )
 from .dispersion import expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
-    LatticeSize,
-    block_check,
-    build_momentum_basis,
-    build_realspace,
-    spectral_mismatch,
+    LatticeSize, block_check, build_momentum_basis, build_realspace, spectral_mismatch,
 )
 from .phase import (
-    ConfigurationSignature,
-    detect_boundaries,
-    scan_phase_diagram,
-    signature,
-    census_type,
+    ConfigurationSignature, census_type, detect_boundaries, scan_phase_diagram, signature,
 )
 from .winding import (
     Loop,

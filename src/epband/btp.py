@@ -56,16 +56,6 @@ class Btp:
     w_i: float | None = None
     w_ii: float | None = None
 
-    def to_json_dict(self):
-        return {
-            "kx": self.k.kx,
-            "ky": self.k.ky,
-            "branch": self.branch,
-            "kind": self.kind,
-            "wI": self.w_i,
-            "wII": self.w_ii,
-        }
-
 
 def branch_level(params: ModelParams, s: int) -> float:
     """The level c_s = (-T + s*gamma) / (2J) of branch s."""
@@ -131,6 +121,19 @@ def face(params: ModelParams) -> Face:
     return Face(g, plus, minus, levels)
 
 
+def _t_zero_points(f: Face, place: int):
+    """The touchings (kx, ky) of a t = 0 branch at ``place`` in ``f``, or None for a ring.
+
+    Between -2 and 2 the branch is a ring; on -2 or 2 it is the one trivial EP, at
+    (pi, pi) or (0, 0); past them it is gapped, with no touching.
+    """
+    level = f.level(place)
+    if level is not None:
+        k = math.pi if level < 0.0 else 0.0
+        return ((k, k),)
+    return None if place == 2 else ()
+
+
 def _sorted_btps(btps):
     return sorted(btps, key=lambda b: (round(b.k.kx, 12), round(b.k.ky, 12), b.branch))
 
@@ -153,16 +156,15 @@ def locate_btps(params: ModelParams) -> list[Btp]:
         )
     btps, rings = [], []
     for s, place in zip(branches, (f.plus, f.minus)):
+        if f.at_t_zero:
+            pts = _t_zero_points(f, place)
+            if pts is None:
+                rings.append(s)
+            btps.extend(Btp(Momentum(*xy), s, TRIVIAL_ISOLATED_EP) for xy in pts or ())
+            continue
         if not 0 < place < 2 * len(f.levels):
             continue  # past the outer marks: gapped
         level = f.level(place)
-        if f.at_t_zero:
-            if level is None:
-                rings.append(s)
-            else:
-                k = math.pi if level < 0.0 else 0.0
-                btps.append(Btp(Momentum(k, k), s, TRIVIAL_ISOLATED_EP))
-            continue
         kc = math.acos(branch_level(params, s) if level is None else level)
         kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
         pts = [(k, h) for k in kcs for h in (_HALF_PI, -_HALF_PI)]
@@ -186,7 +188,7 @@ class EpRing:
     level: float
 
 
-def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRing:
+def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRing:
     """Trace the branch's EP ring cos kx + cos ky = c_s.
 
     The level set is solved in closed form, ky = +-arccos(c - cos kx), while
@@ -204,13 +206,9 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 256) -> EpRin
     if samples < 8:
         raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)
-    place = f.plus if branch == 1 else f.minus  # as locate_btps places the branch
-    level = f.level(place)
-    if level is not None:
-        k = math.pi if level < 0.0 else 0.0
-        return EpRing(np.array([[k, k]]), branch, c)
-    if place != 2:  # below -2 or above 2
-        return EpRing(np.empty((0, 2)), branch, c)
+    pts = _t_zero_points(f, f.plus if branch == 1 else f.minus)  # as locate_btps reads it
+    if pts is not None:  # the trivial EP or gapped
+        return EpRing(np.array(pts).reshape(-1, 2), branch, c)
 
     # Admissible kx arc: cos ky = c - cos kx must land in [-1, 1].
     if c > 0.0:

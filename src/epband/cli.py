@@ -30,11 +30,7 @@ from .btp import (
 )
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
-    LatticeSize,
-    block_check,
-    build_momentum_basis,
-    build_realspace,
-    spectral_mismatch,
+    LatticeSize, block_check, build_momentum_basis, build_realspace, spectral_mismatch,
 )
 from .phase import scan_phase_diagram, signature, census_type
 from .winding import Loop, winding_number
@@ -42,6 +38,30 @@ from .winding import Loop, winding_number
 __all__ = ["main", "parse_angle", "parse_range"]
 
 SCHEMA_VERSION = 1
+
+
+# The JSON shape of each library result; the library itself writes no JSON.
+
+def _btp_json(b) -> dict:
+    return {"kx": b.k.kx, "ky": b.k.ky, "branch": b.branch, "kind": b.kind,
+            "wI": b.w_i, "wII": b.w_ii}
+
+
+def _census_json(sig) -> dict:
+    counts = sig.counts_wi
+    return {
+        "nBtps": sig.n_btps,
+        "countsWI": {"0": counts[0.0], "1/2": counts[0.5], "1": counts[1.0]},
+        "signedWII": [{"kx": kx, "ky": ky, "wII": w} for kx, ky, w in sig.signed_wii],
+        "btps": [_btp_json(b) for b in sig.btps],
+    }
+
+
+def _winding_json(r) -> dict:
+    return {"value": r.value, "rawAngle": r.raw_angle, "residual": r.residual,
+            "fieldKind": r.field_kind, "branchSwapped": r.branch_swapped,
+            "center": {"kx": r.center.kx, "ky": r.center.ky}, "radius": r.radius,
+            "samples": r.samples}
 
 
 class UsageError(Exception):
@@ -201,7 +221,7 @@ def cmd_btps(args) -> int:
     if args.ring and not face(params).at_t_zero:
         raise UsageError("--ring applies only at t = 0")
     try:
-        sig = signature(params, samples=args.samples)
+        sig = signature(params)
     except RingRegimeError:
         if not args.ring:
             raise
@@ -209,14 +229,14 @@ def cmd_btps(args) -> int:
 
     btps, kind = (sig.btps, census_type(sig)) if sig is not None else ((), None)
     report = _report("btps", params, count=len(btps), type=kind,
-                     btps=[b.to_json_dict() for b in btps])
+                     btps=[_btp_json(b) for b in btps])
     if sig is None:
         report["note"] = "ring regime"
     elif not btps:
         report["note"] = "gapped"
     if args.ring:
         # every ring that is not empty; a trivial EP beside a ring is its one-vertex ring
-        rings = (trace_ep_ring(params, s, samples=args.samples) for s in (1, -1) if sig is None)
+        rings = (trace_ep_ring(params, s) for s in (1, -1) if sig is None)
         report["rings"] = [{"branch": r.branch, "level": r.level, "vertices": r.vertices.tolist()}
                            for r in rings if len(r.vertices)]
 
@@ -234,7 +254,7 @@ def cmd_winding(args) -> int:
         center=Momentum(args.kx, args.ky), radius=args.loop_radius, samples=args.samples
     )
     result = winding_number(params, loop, field_kind=args.field)
-    _write(args, _report("winding", params, **result.to_json_dict()))
+    _write(args, _report("winding", params, **_winding_json(result)))
     return 0
 
 
@@ -248,9 +268,8 @@ def _scan_record(cell):
     if cell.sig is not None:
         sig = cell.sig
         kind, digest = census_type(sig), sig.wii_hash()
-        # JSON keeps the census's own boundaryFlag in the key's place; CSV keeps the cell's
-        entry.update(type=kind, wIIHash=digest, **sig.to_json_dict())
-        census = (sig.n_btps, *(sig.counts_wi[w] for w in (0.0, 0.5, 1.0)))
+        entry.update(type=kind, wIIHash=digest, **_census_json(sig))
+        census = (sig.n_btps, *sig.counts_wi.values())
     elif cell.error:
         entry["error"] = cell.error
     flag = "1" if cell.boundary else "0"
@@ -491,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("btps", parents=[model, outp], help="locate and classify band touchings")
-    p.add_argument("--samples", type=int, default=512, help="loop samples per winding")
     p.add_argument("--ring", action="store_true", help="trace EP rings (t = 0 only)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_btps)

@@ -1,12 +1,13 @@
 """Configuration signatures and the (gamma, T) phase diagram scan.
 
-A configuration signature is the winding census of all band touchings:
-counts of |w_I| in {0, 1/2, 1} plus the canonically ordered list of signed
-w_II values with their locations.  Two parameter points belong to the same
-phase iff their signatures match entry by entry.  Signature changes can only
-happen across the candidate lines of :func:`epband.btp.face` (for t != 0
-{gamma = 0, T = +-gamma, T +- gamma = +-2J}); the scanner flags cells sitting
-on those lines instead of classifying them.
+A configuration signature is the winding census of all band touchings: the
+wound touchings in canonical order, off which the counts of |w_I| in
+{0, 1/2, 1} and the signed w_II values with their locations are read.  Two
+parameter points belong to the same phase iff their signatures match entry
+by entry.  Signature changes can only happen across the candidate lines of
+:func:`epband.btp.face` (for t != 0 {gamma = 0, T = +-gamma, T +- gamma =
++-2J}); the scanner flags cells sitting on those lines instead of
+classifying them.
 """
 
 from __future__ import annotations
@@ -37,12 +38,21 @@ _TYPE_TABLE = {
 
 @dataclass(frozen=True)
 class ConfigurationSignature:
-    """Winding census of one parameter point."""
+    """Winding census of one parameter point: its wound touchings, ordered by position."""
 
-    counts_wi: dict
-    n_btps: int
-    boundary_flag: bool
     btps: tuple
+
+    @property
+    def n_btps(self) -> int:
+        return len(self.btps)
+
+    @property
+    def counts_wi(self) -> dict:
+        """Touchings per |w_I| in {0, 1/2, 1}."""
+        counts = dict.fromkeys((0.0, 0.5, 1.0), 0)
+        for b in self.btps:
+            counts[abs(b.w_i)] += 1
+        return counts
 
     @property
     def signed_wii(self) -> tuple:
@@ -57,27 +67,12 @@ class ConfigurationSignature:
         lines the point sits on, the coordinate sign pattern, the branch, and
         both winding numbers.
         """
-        counts = (self.counts_wi[0.0], self.counts_wi[0.5], self.counts_wi[1.0])
+        counts = tuple(self.counts_wi.values())
         return (counts, tuple(sorted(_discrete_label(b) for b in self.btps)))
 
     def wii_hash(self) -> str:
         text = ";".join(f"{kx:.6f},{ky:.6f},{w:+.1f}" for kx, ky, w in self.signed_wii)
         return hashlib.sha1(text.encode()).hexdigest()[:12]
-
-    def to_json_dict(self):
-        return {
-            "nBtps": self.n_btps,
-            "countsWI": {
-                "0": self.counts_wi[0.0],
-                "1/2": self.counts_wi[0.5],
-                "1": self.counts_wi[1.0],
-            },
-            "signedWII": [
-                {"kx": kx, "ky": ky, "wII": w} for kx, ky, w in self.signed_wii
-            ],
-            "boundaryFlag": self.boundary_flag,
-            "btps": [b.to_json_dict() for b in self.btps],
-        }
 
 
 def _sgn(x: float) -> int:
@@ -101,18 +96,17 @@ def _discrete_label(b: Btp):
     )
 
 
-def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature:
+def signature(params: ModelParams) -> ConfigurationSignature:
     """Locate all band touchings, wind each loop, and assemble the census.
 
     A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`,
     and so do charges that do not sum to 0.
     """
     btps = locate_btps(params)
-    boundary = face(params).on_line
     loops, failure = [], None
     for b in btps:
         try:
-            loops.append(make_loop(b.k, btps, samples=samples))
+            loops.append(make_loop(b.k, btps))
         except UnresolvedLoopError as exc:
             failure = exc  # raised once the touchings before it are wound and checked
             break
@@ -131,22 +125,13 @@ def signature(params: ModelParams, samples: int = 512) -> ConfigurationSignature
         raise failure
     if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0
         raise UnresolvedLoopError(f"charges {[(b.w_i, b.w_ii) for b in done]} do not sum to 0")
-    counts = {0.0: 0, 0.5: 0, 1.0: 0}
-    for b in done:
-        counts[abs(b.w_i)] += 1
     ordered = sorted(done, key=lambda b: (round(b.k.kx, 6), round(b.k.ky, 6)))
-    return ConfigurationSignature(
-        counts_wi=counts,
-        n_btps=len(done),
-        boundary_flag=boundary,
-        btps=tuple(ordered),
-    )
+    return ConfigurationSignature(tuple(ordered))
 
 
 def census_type(sig: ConfigurationSignature):
     """Distribution type I..V from the |w_I| counts, or None if unlisted."""
-    counts = (sig.counts_wi[0.0], sig.counts_wi[0.5], sig.counts_wi[1.0])
-    return _TYPE_TABLE.get(counts)
+    return _TYPE_TABLE.get(tuple(sig.counts_wi.values()))
 
 
 def candidate_line_distance(gamma: float, big_t: float, j: float):
@@ -213,7 +198,7 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
             try:
                 sig = signature(params)
                 row.append(PhaseCell(float(g), float(bt), boundary=False, sig=sig))
-            except Exception as exc:  # record in-cell, keep scanning
+            except (ValueError, WindingError) as exc:  # a ring or an unresolved touching
                 row.append(PhaseCell(float(g), float(bt), boundary=False, error=str(exc)))
         rows.append(tuple(row))
     return PhaseGrid(gammas=gammas, big_ts=big_ts, base=base, cells=tuple(rows))

@@ -71,7 +71,7 @@ class Loop:
             raise ValueError("loops need at least 256 samples")
 
 
-def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
+def make_loop(center: Momentum, all_btps) -> Loop:
     """Loop around ``center`` sized off the nearest other band touching.
 
     radius = min(0.4 * distance to the nearest listed BTP other than the
@@ -89,7 +89,7 @@ def make_loop(center: Momentum, all_btps, samples: int = 512) -> Loop:
         raise UnresolvedLoopError(
             f"loop radius {radius:.2e} below 1e-4: band touchings too close to separate"
         )
-    return Loop(center=center, radius=radius, samples=samples)
+    return Loop(center=center, radius=radius)
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,6 @@ class WindingResult:
         half_odd = abs(round(2.0 * self.value)) % 2 == 1
         if half_odd != self.branch_swapped:
             raise ValueError("branch swap flag inconsistent with half-integer value")
-
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "rawAngle": self.raw_angle,
-            "residual": self.residual,
-            "fieldKind": self.field_kind,
-            "branchSwapped": self.branch_swapped,
-            "center": {"kx": self.center.kx, "ky": self.center.ky},
-            "radius": self.radius,
-            "samples": self.samples,
-        }
 
 
 def _wrap_steps(d):

@@ -629,8 +629,3 @@ def test_dp_to_ep_splitting_scale():
     kc = math.acos(0.5)
     want = eps / (p.J * math.sin(kc))
     assert sep == pytest.approx(want, rel=0.01)
-
-
-def test_btp_json_shape():
-    d = locate_btps(ANCHOR)[0].to_json_dict()
-    assert {"kx", "ky", "branch", "kind"} <= set(d)

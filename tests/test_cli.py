@@ -208,6 +208,20 @@ def test_btps_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_btp_json_shape(capsys):
+    assert cli.main(["btps", *ANCHOR_FLAGS]) == 0
+    btps = json.loads(capsys.readouterr().out)["btps"]
+    assert all(list(b) == ["kx", "ky", "branch", "kind", "wI", "wII"] for b in btps)
+    assert {(b["wI"], b["wII"]) for b in btps if b["kind"] == "HybridEP"} == {(0.0, 0.0)}
+
+
+def test_btps_has_no_samples_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["btps", *ANCHOR_FLAGS, "--samples", "512"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # winding
 
@@ -230,6 +244,15 @@ def test_winding_empty_loop_is_zero():
     report = run_json("winding", *ANCHOR_FLAGS, "--kx", "1.0", "--ky", "1.0")
     assert report["value"] == 0.0
     assert report["branchSwapped"] is False
+
+
+def test_winding_json_shape(capsys):
+    assert cli.main(["winding", *ANCHOR_FLAGS, "--kx", "1", "--ky", "1", "--field", "F"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["schemaVersion", "command", "params", "value", "rawAngle",
+                            "residual", "fieldKind", "branchSwapped", "center", "radius",
+                            "samples"]
+    assert report["fieldKind"] == "F" and report["center"] == {"kx": 1.0, "ky": 1.0}
 
 
 def test_winding_loop_through_defect_exit3():
@@ -309,6 +332,19 @@ def test_scan_json_deterministic(tmp_path):
     cells = json.loads(a.read_text())["cells"]
     assert len(cells) == 81
     assert sum(1 for c in cells if c["boundaryFlag"]) == 9
+
+
+def test_census_json_shape(capsys):
+    # one classified cell of type III: the cell's own fields, then its census
+    argv = ["scan", "--t", "0.5", "--gamma-range", "0.5:0.5", "--T-range", "-1:-1", "--res", "8",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    (cell,) = json.loads(capsys.readouterr().out)["cells"]
+    assert list(cell) == ["gamma", "T", "boundaryFlag", "type", "wIIHash", "nBtps", "countsWI",
+                          "signedWII", "btps"]
+    assert cell["boundaryFlag"] is False and cell["type"] == "III" and cell["nBtps"] == 16
+    assert cell["countsWI"] == {"0": 0, "1/2": 16, "1": 0}
+    assert len(cell["signedWII"]) == len(cell["btps"]) == 16
 
 
 def test_scan_rejects_low_resolution():

@@ -13,6 +13,7 @@ from epband import (
     UnresolvedLoopError,
     WindingError,
     detect_boundaries,
+    face,
     locate_btps,
     make_loop,
     scan_phase_diagram,
@@ -76,11 +77,15 @@ def test_signature_sum_rule():
         assert total == pytest.approx(0.0, abs=1e-12)
 
 
+def _on_line(gamma, big_t, t=T05):
+    return face(ModelParams(1.0, big_t, t, gamma)).on_line
+
+
 def test_boundary_flag():
-    assert _sig(0.5, -1.5).boundary_flag  # c_plus = 1 exactly
-    assert _sig(0.0, -1.0).boundary_flag  # gamma = 0
-    assert not _sig(0.5, -1.0).boundary_flag
-    assert not _sig(0.7, 0.3).boundary_flag
+    assert _on_line(0.5, -1.5)  # c_plus = 1 exactly
+    assert _on_line(0.0, -1.0)  # gamma = 0
+    assert not _on_line(0.5, -1.0)
+    assert not _on_line(0.7, 0.3)
 
 
 def test_signature_ring_regime_raises():
@@ -219,13 +224,6 @@ def test_wii_hash_format():
     assert h == _sig(0.5, -1.5).wii_hash()
 
 
-def test_json_shape():
-    d = _sig(0.5, -1.5).to_json_dict()
-    assert set(d) == {"nBtps", "countsWI", "signedWII", "boundaryFlag", "btps"}
-    assert d["countsWI"] == {"0": 4, "1/2": 8, "1": 0}
-    assert len(d["signedWII"]) == 12
-
-
 def test_candidate_line_distance():
     name, d = candidate_line_distance(0.0, 1.3, 1.0)
     assert name == "gamma=0" and d == pytest.approx(0.0)
@@ -337,16 +335,16 @@ def test_boundary_flag_is_the_merger_snap(offset, flag):
     # c_+ = 1 + offset at gamma = 0.5; the flag and locate_btps' merged kind share the snap
     p = ModelParams(1.0, -1.5 - 2.0 * offset, 0.5, 0.5)
     sig = signature(p)
-    assert sig.boundary_flag == flag
+    assert face(p).on_line == flag
     merged = {b.kind for b in sig.btps if b.branch == 1} == {"HybridEP"}
     assert merged == flag
 
 
 def test_boundary_flag_at_t_zero_is_the_trivial_ep_level():
     # c_- = 2 at t = 0, where the trivial EP appears; the flag once read -1, 0 and 1 there
-    sig = signature(ModelParams(1.0, -5.0, 0.0, 1.0))
-    assert [b.kind for b in sig.btps] == ["TrivialIsolatedEP"]
-    assert sig.boundary_flag
+    p = ModelParams(1.0, -5.0, 0.0, 1.0)
+    assert [b.kind for b in signature(p).btps] == ["TrivialIsolatedEP"]
+    assert face(p).on_line
 
 
 def test_t_zero_scan_flags_the_trivial_ep_line():
@@ -375,3 +373,26 @@ def test_scan_single_branch_regime_eight_eps():
 def test_scan_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         scan_phase_diagram((-2.0, 2.0), (-2.0, 2.0), 4, ModelParams(1.0, 0.0, T05, 0.0))
+
+
+def test_scan_records_a_ring_cell():
+    # every branch level lies strictly between -2 and 2 here: a ring in every cell
+    grid = scan_phase_diagram((0.5, 1.0), (-0.5, 0.5), 8, ModelParams(1.0, 0.0, 0.0, 0.0))
+    cells = [c for row in grid.cells for c in row]
+    assert all(c.sig is None and not c.boundary and "rings" in c.error for c in cells)
+
+
+def test_scan_lets_a_programming_error_propagate(monkeypatch):
+    # a TypeError in the census is a bug, not an error cell
+    real, calls = epband.phase.signature, []
+
+    def broken(params):
+        calls.append(params)
+        if len(calls) == 3:
+            raise TypeError("a bug in the census")
+        return real(params)
+
+    monkeypatch.setattr(epband.phase, "signature", broken)
+    with pytest.raises(TypeError, match="a bug in the census"):
+        scan_phase_diagram((0.4, 0.6), (-1.2, -0.9), 8, ModelParams(1.0, 0.0, T05, 0.0))
+    assert len(calls) == 3

@@ -107,3 +107,36 @@ def test_every_benchmark_trace_span_has_a_site_in_the_package():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{module_name}.{attr}")
     assert layers.absent_spans(missing) == set()
+
+
+# A trace site that exists but is no longer called reads 0 in its span: the benchmark's
+# phase, loop and locator sites must each run under signature, the scan and `epband btps`
+def test_benchmark_trace_sites_stay_called(monkeypatch, tmp_path):
+    import epband.cli
+    import epband.phase
+
+    sites = [(epband.phase, "make_loop"), (epband.phase, "locate_btps"),
+             (epband.phase, "signature"), (epband.cli, "signature")]
+    calls = {}
+    for module, attr in sites:
+        name = f"{module.__name__}.{attr}"
+        real = getattr(module, attr)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    anchor = epband.ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
+    epband.phase.signature(anchor)
+    assert calls == {"epband.phase.signature": 1, "epband.phase.locate_btps": 1,
+                     "epband.phase.make_loop": 12}
+    calls.clear()
+    epband.phase.scan_phase_diagram((0.4, 0.6), (-1.2, -0.9), 8, anchor)
+    assert calls == {"epband.phase.signature": 64, "epband.phase.locate_btps": 64,
+                     "epband.phase.make_loop": 64 * 16}
+    calls.clear()
+    flags = ["--T", "-1.5", "--t", "0.5", "--gamma", "0.5", "--out", str(tmp_path / "b.json")]
+    assert epband.cli.main(["btps", *flags]) == 0
+    assert calls == {"epband.cli.signature": 1, "epband.phase.locate_btps": 1,
+                     "epband.phase.make_loop": 12}

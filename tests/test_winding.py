@@ -253,7 +253,7 @@ def test_batched_windings_match_single_loops():
         for loop, windings in zip(loops, wind_loops(p, loops)):
             for kind, batched in zip(("F", "E"), windings):
                 single = winding_number(p, loop, kind)
-                assert batched.to_json_dict() == single.to_json_dict()
+                assert batched == single
                 checked += 1
     assert checked > 150
 
@@ -266,7 +266,7 @@ def test_mixed_batch_refines_only_the_loop_that_needs_it():
     results = list(wind_loops(p, [near, far]))
     for loop, windings in zip((near, far), results):
         for kind, batched in zip(("F", "E"), windings):
-            assert batched.to_json_dict() == winding_number(p, loop, kind).to_json_dict()
+            assert batched == winding_number(p, loop, kind)
     assert results[0][1].samples > 512  # the E winding near the merger refines
     assert [r.samples for r in results[1]] == [512, 512]
 
@@ -727,19 +727,3 @@ def test_field_kind_validation():
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
     with pytest.raises(ValueError):
         winding_number(ANCHOR, loop, "G")
-
-
-def test_result_json_shape():
-    r = _wind(ANCHOR, (1.0, 1.0), "F")
-    d = r.to_json_dict()
-    assert set(d) == {
-        "value",
-        "rawAngle",
-        "residual",
-        "fieldKind",
-        "branchSwapped",
-        "center",
-        "radius",
-        "samples",
-    }
-    assert d["fieldKind"] == "F"
