@@ -166,9 +166,12 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     """Max entrywise deviation |h(k) - h(rel(k))| for each momentum relation.
 
     Returns a list of (relation_id, residual) pairs: the eight coordinate
-    relations followed by a "chiral" row measuring ||sigma_y h sigma_y + h||.
-    ``field_fn(params, kx, ky) -> (Bx, By)`` may be injected to test a
-    deliberately corrupted field (negative control).
+    relations followed by a "chiral" row, ||sigma_y h sigma_y + h||.  That row is
+    structural, not a measurement: h is assembled as [[By, Bx], [Bx, -By]], so it
+    is exactly 0 for any field.  Chirality against the real-space Hamiltonian is
+    tested by :func:`epband.lattice.block_check`.  ``field_fn(params, kx, ky) ->
+    (Bx, By)`` may be injected to test a deliberately corrupted field (negative
+    control).
     """
     if grid_n < 4:
         raise ValueError("grid_n must be at least 4")

@@ -35,6 +35,7 @@ MERGER_TOL = 1e-9
 _T_ZERO = 1e-12
 _RING_LEVELS = (-2.0, 2.0)  # t = 0: a trivial EP on either, a ring between them
 _MERGER_LEVELS = (-1.0, 0.0, 1.0)  # t != 0: the touchings pair up into merged points
+_GAMMA_MARKS = (0.0,)  # gamma / 2|J|: the two branches coincide
 _HALF_PI = 0.5 * math.pi
 
 
@@ -95,6 +96,13 @@ class Face(NamedTuple):
         """The mark an odd ``place`` sits on, or None between two marks."""
         return self.levels[place // 2] if place % 2 else None
 
+    def lines_to(self, other: Face) -> tuple:
+        """(entry, mark) per candidate line between two off-line faces: an entry that moves
+        from 2i to 2j crosses the marks i..j-1 of its value."""
+        marks = (_GAMMA_MARKS, self.levels, self.levels)
+        return tuple((entry, mark) for entry, m, a, b in zip(self._fields, marks, self, other)
+                     for mark in m[min(a, b) // 2:max(a, b) // 2])
+
 
 def face(params: ModelParams) -> Face:
     """The one rule for where gamma and the branch levels c_+, c_- sit.
@@ -113,7 +121,7 @@ def face(params: ModelParams) -> Face:
         m = merger_level(c, marks)
         return 2 * bisect.bisect(marks, c) if m is None else 2 * marks.index(m) + 1
 
-    g = place(params.gamma / (2.0 * abs(params.J)), (0.0,))
+    g = place(params.gamma / (2.0 * abs(params.J)), _GAMMA_MARKS)
     plus, minus = (place(branch_level(params, s), levels) for s in (1, -1))
     if g == 1 or (plus == minus and plus % 2):
         g, plus = 1, place(branch_level(params, 0), levels)

@@ -3,8 +3,8 @@
 Subcommands: btps, winding, scan, dispersion, symmetry, realspace, ring,
 field-export.  All emitters format floats at 12 significant digits and use
 fixed orderings, so identical invocations produce byte-identical output.
-Files are written to a temp name and atomically renamed; nothing partial is
-left behind on error.
+Files are written to a temp name and atomically renamed (over a symlink's
+target, keeping a file's mode); nothing partial is left behind on error.
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad input, flag
 combination or unwritable output path, 3 numerical non-convergence.
@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import asdict
@@ -126,15 +127,7 @@ def _merge_value_flags(argv):
 # ---------------------------------------------------------------------------
 # deterministic emitters
 
-def _round12(x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in report")
-    return float(f"{x:.12g}")
-
-
-# The one rule for CSV numbers, scalar and per row; adding 0.0 first prints -0.0 as "0".
+# The one rule for numbers, JSON, CSV and per row; adding 0.0 first prints -0.0 as "0".
 _NUM = "{:.12g}"
 
 
@@ -155,7 +148,7 @@ def _clean(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _round12(float(obj))
+        return float(_fmt(obj))
     if obj is None or isinstance(obj, str):
         return obj
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -171,23 +164,35 @@ def _atomic_write(*outputs) -> None:
     """Write each (path, chunks) pair to a temp file beside it; rename them all once all are
     complete.  On any error remove every temp file and any output this call renamed.
 
-    A path of None is stdout, which cannot be taken back: it gets its text in one write,
-    only once all of it is formatted.
+    A symlink is followed to its target.  A replaced file keeps its mode and a new one gets
+    the umask's.  A directory is refused before anything is written.  A path of None is
+    stdout, and a path that is not a regular file (a FIFO, a device) is written in place:
+    neither can be taken back, so each gets its text in one write, once all is formatted.
     """
+    for path, _ in outputs:
+        if path and os.path.isdir(path):
+            raise UsageError(f"{path} is a directory")
+    os.umask(umask := os.umask(0))  # read the umask
     temps, placed = [], []
     try:
         for path, chunks in outputs:
-            if path is None:
+            target = path and os.path.realpath(path)
+            mode = os.stat(target).st_mode if target and os.path.exists(target) else None
+            if target is None:
                 sys.stdout.write("".join(chunks))
-                continue
-            folder = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=folder, prefix=".epband-")
-            temps.append((path, tmp))
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        for path, tmp in temps:
-            os.replace(tmp, path)
-            placed.append(path)
+            elif mode is not None and not stat.S_ISREG(mode):
+                text = "".join(chunks)
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".epband-")
+                temps.append((target, tmp))
+                os.chmod(tmp, 0o666 & ~umask if mode is None else stat.S_IMODE(mode))
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+        for target, tmp in temps:
+            os.replace(tmp, target)
+            placed.append(target)
     except BaseException:
         for leftover in [tmp for _, tmp in temps] + placed:
             if os.path.exists(leftover):

@@ -4,10 +4,10 @@ A configuration signature is the winding census of all band touchings: the
 wound touchings in canonical order, off which the counts of |w_I| in
 {0, 1/2, 1} and the signed w_II values with their locations are read.  Two
 parameter points belong to the same phase iff their signatures match entry
-by entry.  Signature changes can only happen across the candidate lines of
-:func:`epband.btp.face` (for t != 0 {gamma = 0, T = +-gamma, T +- gamma =
-+-2J}); the scanner flags cells sitting on those lines instead of
-classifying them.
+by entry.  Signature changes can only happen across the candidate lines that
+:func:`epband.btp.face` places a point among.  The scanner keeps each cell's
+face and flags a cell on a line instead of classifying it, and
+:func:`detect_boundaries` checks every classified cell against its face's census.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import DIRAC_POINT, NORMAL_EP, Btp, face, locate_btps
+from .btp import DIRAC_POINT, NORMAL_EP, Btp, Face, face, locate_btps
 from .winding import UnresolvedLoopError, WindingError, make_loop, wind_loops
 
 __all__ = ["ConfigurationSignature", "PhaseCell", "PhaseGrid", "BoundaryReport", "signature",
-           "census_type", "scan_phase_diagram", "detect_boundaries", "candidate_line_distance"]
+           "census_type", "scan_phase_diagram", "detect_boundaries"]
 
 _ABS_WI = {DIRAC_POINT: 1.0, NORMAL_EP: 0.5}  # |w_I| per kind; every other kind carries 0
 
@@ -125,8 +125,7 @@ def signature(params: ModelParams) -> ConfigurationSignature:
         raise failure
     if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0
         raise UnresolvedLoopError(f"charges {[(b.w_i, b.w_ii) for b in done]} do not sum to 0")
-    ordered = sorted(done, key=lambda b: (round(b.k.kx, 6), round(b.k.ky, 6)))
-    return ConfigurationSignature(tuple(ordered))
+    return ConfigurationSignature(tuple(done))
 
 
 def census_type(sig: ConfigurationSignature):
@@ -134,27 +133,18 @@ def census_type(sig: ConfigurationSignature):
     return _TYPE_TABLE.get(tuple(sig.counts_wi.values()))
 
 
-def candidate_line_distance(gamma: float, big_t: float, j: float):
-    """The nearest of the seven t != 0 candidate lines and the distance to it, to name a line."""
-    lines = [
-        ("gamma=0", abs(gamma)),
-        ("T=gamma", abs(big_t - gamma) / math.sqrt(2.0)),
-        ("T=-gamma", abs(big_t + gamma) / math.sqrt(2.0)),
-        ("T+gamma=+2J", abs(big_t + gamma - 2.0 * j) / math.sqrt(2.0)),
-        ("T+gamma=-2J", abs(big_t + gamma + 2.0 * j) / math.sqrt(2.0)),
-        ("T-gamma=+2J", abs(big_t - gamma - 2.0 * j) / math.sqrt(2.0)),
-        ("T-gamma=-2J", abs(big_t - gamma + 2.0 * j) / math.sqrt(2.0)),
-    ]
-    return min(lines, key=lambda item: item[1])
-
-
 @dataclass(frozen=True)
 class PhaseCell:
     gamma: float
     big_t: float
-    boundary: bool
+    face: Face
     sig: ConfigurationSignature | None = None
     error: str | None = None
+
+    @property
+    def boundary(self) -> bool:
+        """The cell sits on a candidate line, where no census is taken."""
+        return self.face.on_line
 
     @property
     def classified(self) -> bool:
@@ -192,14 +182,13 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
         row = []
         for bt in big_ts:
             params = ModelParams(J=base.J, T=float(bt), t=base.t, gamma=float(g))
-            if face(params).on_line:
-                row.append(PhaseCell(float(g), float(bt), boundary=True))
-                continue
-            try:
-                sig = signature(params)
-                row.append(PhaseCell(float(g), float(bt), boundary=False, sig=sig))
-            except (ValueError, WindingError) as exc:  # a ring or an unresolved touching
-                row.append(PhaseCell(float(g), float(bt), boundary=False, error=str(exc)))
+            where, sig, error = face(params), None, None
+            if not where.on_line:
+                try:
+                    sig = signature(params)
+                except (ValueError, WindingError) as exc:  # a ring or an unresolved touching
+                    error = str(exc)
+            row.append(PhaseCell(float(g), float(bt), where, sig, error))
         rows.append(tuple(row))
     return PhaseGrid(gammas=gammas, big_ts=big_ts, base=base, cells=tuple(rows))
 
@@ -208,38 +197,32 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
 class BoundarySegment:
     cell_a: tuple
     cell_b: tuple
-    midpoint: tuple
-    nearest_line: str
-    distance: float
+    lines: tuple  # (Face entry, mark) per candidate line between the two cells
 
 
 @dataclass(frozen=True)
 class BoundaryReport:
     segments: tuple
-    violations: tuple  # segments whose two cells lie in the same face of the lines
+    violations: tuple  # (i, j) of each cell whose census is not its face's
 
 
 def detect_boundaries(grid: PhaseGrid) -> BoundaryReport:
-    """Edges between adjacent classified cells whose signatures differ.
+    """Check every classified cell against its face's census, and name the lines crossed.
 
-    Each differing edge is annotated with the nearest candidate line.  An
-    edge whose two cells have the same :func:`epband.btp.face` crosses no
-    line, so it lands in ``violations``: a bug or an undocumented transition.
+    No census changes inside a face of the candidate lines, so a classified cell whose key
+    differs from that of its face's first classified cell (row-major) lands in
+    ``violations``: a bug or an undocumented transition.  Each edge between adjacent
+    classified cells with different keys is a segment, with the lines its faces differ by.
     """
-    ni, nj = len(grid.gammas), len(grid.big_ts)
-    segments, violations = [], []
-    for i, jj in np.ndindex(ni, nj):
-        a = grid.cells[i][jj]
-        for i2, j2 in ((i + 1, jj), (i, jj + 1)):
-            if i2 == ni or j2 == nj:
-                continue
-            b = grid.cells[i2][j2]
-            if not (a.classified and b.classified) or a.sig.key() == b.sig.key():
-                continue
-            mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
-            line, dist = candidate_line_distance(*mid, grid.base.J)
-            segments.append(BoundarySegment((i, jj), (i2, j2), mid, line, dist))
-            faces = {face(replace(grid.base, T=c.big_t, gamma=c.gamma)) for c in (a, b)}
-            if len(faces) == 1:
-                violations.append(segments[-1])
+    keys = {(i, j): c.sig.key() for i, row in enumerate(grid.cells)
+            for j, c in enumerate(row) if c.classified}  # row-major
+    face_keys, segments, violations = {}, [], []
+    for (i, j), key in keys.items():
+        a = grid.cells[i][j]
+        if face_keys.setdefault(a.face, key) != key:
+            violations.append((i, j))
+        for i2, j2 in ((i + 1, j), (i, j + 1)):
+            if keys.get((i2, j2), key) != key:
+                b = grid.cells[i2][j2]
+                segments.append(BoundarySegment((i, j), (i2, j2), a.face.lines_to(b.face)))
     return BoundaryReport(segments=tuple(segments), violations=tuple(violations))

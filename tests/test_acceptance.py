@@ -41,7 +41,7 @@ from epband import (
 from epband.bloch import bloch_field_grid, principal_sqrt
 from epband.btp import DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP
 from epband.dispersion import default_qs
-from epband.phase import candidate_line_distance
+from test_phase import line_distance
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -130,7 +130,7 @@ def _diamond_draw(rng) -> ModelParams:
             continue
         # stay off the measure-zero merger/boundary lines, where loops
         # separating the touchings stop existing
-        if candidate_line_distance(gamma, big_t, 1.0)[1] < 0.02:
+        if line_distance(gamma, big_t) < 0.02:
             continue
         return ModelParams(J=1.0, T=big_t, t=rng.uniform(0.2, 0.8), gamma=gamma)
 
@@ -374,7 +374,7 @@ def test_criterion_7_realspace_oracle(capfd):
 
 
 # ---------------------------------------------------------------------------
-# 8. the 41 x 41 sweep: boundaries on the stated lines, mirror law, outer 8s
+# 8. the 41 x 41 sweep: one census per face of the lines, mirror law, outer 8s
 
 
 def test_criterion_8_parameter_sweep(capfd):
@@ -386,14 +386,15 @@ def test_criterion_8_parameter_sweep(capfd):
     if elapsed >= 60.0:
         bad.append(f"runtime {elapsed:.1f}s >= 60s")
 
+    # every line passes through grid points here, so no classified edge crosses one: the
+    # census changes only between faces, and each classified cell is checked against its face
     report = detect_boundaries(grid)
     if report.violations:
-        bad.append(f"{len(report.violations)} boundary edges off the analytic lines")
-    allowed = {"gamma=0", "T=gamma", "T=-gamma", "T+gamma=+2J", "T+gamma=-2J",
-               "T-gamma=+2J", "T-gamma=-2J"}
-    stray = {s.nearest_line for s in report.segments} - allowed
-    if stray:
-        bad.append(f"unknown boundary lines {stray}")
+        bad.append(f"{len(report.violations)} cells whose census is not their face's")
+    classified = [c for row in grid.cells for c in row if c.classified]
+    compared = len(classified) - len({c.face for c in classified})  # all but each face's first
+    if compared < 1400:
+        bad.append(f"only {compared} classified cells compared with their face's census")
 
     res = len(grid.gammas)
     mirror_pairs = 0

@@ -358,6 +358,17 @@ def test_symmetry_negative_control():
     assert max(res for _, res in rows) > 0.1
 
 
+def test_chiral_row_is_structural():
+    # h is assembled as [[By, Bx], [Bx, -By]], so sigma_y h sigma_y + h is exactly 0 for any
+    # field: a shifted field breaks a mirror and not this row (block_check tests chirality)
+    def shifted(params, kx, ky):
+        return bloch_field_grid(params, kx + 0.3, ky)
+
+    rows = dict(symmetry_residuals(ANCHOR, grid_n=64, field_fn=shifted))
+    assert rows["(-kx,+ky)"] > 0.1
+    assert rows["chiral"] == 0.0
+
+
 def test_chiral_anticommutation_pointwise():
     # sigma_y h sigma_y = -h, so sigma_y maps the +E kernel vector onto the -E one
     rng = np.random.default_rng(31)

@@ -6,10 +6,13 @@ import importlib.util
 import io
 import json
 import math
+import os
 import shutil
+import stat
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -683,6 +686,63 @@ def test_unwritable_out_exits_2(tmp_path, argv):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# what already sits at an --out path
+
+def _anchor_json(capsys):
+    assert cli.main(["btps", *ANCHOR_FLAGS]) == 0
+    return capsys.readouterr().out
+
+
+def test_out_follows_a_symlink_and_replaces_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale\n")
+    link.symlink_to(target.name)
+    assert cli.main(["btps", *ANCHOR_FLAGS, "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_text() == _anchor_json(capsys)
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_out_gives_a_new_file_the_umask_mode_and_keeps_a_replaced_ones(tmp_path, umask_022):
+    new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+    kept.write_text("stale\n")
+    kept.chmod(0o640)
+    for path in (new, kept):
+        assert cli.main(["btps", *ANCHOR_FLAGS, "--out", str(path)]) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+
+
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["btps", *ANCHOR_FLAGS, "--out", str(fifo)]) == 0
+    reader.join(timeout=10.0)
+    assert not reader.is_alive(), "the reader never saw the output"
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == [_anchor_json(capsys)]
+
+
+def test_out_refuses_a_directory_before_replacing_anything(tmp_path, capsys):
+    # the SVG already sits at --out and the CSV path beside it is a directory
+    svg = tmp_path / "t.svg"
+    svg.write_text("keep\n")
+    (tmp_path / "t.csv").mkdir()
+    assert cli.main(["field-export", *ANCHOR_FLAGS, "--grid", "8", "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 't.csv'} is a directory\n"
+    assert svg.read_text() == "keep\n"
+    assert list(tmp_path.glob(".epband-*")) == []
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from epband import (
     census_type,
     winding_number,
 )
-from epband.phase import candidate_line_distance
+from test_cli import BENCHMARK_WORKLOADS
 
 T05 = 0.5
 
@@ -75,6 +75,19 @@ def test_signature_sum_rule():
         sig = _sig(gamma, big_t)
         total = sum(b.w_i for b in sig.btps)
         assert total == pytest.approx(0.0, abs=1e-12)
+
+
+def test_census_lists_touchings_in_locator_order():
+    # signature keeps the order locate_btps gives, over every family of the points benchmark
+    censuses = {}
+    for label, p in BENCHMARK_WORKLOADS.draw_points(1):
+        try:
+            sig = signature(p)
+        except (ValueError, WindingError):
+            continue
+        assert [(b.k, b.branch) for b in sig.btps] == [(b.k, b.branch) for b in locate_btps(p)]
+        censuses[label] = censuses.get(label, 0) + 1
+    assert len(censuses) == 4 and min(censuses.values()) > 10, censuses
 
 
 def _on_line(gamma, big_t, t=T05):
@@ -224,13 +237,16 @@ def test_wii_hash_format():
     assert h == _sig(0.5, -1.5).wii_hash()
 
 
-def test_candidate_line_distance():
-    name, d = candidate_line_distance(0.0, 1.3, 1.0)
-    assert name == "gamma=0" and d == pytest.approx(0.0)
-    name, d = candidate_line_distance(0.7, 0.7, 1.0)
-    assert name == "T=gamma" and d == pytest.approx(0.0)
-    name, d = candidate_line_distance(0.5, -1.5, 1.0)
-    assert name == "T-gamma=-2J" and d == pytest.approx(0.0)
+def test_segment_lines_are_read_off_faces():
+    # the faces a step (dgamma, dT) either side of a point on one line differ by that line
+    for (gamma, big_t), (dg, dt), line in [
+        ((0.0, 1.3), (0.01, 0.0), ("gamma", 0.0)),  # gamma = 0
+        ((0.7, 0.7), (0.01, -0.01), ("plus", 0.0)),  # T = gamma: c_+ = 0
+        ((0.5, -1.5), (0.01, -0.01), ("plus", 1.0)),  # T - gamma = -2J: c_+ = 1
+    ]:
+        assert face(ModelParams(1.0, big_t, T05, gamma)).on_line
+        a, b = (face(ModelParams(1.0, big_t + s * dt, T05, gamma + s * dg)) for s in (-1, 1))
+        assert a.lines_to(b) == b.lines_to(a) == (line,)
 
 
 # ---------------------------------------------------------------- scanning
@@ -275,15 +291,25 @@ def test_scan_boundaries_straddling_diagonal():
     grid = scan_phase_diagram((0.305, 0.605), (0.31, 0.61), 8, base)
     report = detect_boundaries(grid)
     assert len(report.segments) > 0
-    assert all(s.nearest_line == "T=gamma" for s in report.segments)
+    assert all(s.lines == (("plus", 0.0),) for s in report.segments)  # T = gamma
     assert report.violations == ()
+
+
+def _line_values(gamma, big_t, j=1.0):
+    """Signed offsets of (gamma, T) from the seven t != 0 lines, a reference apart from face."""
+    return (gamma, big_t - gamma, big_t + gamma, big_t + gamma - 2.0 * j, big_t + gamma + 2.0 * j,
+            big_t - gamma - 2.0 * j, big_t - gamma + 2.0 * j)
+
+
+def line_distance(gamma, big_t, j=1.0):
+    """Euclidean distance from (gamma, T) to the nearest t != 0 candidate line."""
+    off_gamma, *diagonals = (abs(v) for v in _line_values(gamma, big_t, j))
+    return min(off_gamma, min(diagonals) / math.sqrt(2.0))
 
 
 def _line_sides(cell, j=1.0):
     """Which side of each of the seven candidate lines the cell lies on."""
-    g, bt = cell.gamma, cell.big_t
-    values = (g, bt - g, bt + g, bt + g - 2 * j, bt + g + 2 * j, bt - g - 2 * j, bt - g + 2 * j)
-    return tuple(v > 0 for v in values)
+    return tuple(v > 0 for v in _line_values(cell.gamma, cell.big_t, j))
 
 
 @pytest.fixture(scope="module")
@@ -299,12 +325,12 @@ def test_boundary_check_off_lattice_every_segment_crosses_a_line(off_lattice_gri
     assert len(report.segments) == 66
     for seg in report.segments:
         a, b = (grid.cells[i][j] for i, j in (seg.cell_a, seg.cell_b))
-        assert _line_sides(a) != _line_sides(b)
+        assert seg.lines and _line_sides(a) != _line_sides(b)
     assert report.violations == ()
 
 
 def test_boundary_check_flags_a_differing_census_within_one_face(off_lattice_grid):
-    # two same-face cells within one cell width of a line, one of them given another
+    # two same-face cells within one cell width of a line, the later one given another
     # cell's census: a test by distance to the nearest line would let that edge pass
     grid = off_lattice_grid
     width = float(grid.gammas[1] - grid.gammas[0])
@@ -317,16 +343,28 @@ def test_boundary_check_flags_a_differing_census_within_one_face(off_lattice_gri
         a, b = cells[i][j], cells[i2][j2]
         mid = (0.5 * (a.gamma + b.gamma), 0.5 * (a.big_t + b.big_t))
         if (a.classified and b.classified and _line_sides(a) == _line_sides(b)
-                and candidate_line_distance(*mid, 1.0)[1] < width):
+                and line_distance(*mid) < width):
             break
     else:
         pytest.fail("no same-face pair near a line")
     other = next(c for c in flat if c.sig.key() != a.sig.key())
     cells[i2][j2] = dataclasses.replace(b, sig=other.sig)
     planted = dataclasses.replace(grid, cells=tuple(map(tuple, cells)))
-    report = detect_boundaries(planted)
-    assert ((i, j), (i2, j2)) in [(s.cell_a, s.cell_b) for s in report.violations]
-    assert all((i2, j2) in (s.cell_a, s.cell_b) for s in report.violations)
+    assert detect_boundaries(planted).violations == ((i2, j2),)
+
+
+def test_boundary_check_flags_a_cell_with_no_same_face_neighbour():
+    # J = 0.05: the face 0 < T - gamma < 2J is one strip of diagonal cells (T - gamma = 0.05),
+    # and each cell's four neighbours lie in the faces beside it, so no edge joins two cells
+    # of the strip; a census planted on one of them shows only against its face's census
+    grid = scan_phase_diagram((0.3, 1.0), (0.35, 1.05), 8, ModelParams(0.05, 0.0, T05, 0.0))
+    strip = {grid.cells[i][i].face for i in range(8)}
+    assert len(strip) == 1 and detect_boundaries(grid).violations == ()
+    cells = [list(row) for row in grid.cells]
+    assert all(c.classified and c.face not in strip for c in (cells[3][4], cells[2][3]))
+    cells[3][3] = dataclasses.replace(cells[3][3], sig=cells[3][4].sig)
+    planted = dataclasses.replace(grid, cells=tuple(map(tuple, cells)))
+    assert detect_boundaries(planted).violations == ((3, 3),)
 
 
 @pytest.mark.parametrize("offset,flag", [(0.0, True), (9e-10, True), (-9e-10, True),

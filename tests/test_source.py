@@ -40,8 +40,9 @@ def test_source_lines_fit(path):
     assert long == []
 
 
-# btp.face alone picks the merger levels by t, snaps gamma onto 0 and places each branch level
-_FACE_RULES = ("_T_ZERO", "merger_level(", "(-2.0, 2.0)", "(-1.0, 0.0, 1.0)")
+# btp.face alone picks the merger levels by t, snaps gamma onto 0 and places each branch level,
+# and its Face alone names the lines between two faces: no other module holds a mark
+_FACE_RULES = ("_T_ZERO", "merger_level(", "(-2.0, 2.0)", "(-1.0, 0.0, 1.0)", "(0.0,)")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=_id)

@@ -26,7 +26,6 @@ from epband.bloch import (bloch_field_grid, observables_grid, principal_sqrt, ri
                           torus_distance, wrap_angle)
 from epband.btp import face
 from epband.cli import _ARROW_GRID, _centers
-from epband.phase import candidate_line_distance
 from epband.winding import (
     _FIELD_FLOOR,
     _TIE_TOL,
@@ -36,6 +35,7 @@ from epband.winding import (
 )
 from test_bloch import stacked_eigvec
 from test_cli import BENCHMARK_WORKLOADS
+from test_phase import line_distance
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
@@ -53,7 +53,7 @@ def _diamond_draw(rng):
         big_t = rng.uniform(-2.0, 2.0)
         if abs(big_t + gamma) > 2.0 or abs(big_t - gamma) > 2.0:
             continue
-        if candidate_line_distance(gamma, big_t, 1.0)[1] < 0.02:
+        if line_distance(gamma, big_t) < 0.02:
             continue
         return ModelParams(J=1.0, T=big_t, t=rng.uniform(0.2, 0.8), gamma=gamma)
 
