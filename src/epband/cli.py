@@ -583,6 +583,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:  # e.g. a lattice whose dense H cannot be allocated
+        sys.stderr.write(f"error: out of memory: {exc or 'allocation failed'}\n")
+        return 2
     except (RuntimeError, ArithmeticError) as exc:  # WindingError is a RuntimeError
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -8,7 +8,9 @@ tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
 cross-check between the lattice and the closed-form field.  Both builders
 return read-only arrays, so the O(N^6) transform is formed once per lattice;
-copy H or U before editing it.
+copy H or U before editing it.  The dense working set is H, U and one row
+block of U^dag H U: H is filled in place, and the transform keeps only the
+2x2 diagonal blocks of each row block it forms.
 """
 
 from __future__ import annotations
@@ -72,14 +74,15 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
     def to(dj, dl):
         return layer * n * n + (j + dj) % n * n + (l + dl) % n
 
-    # For N >= 4 every hopping has an entry of its own, so entries are set, not summed.
-    hop = np.zeros((dim, dim), dtype=complex)
-    hop[here, to(1, 0)] = params.J
-    hop[here, to(0, 1)] = params.J
-    hop[here, to(1, 1)] = params.t * sign
-    hop[here, to(1, -1)] = params.t * sign
-    hop[here[: n * n], here[: n * n] + n * n] = params.T
-    h = hop + hop.conj().T
+    # For N >= 4 every hopping and its Hermitian partner have entries of their own, so
+    # entries are set, not summed.  The hoppings are real; v + 0.0 stores a zero coupling
+    # (t = -0.0 included) as +0.0, like every other zero of H.
+    h = np.zeros((dim, dim), dtype=complex)
+    layer1 = here[: n * n]
+    for rows, cols, v in ((here, to(1, 0), params.J), (here, to(0, 1), params.J),
+                          (here, to(1, 1), params.t * sign), (here, to(1, -1), params.t * sign),
+                          (layer1, layer1 + n * n, params.T)):
+        h[rows, cols] = h[cols, rows] = v + 0.0
     h[np.diag_indices(dim)] += 1j * params.gamma * sign
     h.flags.writeable = False
     return h
@@ -114,7 +117,8 @@ def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
     u = np.zeros((dim, dim), dtype=complex)
     # One kx row of momenta at a time, over (ky, j, l): freed (N^2, N^2)
     # temporaries stay resident on the heap and raised the peak RSS of an
-    # N = 6..24 sweep by 17 %.
+    # N = 6..24 sweep by 17 %.  U is the one dense array made here; with H
+    # and a row block of the transform it is the whole dense working set.
     for mx in range(n):
         phase = (np.exp(1j * (k[mx] * js + k[:, None, None] * ls)) / n).reshape(n, -1).T
         cols = 2 * (mx * n + np.arange(n))
@@ -144,15 +148,31 @@ class BlockCheckResult:
 _last_transform = (None, None, None, None)
 
 
+# Rows of U^dag H U formed at a time.  Even, so no 2x2 block is split, and at least
+# 2N^2 = 72, so the N = 6 transform is the whole product in one.  At N = 24 it cuts the
+# 1152 rows into four blocks whose temporaries take a quarter of a dense matrix each;
+# 256 rows left a ragged 128-row block and ran 2-3 % slower, 128 rows slower still.
+_ROW_BLOCK = 288
+
+
 def _transform(h: np.ndarray, u: np.ndarray):
     """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and the largest
-    modulus of an entry outside them."""
-    m = u.conj().T @ h @ u
-    nk = u.shape[0] // 2
-    i = np.arange(nk)
-    blocks = m.reshape(nk, 2, nk, 2)[i, :, i, :]  # a copy
-    m.reshape(nk, 2, nk, 2)[i, :, i, :] = 0.0
-    return blocks, float(np.max(np.abs(m)))
+    modulus of an entry outside them.
+
+    The product is formed one block of ``_ROW_BLOCK`` rows at a time, so H, U
+    and one row block are all it holds."""
+    dim = u.shape[0]
+    nk = dim // 2
+    blocks = np.empty((nk, 2, 2), dtype=complex)
+    peaks = []
+    for start in range(0, dim, _ROW_BLOCK):
+        m = u[:, start : start + _ROW_BLOCK].conj().T @ h @ u
+        local = np.arange(len(m) // 2)
+        i = start // 2 + local  # the momenta of these rows
+        blocks[i] = m.reshape(-1, 2, nk, 2)[local, :, i, :]
+        m.reshape(-1, 2, nk, 2)[local, :, i, :] = 0.0
+        peaks.append(np.max(np.abs(m)))
+    return blocks, float(np.max(peaks))
 
 
 def _blocks(h: np.ndarray, basis: MomentumBasis):

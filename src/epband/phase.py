@@ -3,8 +3,13 @@
 A configuration signature is the winding census of all band touchings: the
 wound touchings in canonical order, off which the counts of |w_I| in
 {0, 1/2, 1} and the signed w_II values with their locations are read.  Two
-parameter points belong to the same phase iff their signatures match entry
-by entry.  Signature changes can only happen across the candidate lines that
+parameter points belong to the same phase iff their signature keys match.
+A key keeps each touching's branch and windings but not its |k_c|, so it is
+not the census entry by entry: next to gamma = 0, gamma -> -gamma maps each
+touching (s, w_I, w_II) to (-s, w_I, -w_II), which only swaps the labels of
+the two touchings of each sign pattern.  The faces on either side of
+gamma = 0 thus share a key, and :func:`detect_boundaries` reports no segment
+across gamma = 0.  Signature changes can only happen across the candidate lines that
 :func:`epband.btp.face` places a point among.  The scanner keeps each cell's
 face and flags a cell on a line instead of classifying it, and
 :func:`detect_boundaries` checks every classified cell against its face's census.
@@ -65,7 +70,10 @@ class ConfigurationSignature:
         Raw positions drift continuously inside an open phase region, so the
         label keeps only what cannot change without a merger: which half-pi
         lines the point sits on, the coordinate sign pattern, the branch, and
-        both winding numbers.
+        both winding numbers.  Without |k_c| it cannot tell the two touchings
+        of a sign pattern apart, so the key is the same on both sides of
+        gamma = 0, where gamma -> -gamma swaps their (branch, w_II) labels;
+        :meth:`wii_hash` tells the two sides apart.
         """
         counts = tuple(self.counts_wi.values())
         return (counts, tuple(sorted(_discrete_label(b) for b in self.btps)))

@@ -490,6 +490,20 @@ def test_realspace_rejects_odd_side():
     assert run_cli("realspace", "--N", "5").returncode == 2
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 95.4 GiB")])
+def test_realspace_out_of_memory_exits_2(monkeypatch, capsys, exc):
+    # a lattice too large to allocate is bad input: one error line, no traceback
+    def build(params, size):
+        raise exc
+
+    monkeypatch.setattr(cli, "build_realspace", build)
+    assert cli.main(["realspace", *ANCHOR_FLAGS, "--N", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert str(exc) in err
+
+
 def test_ring_csv_satisfies_level_set():
     proc = run_cli("ring", "--gamma", "1", "--T", "0", "--t", "0", "--branch", "1")
     assert proc.returncode == 0

@@ -7,6 +7,7 @@ as the subtractable J-only reference.
 
 import cmath
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -261,6 +262,54 @@ def test_builders_byte_identical_to_site_loops(n):
     u, momenta = _loop_basis(n)
     assert basis.u.tobytes() == u.tobytes()
     assert basis.momenta == momenta
+
+
+def _dense_peak(fn):
+    # peak of the heap traced while fn runs, in dense (2N^2)^2 complex matrices at N = 24
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - start) / (LatticeSize(24).dim ** 2 * 16)
+
+
+def test_builder_holds_one_dense_matrix():
+    # H is filled in place: no hopping matrix and no transposed copy beside it
+    assert _dense_peak(lambda: build_realspace(ANCHOR, LatticeSize(24))) <= 1.1
+
+
+def test_transform_holds_one_row_block(monkeypatch):
+    # besides the H and U handed in, both oracles together hold less than one dense matrix
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None, None))
+    size = LatticeSize(24)
+    h = build_realspace(ANCHOR, size)
+    basis = build_momentum_basis(size)
+    assert _dense_peak(lambda: (block_check(h, basis, ANCHOR),
+                                spectral_mismatch(h, basis, ANCHOR))) < 1.0
+
+
+@pytest.mark.parametrize("row_block", [None, 48])
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_row_blocks_match_dense_transform(monkeypatch, n, row_block):
+    # the module's block size splits N = 14 in two; 48 rows split every N, the last block short
+    if row_block is not None:
+        monkeypatch.setattr(lattice, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(200 + n)
+    p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
+    h = build_realspace(p, LatticeSize(n))
+    u = build_momentum_basis(LatticeSize(n)).u
+    m = u.conj().T @ h @ u
+    nk = n * n
+    i = np.arange(nk)
+    want = m.reshape(nk, 2, nk, 2)[i, :, i, :]
+    m.reshape(nk, 2, nk, 2)[i, :, i, :] = 0.0
+    blocks, offblock = lattice._transform(h, u)
+    np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-13)
+    assert offblock == pytest.approx(np.max(np.abs(m)), abs=1e-13)
 
 
 def _counted_transforms(monkeypatch):

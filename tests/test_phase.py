@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import epband.phase
 from epband import (
@@ -21,6 +22,7 @@ from epband import (
     census_type,
     winding_number,
 )
+from epband.bloch import SYMMETRY_RELATIONS, Momentum, torus_distance
 from test_cli import BENCHMARK_WORKLOADS
 
 T05 = 0.5
@@ -230,6 +232,20 @@ def test_key_changes_across_candidate_line():
     assert a.key() != b.key()
 
 
+def test_key_is_blind_to_the_sign_of_gamma_next_to_zero():
+    # gamma -> -gamma swaps the (branch, w_II) labels of the two touchings at each sign
+    # pattern, which the key cannot tell apart: only wii_hash sees the step across gamma = 0
+    a, b = _sig(0.005, 1.3), _sig(-0.005, 1.3)
+    assert a.key() == b.key()
+    assert (a.wii_hash(), b.wii_hash()) == ("8c5a86a5e8c3", "92dce9a88389")
+    grid = scan_phase_diagram((-0.01, 0.01), (1.3, 1.3), 8, ModelParams(1.0, 0.0, T05, 0.0))
+    below, above = (grid.cells[i][0] for i in (3, 4))
+    assert below.gamma < 0 < above.gamma and below.classified and above.classified
+    assert below.face.lines_to(above.face) == (("gamma", 0.0),)
+    assert below.sig.wii_hash() != above.sig.wii_hash()
+    assert detect_boundaries(grid).segments == ()
+
+
 def test_wii_hash_format():
     h = _sig(0.5, -1.5).wii_hash()
     assert len(h) == 12
@@ -284,6 +300,75 @@ def test_scan_mirror_symmetry():
             wa = sorted(round(w, 6) for _, _, w in a.sig.signed_wii)
             wb = sorted(round(-w, 6) for _, _, w in b.sig.signed_wii)
             assert wa == wb
+
+
+# ---------------------------------------------------------------- the census's symmetry group
+
+
+def _labelled_census(p):
+    """(k, branch, kind, w_I, w_II) per touching, or the class of the error signature raises."""
+    try:
+        return [(b.k, b.branch, b.kind, b.w_i, b.w_ii) for b in signature(p).btps]
+    except (ValueError, WindingError) as exc:  # what a scan cell records
+        return type(exc).__name__
+
+
+def _same_census(got, want):
+    # one to one, with positions to 1e-12 and every label exact
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    free = list(want)
+    for k, *labels in got:
+        match = next((w for w in free
+                      if torus_distance(k, w[0]) <= 1e-12 and list(w[1:]) == labels), None)
+        if match is None:
+            return False
+        free.remove(match)
+    return not free
+
+
+# (the image of the couplings, the image of one touching (k, s, kind, w_I, w_II))
+_PARAMETER_RELATIONS = {
+    "gamma -> -gamma": (lambda p: ModelParams(p.J, p.T, p.t, -p.gamma),
+                        lambda k, s, kind, wi, wii: (k, -s, kind, wi, -wii)),
+    "(J, T) -> (-J, -T)": (lambda p: ModelParams(-p.J, -p.T, p.t, p.gamma),
+                           lambda k, s, kind, wi, wii: (k, -s, kind, -wi, wii)),
+    "J -> -J": (lambda p: ModelParams(-p.J, p.T, p.t, p.gamma),
+                lambda k, s, kind, wi, wii: (Momentum(k.kx + math.pi, k.ky + math.pi), s, kind,
+                                             wi, wii)),
+    "t -> -t": (lambda p: ModelParams(p.J, p.T, -p.t, p.gamma),
+                lambda k, s, kind, wi, wii: (k, s, kind, -wi, -wii)),
+}
+
+_SIGN = st.sampled_from([1.0, -1.0])
+# the four families of the points benchmark: generic, near-merger, small-gamma and small-t
+_POINTS_FAMILIES = st.one_of(
+    st.builds(lambda big_t, t, g: ModelParams(1.0, big_t, t, g),
+              st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+    st.builds(lambda e: ModelParams(1.0, -2.0 + 10.0 ** e, 0.5, 0.0), st.floats(-6.0, -1.0)),
+    st.builds(lambda big_t, s, e: ModelParams(1.0, big_t, 0.5, s * 10.0 ** e),
+              st.floats(-1.8, -0.2), _SIGN, st.floats(-6.0, -1.0)),
+    st.builds(lambda big_t, s, e: ModelParams(1.0, big_t, s * 10.0 ** e, 0.5),
+              st.floats(-1.8, -0.2), _SIGN, st.floats(-11.0, -1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_POINTS_FAMILIES)
+def test_census_symmetry_group(p):
+    """The image of a census is the census of the image couplings, or both raise alike; and
+    the point group maps a census onto itself, mirrors flipping both windings."""
+    census = _labelled_census(p)
+    for name, (couplings, act) in _PARAMETER_RELATIONS.items():
+        image = census if isinstance(census, str) else [act(*x) for x in census]
+        assert _same_census(image, _labelled_census(couplings(p))), (name, p)
+    if isinstance(census, str):
+        return
+    for name, op in SYMMETRY_RELATIONS:
+        det = round(np.linalg.det(np.array([op(1.0, 0.0), op(0.0, 1.0)])))  # +1 proper, -1 mirror
+        image = [(Momentum(*op(k.kx, k.ky)), s, kind, det * wi, det * wii)
+                 for k, s, kind, wi, wii in census]
+        assert _same_census(image, census), (name, p)
 
 
 def test_scan_boundaries_straddling_diagonal():
