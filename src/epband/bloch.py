@@ -162,6 +162,14 @@ SYMMETRY_RELATIONS = (
 )
 
 
+def _zone_grid(grid_n: int):
+    """(kx, ky) meshes of the n x n zone grid 2 pi (i, j) / n, wrapped, with n >= 4."""
+    if grid_n < 4:
+        raise ValueError("grid_n must be at least 4")
+    k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
+    return np.meshgrid(k, k, indexing="ij")
+
+
 def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     """Max entrywise deviation |h(k) - h(rel(k))| for each momentum relation.
 
@@ -173,12 +181,9 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     (Bx, By)`` may be injected to test a deliberately corrupted field (negative
     control).
     """
-    if grid_n < 4:
-        raise ValueError("grid_n must be at least 4")
     if field_fn is None:
         field_fn = bloch_field_grid
-    k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kx, ky = _zone_grid(grid_n)
     bx, by = field_fn(params, kx, ky)
     rows = []
     for name, rel in SYMMETRY_RELATIONS:
@@ -199,10 +204,6 @@ def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12)
     At t = 0 the model has PT- and CT-like products that force E^2 real, so
     this holds on the whole zone; any t != 0 generically breaks it.
     """
-    if grid_n < 4:
-        raise ValueError("grid_n must be at least 4")
-    k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    bx, by = bloch_field_grid(params, kx, ky)
+    bx, by = bloch_field_grid(params, *_zone_grid(grid_n))
     e = principal_sqrt(bx * bx + by * by)
     return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < tol))

