@@ -22,14 +22,22 @@ import numpy as np
 from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
 
 __all__ = ["DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP",
-           "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level", "face",
-           "locate_btps", "trace_ep_ring", "min_gap"]
+           "KINDS", "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level",
+           "face", "locate_btps", "trace_ep_ring", "min_gap"]
 
 DIRAC_POINT = "DiracPoint"
 SEMI_DIRAC_POINT = "SemiDiracPoint"
 NORMAL_EP = "NormalEP"
 HYBRID_EP = "HybridEP"
 TRIVIAL_ISOLATED_EP = "TrivialIsolatedEP"
+# kind -> (|w_I| of its loop, order of E^2's zero on a ray or None on a merger level, caseId stem)
+KINDS = {
+    DIRAC_POINT: (1.0, 2, "dirac"),
+    SEMI_DIRAC_POINT: (0.0, None, "semidirac"),
+    NORMAL_EP: (0.5, 1, "normal"),
+    HYBRID_EP: (0.0, None, "hybrid"),
+    TRIVIAL_ISOLATED_EP: (0.0, None, "trivial"),
+}
 
 MERGER_TOL = 1e-9
 _T_ZERO = 1e-12

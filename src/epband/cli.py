@@ -20,15 +20,13 @@ import re
 import stat
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
 from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
-from .btp import (
-    DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP,
-    RingRegimeError, face, locate_btps, trace_ep_ring,
-)
+from .btp import KINDS, RingRegimeError, face, locate_btps, trace_ep_ring
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
     LatticeSize, block_check, build_momentum_basis, build_realspace, spectral_mismatch,
@@ -185,7 +183,10 @@ def _atomic_write(*outputs) -> None:
                 with open(target, "w", encoding="utf-8") as fh:
                     fh.write(text)
             else:
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".epband-")
+                try:
+                    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".epband-")
+                except OSError as exc:  # name the path given, not the temp file
+                    raise OSError(exc.errno, exc.strerror, path) from None
                 temps.append((target, tmp))
                 os.chmod(tmp, 0o666 & ~umask if mode is None else stat.S_IMODE(mode))
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -200,13 +201,16 @@ def _atomic_write(*outputs) -> None:
         raise
 
 
-def _write(args, report: dict, header=(), rows=()) -> None:
-    """``report`` as JSON, or ``header`` and ``rows`` under --format csv, to --out or stdout."""
+def _chunks(args, report: dict, header=(), rows=()):
+    """``report`` as JSON, or ``header`` and ``rows`` under --format csv."""
     if getattr(args, "format", "json") == "csv":
-        chunks = _csv_chunks(header, rows)
-    else:
-        chunks = [json.dumps(_clean(report), indent=2) + "\n"]
-    _atomic_write((args.out or None, chunks))
+        return _csv_chunks(header, rows)
+    return [json.dumps(_clean(report), indent=2) + "\n"]
+
+
+def _write(args, report: dict, header=(), rows=()) -> None:
+    """:func:`_chunks` to --out or stdout."""
+    _atomic_write((args.out or None, _chunks(args, report, header, rows)))
 
 
 def _report(command: str, params: ModelParams, **fields) -> dict:
@@ -359,13 +363,14 @@ def cmd_realspace(args) -> int:
     check = block_check(h, basis, params)
     mismatch = spectral_mismatch(h, basis, params)
     passed = check.passed and mismatch < 1e-10
+    dump = ()
     if args.dump:
         rs, cs = np.nonzero(h)  # row-major order
         rows = (
             [str(r), str(c), _fmt(v.real), _fmt(v.imag)]
             for r, c, v in zip(rs.tolist(), cs.tolist(), h[rs, cs])
         )
-        _atomic_write((args.dump, _csv_chunks(("row", "col", "re", "im"), rows)))
+        dump = ((args.dump, _csv_chunks(("row", "col", "re", "im"), rows)),)
     report = _report(
         "realspace",
         params,
@@ -377,7 +382,7 @@ def cmd_realspace(args) -> int:
         ordering=check.ordering,
         passed=passed,
     )
-    _write(args, report)
+    _atomic_write(*dump, (args.out or None, _chunks(args, report)))  # both files, or neither
     return 0 if passed else 1
 
 
@@ -492,19 +497,12 @@ def cmd_field_export(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _model_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--J", type=float, default=1.0, help="NN hopping scale (default 1)")
-    p.add_argument("--T", type=float, default=0.0, help="interlayer coupling")
-    p.add_argument("--t", type=float, default=0.0, help="staggered diagonal hopping")
-    p.add_argument("--gamma", type=float, default=0.0, help="gain/loss rate")
-    return p
-
-
-def _out_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    return p
+_MODEL_FLAGS = {  # flag: (default, help)
+    "J": (1.0, "NN hopping scale (default 1)"),
+    "T": (0.0, "interlayer coupling"),
+    "t": (0.0, "staggered diagonal hopping"),
+    "gamma": (0.0, "gain/loss rate"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,62 +511,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="Band touchings, winding invariants, and phase diagram "
         "of a non-Hermitian bilayer square-lattice model.",
     )
-    model = _model_flags()
-    outp = _out_flags()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("btps", parents=[model, outp], help="locate and classify band touchings")
-    p.add_argument("--ring", action="store_true", help="trace EP rings (t = 0 only)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_btps)
+    @contextmanager
+    def command(name, func, help, fmt=None, model=tuple(_MODEL_FLAGS), out=True):
+        """Subcommand ``name``: the model flags it reads and --out, its block's flags, then
+        --format if ``fmt`` is its default.  No flag abbreviates: --T is not --T-range."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in model:
+            default, text = _MODEL_FLAGS[flag]
+            p.add_argument(f"--{flag}", type=float, default=default, help=text)
+        if out:
+            p.add_argument("--out", default=None, help="output path (default: stdout)")
+        yield p
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default=fmt)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("winding", parents=[model, outp], help="winding number on one loop")
-    p.add_argument("--kx", type=parse_angle, required=True, help="loop center kx (pi literals ok)")
-    p.add_argument("--ky", type=parse_angle, required=True, help="loop center ky")
-    p.add_argument("--field", choices=("F", "E"), default="F")
-    p.add_argument("--loop-radius", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(func=cmd_winding)
+    with command("btps", cmd_btps, "locate and classify band touchings", "json") as p:
+        p.add_argument("--ring", action="store_true", help="trace EP rings (t = 0 only)")
 
-    p = sub.add_parser("scan", parents=[model, outp], help="phase-diagram grid scan")
-    # a string default goes through parse_range like a typed flag
-    p.add_argument("--gamma-range", type=parse_range, default="-2:2", metavar="LO:HI")
-    p.add_argument("--T-range", dest="T_range", type=parse_range, default="-2:2", metavar="LO:HI")
-    p.add_argument("--res", type=int, default=41, help="grid points per axis")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_scan)
+    with command("winding", cmd_winding, "winding number on one loop") as p:
+        p.add_argument("--kx", type=parse_angle, required=True,
+                       help="loop center kx (pi literals ok)")
+        p.add_argument("--ky", type=parse_angle, required=True, help="loop center ky")
+        p.add_argument("--field", choices=("F", "E"), default="F")
+        p.add_argument("--loop-radius", type=float, default=0.1)
+        p.add_argument("--samples", type=int, default=512)
 
-    p = sub.add_parser("dispersion", parents=[model, outp], help="power-law fit along a ray")
-    p.add_argument("--kx", type=parse_angle, required=True, help="ray origin kx")
-    p.add_argument("--ky", type=parse_angle, required=True, help="ray origin ky")
-    p.add_argument("--dx", type=parse_angle, required=True, help="ray direction x component")
-    p.add_argument("--dy", type=parse_angle, required=True, help="ray direction y component")
-    kinds = (DIRAC_POINT, SEMI_DIRAC_POINT, NORMAL_EP, HYBRID_EP, TRIVIAL_ISOLATED_EP)
-    p.add_argument("--kind", choices=kinds, default=None, help="override touching kind")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_dispersion)
+    with command("scan", cmd_scan, "phase-diagram grid scan", "csv", model=("J", "t")) as p:
+        # a string default goes through parse_range like a typed flag
+        p.add_argument("--gamma-range", type=parse_range, default="-2:2", metavar="LO:HI")
+        p.add_argument("--T-range", type=parse_range, default="-2:2", metavar="LO:HI")
+        p.add_argument("--res", type=int, default=41, help="grid points per axis")
 
-    p = sub.add_parser("symmetry", parents=[model, outp], help="momentum-relation residual table")
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_symmetry)
+    with command("dispersion", cmd_dispersion, "power-law fit along a ray", "json") as p:
+        p.add_argument("--kx", type=parse_angle, required=True, help="ray origin kx")
+        p.add_argument("--ky", type=parse_angle, required=True, help="ray origin ky")
+        p.add_argument("--dx", type=parse_angle, required=True, help="ray direction x component")
+        p.add_argument("--dy", type=parse_angle, required=True, help="ray direction y component")
+        p.add_argument("--kind", choices=KINDS, default=None, help="override touching kind")
 
-    p = sub.add_parser("realspace", parents=[model, outp], help="finite-lattice block check")
-    p.add_argument("--N", type=int, default=6, help="lattice side length (even)")
-    p.add_argument("--dump", default=None, help="write nonzero matrix entries to CSV")
-    p.set_defaults(func=cmd_realspace)
+    with command("symmetry", cmd_symmetry, "momentum-relation residual table", "json") as p:
+        p.add_argument("--grid", type=int, default=128)
+        p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("ring", parents=[model, outp], help="EP ring polyline (t = 0)")
-    p.add_argument("--branch", type=int, choices=(1, -1), default=1)
-    p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_ring)
+    with command("realspace", cmd_realspace, "finite-lattice block check") as p:
+        p.add_argument("--N", type=int, default=6, help="lattice side length (even)")
+        p.add_argument("--dump", default=None, help="write nonzero matrix entries to CSV")
 
-    p = sub.add_parser("field-export", parents=[model], help="SVG spin-texture figure + CSV")
-    p.add_argument("--out", required=True, help="SVG output path (CSV lands beside it)")
-    p.add_argument("--grid", type=int, default=128, help="density sampling per axis")
-    p.set_defaults(func=cmd_field_export)
+    with command("ring", cmd_ring, "EP ring polyline (t = 0)", "csv") as p:
+        p.add_argument("--branch", type=int, choices=(1, -1), default=1)
+        p.add_argument("--samples", type=int, default=512)
+
+    with command("field-export", cmd_field_export, "SVG spin-texture figure + CSV",
+                 out=False) as p:
+        p.add_argument("--out", required=True, help="SVG output path (CSV lands beside it)")
+        p.add_argument("--grid", type=int, default=128, help="density sampling per axis")
 
     return parser
 

@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt
-from .btp import DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP
-from .btp import MERGER_TOL, branch_level, face
+from .btp import KINDS, MERGER_TOL, branch_level, face
 
 __all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "default_qs",
            "sample_dispersion", "fit_power_law", "expected_dispersion"]
@@ -25,14 +24,6 @@ Q_MIN = 1e-4
 Q_MAX = 1e-2
 _DIR_TOL = 1e-9
 _ORDER_NAMES = (None, "sqrt", "linear", "threehalves", "quadratic")  # the jet runs through q^4
-# kind -> (caseId stem, order of its simple zero, or None for a kind that sits on a merger level)
-_KINDS = {
-    NORMAL_EP: ("normal", 1),
-    DIRAC_POINT: ("dirac", 2),
-    HYBRID_EP: ("hybrid", None),
-    SEMI_DIRAC_POINT: ("semidirac", None),
-    TRIVIAL_ISOLATED_EP: ("trivial", None),
-}
 
 
 @dataclass(frozen=True)
@@ -122,17 +113,17 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
     """(alpha, |C|) of |E| = |C| q^alpha on the ray, from the jet of E^2, in arc length.
 
     The leading order n >= 1 of the jet (the origin is a touching) gives
-    alpha = n/2 and |C| = sqrt|coef_n|.  NormalEP and DiracPoint take the
-    order of their simple zero; the other kinds the first coefficient above
+    alpha = n/2 and |C| = sqrt|coef_n|.  A kind with an order in :data:`epband.btp.KINDS`
+    (a simple zero) takes it; the other kinds the first coefficient above
     MERGER_TOL (largest coupling)^2.  The jet is taken where :func:`epband.btp.face`
     snaps the point: gamma on 0 when it snaps there, and T moved by at most
     2 |J| MERGER_TOL onto the level of the branch nearest cos kx + cos ky.
     None for an unknown kind, off a touching (order 0 above that zero test),
     or when orders 1 to 4 all vanish.
     """
-    if kind not in _KINDS:
+    if kind not in KINDS:
         return None
-    stem, n = _KINDS[kind]
+    _, n, stem = KINDS[kind]
     u, f = _unit(direction), face(params)
     snapped = params if f.gamma != 1 else replace(params, gamma=0.0)
     if n is None:

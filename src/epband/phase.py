@@ -24,13 +24,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import DIRAC_POINT, NORMAL_EP, Btp, Face, face, locate_btps
+from .btp import KINDS, Btp, Face, face, locate_btps
 from .winding import UnresolvedLoopError, WindingError, make_loop, settled, wind_loops
 
 __all__ = ["ConfigurationSignature", "PhaseCell", "PhaseGrid", "BoundaryReport", "signature",
            "census_type", "scan_phase_diagram", "detect_boundaries"]
-
-_ABS_WI = {DIRAC_POINT: 1.0, NORMAL_EP: 0.5}  # |w_I| per kind; every other kind carries 0
 
 _TYPE_TABLE = {
     (4, 0, 0): "I",
@@ -116,7 +114,7 @@ def signature(params: ModelParams) -> ConfigurationSignature:
     done = []
     for b, windings in zip(btps, wind_loops(params, loops)):
         wi, wii = (settled(w).value for w in windings)
-        if abs(wi) != _ABS_WI.get(b.kind, 0.0):
+        if abs(wi) != KINDS[b.kind][0]:
             raise UnresolvedLoopError(f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}")
         done.append(replace(b, w_i=wi, w_ii=wii))
     if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0

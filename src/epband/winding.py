@@ -221,14 +221,18 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
 
 
 def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
-    """Double this loop's samples, on its own, until ``outcome`` settles."""
+    """Double this loop's samples, on its own, until ``outcome`` settles.  At gamma = 0 h is
+    real symmetric, so no loop swaps branches: a swap needs more samples, as a coarse step does."""
     m = loop.samples
-    while isinstance(outcome, float):
+    while True:
+        if isinstance(outcome, WindingResult) and outcome.branch_swapped and params.gamma == 0:
+            outcome = outcome.raw_angle
+        if not isinstance(outcome, float):
+            return outcome
         if m >= MAX_SAMPLES:
             return NonQuantizedLoopError(outcome)
         m *= 2
         ((outcome,),) = _attempt(params, [loop], m, (kind,))
-    return outcome
 
 
 def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
@@ -277,8 +281,8 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
         leaves every winding unchanged.
 
     The sample count doubles (up to 2^16) whenever some wrapped angle step
-    exceeds pi/2; if the total still fails to quantize, the raw angle is
-    reported in a :class:`NonQuantizedLoopError`.
+    exceeds pi/2, or the loop swaps branches at gamma = 0; if it still does, or the
+    total fails to quantize, the raw angle is reported in a :class:`NonQuantizedLoopError`.
     """
     ((outcome,),) = wind_loops(params, [loop], (field_kind,))
     return settled(outcome)

@@ -186,6 +186,13 @@ def test_principal_sqrt_branch():
     assert z.real >= 0.0 and z * z == pytest.approx(-3.0 - 4.0j)
 
 
+def test_principal_sqrt_ignores_the_sign_of_a_zero_imaginary_part():
+    # numpy's sqrt of -4 - 0j is -2j; the principal root is +2j for both signs of zero
+    w = complex(-4.0, -0.0)
+    for e in (principal_sqrt(w), principal_sqrt(np.array([w]))[0]):
+        assert e.real >= 0.0 and e.imag == 2.0
+
+
 # ---------------------------------------------------------------- eigenvector kernel
 
 

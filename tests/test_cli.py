@@ -285,6 +285,16 @@ def test_winding_loop_through_defect_exit3():
     assert "vanishes" in proc.stderr
 
 
+def test_winding_swap_at_gamma_zero_exits_3(capsys):
+    # the loop misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no touching; at
+    # gamma = 0 its swapped half turn is no winding, however many samples it takes
+    argv = ["winding", "--J", "1", "--T", "-1", "--t", "0.5", "--gamma", "0",
+            "--kx", "1.1471975512965977", "--ky", "pi/2", "--loop-radius", "0.1", "--field", "F"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: winding failed to quantize, raw angle 0.500000 turns\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -371,6 +381,43 @@ def test_scan_rejects_low_resolution():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--T", "5"), ("--gamma", "3"), ("--T", "0.5:0.5")])
+def test_scan_refuses_the_model_flags_it_does_not_read(capsys, flag, value):
+    # T and gamma are the scan's axes, so it reads only J and t; nor does --T stand in for
+    # the --T-range it begins
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--res", "8", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# each subcommand that prints a JSON report, with what else it needs to run
+_REPORT_ARGS = {
+    "btps": [],
+    "winding": ["--kx", "0.3", "--ky", "0.2"],
+    "scan": ["--gamma-range", "0.3:0.3", "--T-range", "0.5:0.5", "--res", "8", "--format", "json"],
+    "dispersion": ["--kx", "0.3", "--ky", "0.2", "--dx", "1", "--dy", "0", "--kind", "NormalEP"],
+    "symmetry": ["--grid", "8"],
+    "realspace": ["--N", "4"],
+    "ring": ["--format", "json"],
+}
+_MODEL_VALUES = {"J": 1.25, "T": -0.75, "t": 0.375, "gamma": 0.625}
+
+
+def test_every_json_report_echoes_each_model_flag_it_accepts(capsys):
+    # a model flag a report does not echo is one the command drops
+    (subs,) = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+    assert sorted(_REPORT_ARGS) == sorted(set(subs) - {"field-export"})
+    for name, extra in _REPORT_ARGS.items():
+        values = dict(_MODEL_VALUES, t=0.0) if name == "ring" else _MODEL_VALUES  # rings: t = 0
+        accepted = [f for f in values if f in {a.dest for a in subs[name]._actions}]
+        argv = [name, *extra, *(x for f in accepted for x in (f"--{f}", str(values[f])))]
+        assert cli.main(argv) in (0, 1), name
+        report = json.loads(capsys.readouterr().out)
+        echoed = report["base" if name == "scan" else "params"]
+        assert {f: echoed[f] for f in accepted} == {f: values[f] for f in accepted}, name
+
+
 # ---------------------------------------------------------------------------
 # dispersion
 
@@ -443,6 +490,15 @@ def test_dispersion_requires_touching_or_kind():
     assert "--kind" in proc.stderr
 
 
+def test_dispersion_off_a_touching_names_the_point(capsys):
+    argv = ["dispersion", "--J", "1", "--T", "-1.5", "--t", "0.5", "--gamma", "0.5",
+            "--kx", "0", "--ky", "0", "--dx", "1", "--dy", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no band touching at (0.000000, 0.000000); pass --kind to override\n"
+
+
 def test_dispersion_csv_ray():
     proc = run_cli(
         "dispersion", *ANCHOR_FLAGS, "--kx", "1", "--ky", "1", "--dx", "1", "--dy", "0",
@@ -500,6 +556,24 @@ def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n):
     cli.main(["realspace", "--J", "1", *ANCHOR_FLAGS, "--N", str(n), "--dump", str(dump)])
     capsys.readouterr()
     assert dump.read_text() == "\n".join(lines) + "\n"
+
+
+def test_realspace_unwritable_out_leaves_no_dump(tmp_path, capsys):
+    # the dump and the report are written together: a report that cannot be written takes
+    # the dump with it
+    argv = ["realspace", "--N", "4", "--dump", str(tmp_path / "h.csv"),
+            "--out", str(tmp_path / "nodir" / "x.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_names_the_path_given(tmp_path, capsys):
+    # not the temp file beside it
+    out = tmp_path / "nodir" / "x.json"
+    argv = ["realspace", "--N", "4", "--dump", str(tmp_path / "h.csv"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_realspace_rejects_odd_side():
@@ -560,6 +634,16 @@ def test_field_export_svg_and_csv(tmp_path):
     for bx, by in btps:
         near = np.argmin(np.hypot(data[:, 0] - bx, data[:, 1] - by))
         assert mag[near] < 0.75
+
+
+def test_field_export_csv_lands_beside_an_out_that_ends_in_csv(tmp_path, capsys):
+    # the CSV takes the SVG path with its suffix swapped for .csv; when that is the SVG path
+    # itself, it takes .csv appended
+    out = tmp_path / "fig.csv"
+    assert cli.main(["field-export", *ANCHOR_FLAGS, "--grid", "8", "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig.csv", "fig.csv.csv"]
+    assert out.read_text().startswith("<svg")
+    assert (tmp_path / "fig.csv.csv").read_text().startswith("kx,ky,Fx,Fy\n")
 
 
 def test_field_export_grid_floor(tmp_path):

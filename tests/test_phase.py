@@ -151,7 +151,7 @@ def _first_sequential_error(params):
 @pytest.mark.parametrize(
     "params",
     [
-        ModelParams(1.0, -2.0 + 2e-4, T05, 0.0),  # Dirac windings alias to +-1/2
+        ModelParams(1.0, -2.0 + 2e-5, T05, 0.0),  # Dirac windings alias to 0
         ModelParams(1.0, -1.0, T05, 1e-5),  # partner EPs 1e-5 apart
     ],
 )
@@ -166,12 +166,27 @@ def test_signature_raises_first_sequential_error(params):
 
 @pytest.mark.parametrize("big_t", [-2.0 + 2e-5, -2.0 + 2e-4])
 def test_signature_rejects_winding_against_kind(big_t):
-    # near the semi-Dirac merger the 512-sample loops around the Dirac
-    # points alias to w_I = 0 or +-1/2; the census must not relabel them
+    # near the semi-Dirac merger the 512-sample loops around the Dirac points alias to
+    # w_I = 0 (at 2e-5) or +-1/2 (at 2e-4); the census must not relabel them.  A +-1/2 comes
+    # with a branch swap, which no loop makes at gamma = 0, so those loops refine on to the
+    # true +-1; an aliased 0 breaks the kind law
     params = ModelParams(1.0, big_t, T05, 0.0)
     assert {b.kind for b in locate_btps(params)} == {"DiracPoint"}
-    with pytest.raises(UnresolvedLoopError, match="contradicts its kind DiracPoint"):
+    if big_t == -2.0 + 2e-4:
+        assert [abs(b.w_i) for b in signature(params).btps] == [1.0] * 8
+        return
+    with pytest.raises(UnresolvedLoopError, match="w_I = [+]0 .* contradicts its kind DiracPoint"):
         signature(params)
+
+
+@pytest.mark.parametrize("big_t", [-1.9996454409691105, -1.9998471017538408])
+def test_gamma_zero_merger_draw_becomes_a_census(big_t):
+    # two merger draws of the points benchmark (seed 1): their 512-sample Dirac loops come
+    # back as a swapped +-1/2, which a loop at gamma = 0 cannot make, and refine on to +-1
+    params = ModelParams(1.0, big_t, T05, 0.0)
+    btps = signature(params).btps
+    assert BENCHMARK_WORKLOADS.law_failure(params, btps) is None
+    assert [abs(b.w_i) for b in btps] == [1.0] * 8 and sum(b.w_i for b in btps) == 0
 
 
 # 12 draws per family of the points benchmark; this seed gives censuses, and errors from
@@ -197,7 +212,7 @@ def test_signature_raises_first_sequential_error_on_points_draws(params):
 def test_signature_raises_a_loop_error_before_winding(monkeypatch, failing):
     # Every touching here breaks its kind's winding law, yet a loop that cannot be built
     # for touching ``failing`` raises first: every loop is built before any is wound.
-    params = ModelParams(1.0, -2.0 + 2e-4, T05, 0.0)
+    params = ModelParams(1.0, -2.0 + 2e-5, T05, 0.0)
     btps = locate_btps(params)
     real = epband.phase.make_loop
 

@@ -52,6 +52,19 @@ def test_only_btp_places_a_point_among_the_lines(path):
     assert found == (list(_FACE_RULES) if path.name == "btp.py" else [])
 
 
+# btp alone names the touching kinds and holds what each implies (KINDS): no other module
+# spells a kind, so none keeps a per-kind table of its own
+_KIND_NAMES = ("DiracPoint", "SemiDiracPoint", "NormalEP", "HybridEP", "TrivialIsolatedEP",
+               "DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
+def test_only_btp_names_the_touching_kinds(path):
+    text = path.read_text(encoding="utf-8")
+    found = [name for name in _KIND_NAMES if name in text]
+    assert found == (list(_KIND_NAMES) if path.name == "btp.py" else [])
+
+
 # The winding kernel works on eigenvector components and the one norm right_eigvec returns:
 # no stacked (..., 2) arrays and no second norm pass over them
 _STACKED_PASSES = ("stack", "linalg.norm")

@@ -31,6 +31,7 @@ from epband.winding import (
     _FIELD_FLOOR,
     _TIE_TOL,
     DegenerateTrackingError,
+    NonQuantizedLoopError,
     _attempt,
     _wrap_steps,
 )
@@ -705,6 +706,19 @@ def test_additivity_raises_an_unseparated_touching_before_winding(monkeypatch):
         winding_additivity_check(p, locate_btps(p), big)
 
 
+def test_additivity_check_fails_when_an_enclosed_touching_is_left_out():
+    # the pair split wide enough (gamma = 0.5, 0.6 apart) that the loop of the touching kept
+    # does not reach the one left out: the parts then miss half of the enclosed unit charge
+    p = ModelParams(1.0, -1.0, 0.5, 0.5)
+    btps = locate_btps(p)
+    center = Momentum(0.5 * (math.acos(0.75) + math.acos(0.25)), HALF_PI)
+    big = Loop(center=center, radius=0.4)
+    pair = [b for b in btps if torus_distance(b.k, center) < big.radius]
+    assert len(pair) == 2 and winding_number(p, big, "F").value == 1.0
+    assert winding_additivity_check(p, btps, big)
+    assert not winding_additivity_check(p, [b for b in btps if b is not pair[0]], big)
+
+
 def test_additivity_rejects_touching_on_path():
     p = ModelParams(1.0, -1.0, 0.5, 0.01)
     btps = locate_btps(p)
@@ -728,6 +742,36 @@ def test_loop_through_defect_rejected():
     loop = Loop(center=Momentum(dp.kx + 0.1, dp.ky), radius=0.1)
     with pytest.raises(LoopThroughDefectError):
         winding_number(p, loop, "F")
+
+
+def test_loop_that_grazes_a_dirac_point_reports_the_collapsed_eigenvalue():
+    # the theta = pi sample passes 1e-11 from the Dirac point: h stays above its floor there,
+    # but |E| falls below the field floor
+    p = ModelParams(1.0, -1.0, 0.5, 0.0)
+    loop = Loop(Momentum(math.pi / 3 + 0.1 + 1e-11, HALF_PI), 0.1)
+    with pytest.raises(LoopThroughDefectError, match="eigenvalue collapses on the loop"):
+        winding_number(p, loop, "F")
+
+
+# a loop at gamma = 0 that misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no
+# touching: its 512-sample pass comes back swapped, at 1/2 a turn
+_GRAZING = Loop(Momentum(1.1471975512965977, HALF_PI), 0.1)
+
+
+@pytest.mark.parametrize("kind", ["F", "E"])
+def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
+    # at gamma = 0 h is real symmetric and no loop swaps branches.  The first F pass ends on
+    # a swapped half turn, which now refines like the coarse first E pass, and neither field
+    # settles before the sample cap
+    p = ModelParams(1.0, -1.0, 0.5, 0.0)
+    ((first,),) = _attempt(p, [_GRAZING], _GRAZING.samples, (kind,))
+    if kind == "F":
+        assert first.branch_swapped and first.value == 0.5
+    else:
+        assert first == pytest.approx(0.5)  # a raw angle: a step past pi/2
+    with pytest.raises(NonQuantizedLoopError, match="raw angle 0.500000 turns") as info:
+        winding_number(p, _GRAZING, kind)
+    assert info.value.raw_angle == pytest.approx(0.5)
 
 
 def test_winding_error_is_runtime_error():
