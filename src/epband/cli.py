@@ -430,34 +430,30 @@ def _svg_chunks(density, kxa, kya, afx, afy):
     for y, row in zip(pos, colours.T[::-1]):
         rect = f'<rect x="{{}}" y="{y}" width="{side}" height="{side}" fill="#{{:06x}}"/>\n'
         yield "".join(map(rect.format, pos, row.tolist()))
-    # Arrow layer: subsampled (Fx, Fy), white strokes, centered on cells.
-    cell = _SVG_SIZE / _ARROW_GRID
-    scale = 0.75 * cell
-    parts = ['<g stroke="#ffffff" stroke-width="1.2" stroke-opacity="0.9" fill="none">']
-    for ix in range(_ARROW_GRID):
-        for iy in range(_ARROW_GRID):
-            vx, vy = float(afx[ix, iy]), float(afy[ix, iy])
-            mag = math.hypot(vx, vy)
-            if mag < 1e-3:
-                continue
-            cxp = (kxa[ix, iy] + np.pi) / (2.0 * np.pi) * _SVG_SIZE
-            cyp = (np.pi - kya[ix, iy]) / (2.0 * np.pi) * _SVG_SIZE
-            ux, uy = vx / mag, -vy / mag
-            half = 0.5 * scale * min(mag, 1.0)
-            x0, y0 = cxp - half * ux, cyp - half * uy
-            x1, y1 = cxp + half * ux, cyp + half * uy
-            hx = 0.35 * half
-            c150, s150 = -0.866, 0.5
-            h1x = x1 + hx * (ux * c150 - uy * s150)
-            h1y = y1 + hx * (ux * s150 + uy * c150)
-            h2x = x1 + hx * (ux * c150 + uy * s150)
-            h2y = y1 + hx * (-ux * s150 + uy * c150)
-            parts.append(
-                f'<path d="M {x0:.2f} {y0:.2f} L {x1:.2f} {y1:.2f} '
-                f'M {h1x:.2f} {h1y:.2f} L {x1:.2f} {y1:.2f} L {h2x:.2f} {h2y:.2f}"/>'
-            )
-    parts += ["</g>", "</svg>"]
-    yield "\n".join(parts) + "\n"
+    # Arrow layer: subsampled (Fx, Fy), white strokes, centered on cells, in one array pass.
+    # math.hypot, not np.hypot: the two differ in the last bit, which can move a .2f.
+    scale = 0.75 * (_SVG_SIZE / _ARROW_GRID)
+    mag = np.array(list(map(math.hypot, afx.tolist(), afy.tolist())))
+    keep = mag >= 1e-3
+    vx, vy, mag = afx[keep], afy[keep], mag[keep]
+    cxp = (kxa[keep] + np.pi) / (2.0 * np.pi) * _SVG_SIZE
+    cyp = (np.pi - kya[keep]) / (2.0 * np.pi) * _SVG_SIZE
+    ux, uy = vx / mag, -vy / mag
+    half = 0.5 * scale * np.minimum(mag, 1.0)
+    x0, y0 = cxp - half * ux, cyp - half * uy
+    x1, y1 = cxp + half * ux, cyp + half * uy
+    hx = 0.35 * half
+    c150, s150 = -0.866, 0.5
+    h1x = x1 + hx * (ux * c150 - uy * s150)
+    h1y = y1 + hx * (ux * s150 + uy * c150)
+    h2x = x1 + hx * (ux * c150 + uy * s150)
+    h2y = y1 + hx * (-ux * s150 + uy * c150)
+    path = ('<path d="M {:.2f} {:.2f} L {:.2f} {:.2f} '
+            'M {:.2f} {:.2f} L {:.2f} {:.2f} L {:.2f} {:.2f}"/>\n')
+    columns = (c.tolist() for c in (x0, y0, x1, y1, h1x, h1y, x1, y1, h2x, h2y))
+    yield '<g stroke="#ffffff" stroke-width="1.2" stroke-opacity="0.9" fill="none">\n'
+    yield "".join(map(path.format, *columns))
+    yield "</g>\n</svg>\n"
 
 
 def _field_csv_chunks(ks, fx, fy):
@@ -478,7 +474,7 @@ def cmd_field_export(args) -> int:
     ks = _centers(n)
     fx, fy, _ = observables_grid(params, *np.meshgrid(ks, ks, indexing="ij"))
     ka = _centers(_ARROW_GRID)
-    kxa, kya = np.meshgrid(ka, ka, indexing="ij")
+    kxa, kya = (k.ravel() for k in np.meshgrid(ka, ka, indexing="ij"))  # arrows, ix-major
     afx, afy, _ = observables_grid(params, kxa, kya)
     # Both files are streamed, so check the whole field before the first byte.
     if not all(np.isfinite(a).all() for a in (fx, fy, afx, afy)):

@@ -149,7 +149,6 @@ class PhaseCell:
 class PhaseGrid:
     gammas: np.ndarray
     big_ts: np.ndarray
-    base: ModelParams
     cells: tuple  # row-major: cells[i][j] at (gammas[i], big_ts[j])
 
 
@@ -184,7 +183,7 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
                     error = str(exc)
             row.append(PhaseCell(float(g), float(bt), where, sig, error))
         rows.append(tuple(row))
-    return PhaseGrid(gammas=gammas, big_ts=big_ts, base=base, cells=tuple(rows))
+    return PhaseGrid(gammas=gammas, big_ts=big_ts, cells=tuple(rows))
 
 
 @dataclass(frozen=True)

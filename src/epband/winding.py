@@ -22,6 +22,7 @@ import numpy as np
 
 from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
                     torus_distance)
+from .btp import face, locate_btps
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
            "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
@@ -220,12 +221,13 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     return list(zip(*per_kind))
 
 
-def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
-    """Double this loop's samples, on its own, until ``outcome`` settles.  At gamma = 0 h is
-    real symmetric, so no loop swaps branches: a swap needs more samples, as a coarse step does."""
+def _refine(params: ModelParams, loop: Loop, kind: str, outcome, no_swap: bool):
+    """Double this loop's samples, on its own, until ``outcome`` settles.  Where
+    :func:`~epband.btp.face` puts gamma on 0 (``no_swap``), h is real symmetric and no loop
+    swaps branches: a swap needs more samples, as a coarse step does."""
     m = loop.samples
     while True:
-        if isinstance(outcome, WindingResult) and outcome.branch_swapped and params.gamma == 0:
+        if isinstance(outcome, WindingResult) and outcome.branch_swapped and no_swap:
             outcome = outcome.raw_angle
         if not isinstance(outcome, float):
             return outcome
@@ -256,8 +258,9 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     if len({loop.samples for loop in loops}) > 1:
         raise ValueError("loops wound together must share a sample count")
     first = _attempt(params, loops, loops[0].samples, kinds)
+    no_swap = face(params).gamma == 1
     return [
-        tuple(_refine(params, loop, kind, outcome) for kind, outcome in zip(kinds, outcomes))
+        tuple(_refine(params, loop, kind, out, no_swap) for kind, out in zip(kinds, outcomes))
         for loop, outcomes in zip(loops, first)
     ]
 
@@ -281,8 +284,9 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
         leaves every winding unchanged.
 
     The sample count doubles (up to 2^16) whenever some wrapped angle step
-    exceeds pi/2, or the loop swaps branches at gamma = 0; if it still does, or the
-    total fails to quantize, the raw angle is reported in a :class:`NonQuantizedLoopError`.
+    exceeds pi/2, or the loop swaps branches where :func:`~epband.btp.face`
+    puts gamma on 0; if it still does, or the total fails to quantize, the raw
+    angle is reported in a :class:`NonQuantizedLoopError`.
     """
     ((outcome,),) = wind_loops(params, [loop], (field_kind,))
     return settled(outcome)
@@ -292,9 +296,10 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
     """Does the big loop's winding equal the sum over enclosed touchings?
 
     Checked for both field kinds.  Every listed touching must clear the loop
-    path by more than 1e-3 so that enclosure is unambiguous.  Every enclosed
-    touching's loop is built before any is wound, so one that no loop
-    separates raises :class:`UnresolvedLoopError` at once.
+    path by more than 1e-3 so that enclosure is unambiguous.  Each enclosed
+    touching's loop is sized off all that :func:`~epband.btp.locate_btps` finds, so
+    no loop swallows a partner left out of ``btps``.  Every loop is built before any
+    is wound, so one that no loop separates raises :class:`UnresolvedLoopError` at once.
     """
     enclosed = []
     for b in btps:
@@ -303,7 +308,8 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
             raise ValueError(f"band touching at {b.k.xy} sits on the loop path")
         if d < big_loop.radius:
             enclosed.append(b)
-    parts = wind_loops(params, [make_loop(b.k, btps) for b in enclosed])
+    located = locate_btps(params)
+    parts = wind_loops(params, [make_loop(b.k, located) for b in enclosed])
     totals = wind_loops(params, [big_loop])[0]
     for i in range(2):  # F, then E
         total = settled(totals[i]).value

@@ -287,12 +287,14 @@ def test_winding_loop_through_defect_exit3():
 
 def test_winding_swap_at_gamma_zero_exits_3(capsys):
     # the loop misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no touching; at
-    # gamma = 0 its swapped half turn is no winding, however many samples it takes
-    argv = ["winding", "--J", "1", "--T", "-1", "--t", "0.5", "--gamma", "0",
-            "--kx", "1.1471975512965977", "--ky", "pi/2", "--loop-radius", "0.1", "--field", "F"]
-    assert cli.main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: winding failed to quantize, raw angle 0.500000 turns\n"
+    # gamma = 0 its swapped half turn is no winding, however many samples it takes.  At
+    # 5e-10 it encloses one EP of the split pair, yet btp.face puts that gamma on 0
+    for gamma in ("0", "5e-10"):
+        argv = ["winding", "--J", "1", "--T", "-1", "--t", "0.5", "--gamma", gamma, "--kx",
+                "1.1471975512965977", "--ky", "pi/2", "--loop-radius", "0.1", "--field", "F"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: winding failed to quantize, raw angle 0.500000 turns\n"
 
 
 @pytest.mark.parametrize(

@@ -187,6 +187,9 @@ def test_gamma_zero_merger_draw_becomes_a_census(big_t):
     btps = signature(params).btps
     assert BENCHMARK_WORKLOADS.law_failure(params, btps) is None
     assert [abs(b.w_i) for b in btps] == [1.0] * 8 and sum(b.w_i for b in btps) == 0
+    # btp.face puts 0 < |gamma| <= 2|J| 1e-9 on gamma = 0, and so does the no-swap rule
+    for gamma in (5e-10, -5e-10, 1e-9):
+        assert signature(ModelParams(1.0, big_t, T05, gamma)).btps == btps
 
 
 # 12 draws per family of the points benchmark; this seed gives censuses, and errors from

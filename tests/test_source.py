@@ -65,6 +65,28 @@ def test_only_btp_names_the_touching_kinds(path):
     assert found == (list(_KIND_NAMES) if path.name == "btp.py" else [])
 
 
+# btp.face alone decides where gamma = 0 is: it puts 0 < |gamma| <= 2|J| 1e-9 there too.  No
+# other module compares gamma with 0, so none keeps a gamma = 0 of its own
+def _names_gamma(node):
+    return any(isinstance(n, ast.Name) and n.id == "gamma"
+               or isinstance(n, ast.Attribute) and n.attr == "gamma" for n in ast.walk(node))
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "btp.py"], ids=_id)
+def test_only_btp_puts_gamma_on_zero(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(map(_names_gamma, [node.left, *node.comparators]))
+        and any(map(_is_zero, [node.left, *node.comparators]))
+    ]
+    assert found == []
+
+
 # The winding kernel works on eigenvector components and the one norm right_eigvec returns:
 # no stacked (..., 2) arrays and no second norm pass over them
 _STACKED_PASSES = ("stack", "linalg.norm")

@@ -707,16 +707,19 @@ def test_additivity_raises_an_unseparated_touching_before_winding(monkeypatch):
 
 
 def test_additivity_check_fails_when_an_enclosed_touching_is_left_out():
-    # the pair split wide enough (gamma = 0.5, 0.6 apart) that the loop of the touching kept
-    # does not reach the one left out: the parts then miss half of the enclosed unit charge
-    p = ModelParams(1.0, -1.0, 0.5, 0.5)
-    btps = locate_btps(p)
-    center = Momentum(0.5 * (math.acos(0.75) + math.acos(0.25)), HALF_PI)
-    big = Loop(center=center, radius=0.4)
-    pair = [b for b in btps if torus_distance(b.k, center) < big.radius]
-    assert len(pair) == 2 and winding_number(p, big, "F").value == 1.0
-    assert winding_additivity_check(p, btps, big)
-    assert not winding_additivity_check(p, [b for b in btps if b is not pair[0]], big)
+    # with one touching of the enclosed pair left out, the parts miss half of the unit charge.
+    # Each part's loop is sized off every located touching, so at gamma = 0.01 (acceptance
+    # 3's pair, 0.0115 apart) the kept one's loop does not swallow the one left out
+    for gamma, radius in ((0.5, 0.4), (0.01, 0.05)):
+        p = ModelParams(1.0, -1.0, 0.5, gamma)
+        btps = locate_btps(p)
+        kx = 0.5 * (math.acos((1 + gamma) / 2) + math.acos((1 - gamma) / 2))
+        big = Loop(center=Momentum(kx, HALF_PI), radius=radius)
+        pair = [b for b in btps if torus_distance(b.k, big.center) < big.radius]
+        assert len(pair) == 2 and winding_number(p, big, "F").value == 1.0
+        assert winding_additivity_check(p, btps, big)
+        for left_out in pair:
+            assert not winding_additivity_check(p, [b for b in btps if b is not left_out], big)
 
 
 def test_additivity_rejects_touching_on_path():
