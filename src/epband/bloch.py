@@ -33,6 +33,7 @@ __all__ = [
     "right_eigvec",
     "observables_grid",
     "symmetry_residuals",
+    "field_scale",
     "spectral_reality",
 ]
 
@@ -196,6 +197,13 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     chi = max(np.max(np.abs(h11 + h00)), np.max(np.abs(h01 - h10)))
     rows.append(("chiral", float(chi)))
     return rows
+
+
+def field_scale(params: ModelParams, grid_n: int = 128) -> float:
+    """Largest |Bx| or |By| on the zone grid of :func:`symmetry_residuals`: the scale its
+    residuals are judged against, since they are rounding errors relative to |h|."""
+    bx, by = bloch_field_grid(params, *_zone_grid(grid_n))
+    return float(max(np.max(np.abs(bx)), np.max(np.abs(by))))
 
 
 def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12) -> bool:

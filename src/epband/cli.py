@@ -25,7 +25,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, observables_grid, symmetry_residuals, torus_distance
+from .bloch import (ModelParams, Momentum, field_scale, observables_grid, symmetry_residuals,
+                    torus_distance)
 from .btp import KINDS, RingRegimeError, face, locate_btps, trace_ep_ring
 from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
 from .lattice import (
@@ -341,7 +342,7 @@ def cmd_symmetry(args) -> int:
     params = _params(args)
     rows = symmetry_residuals(params, grid_n=args.grid)
     worst = max(res for _, res in rows)
-    passed = worst <= args.tol
+    passed = worst <= args.tol * field_scale(params, args.grid)  # --tol is relative to |h|
     report = _report(
         "symmetry",
         params,
@@ -550,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     with command("symmetry", cmd_symmetry, "momentum-relation residual table", "json") as p:
         p.add_argument("--grid", type=int, default=128)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="relative to the largest |Bx|, |By| on the grid")
 
     with command("realspace", cmd_realspace, "finite-lattice block check") as p:
         p.add_argument("--N", type=int, default=6, help="lattice side length (even)")

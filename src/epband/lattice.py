@@ -6,11 +6,12 @@ has nearest-neighbor hopping J, diagonal hoppings t(-1)^(lam+j+l) to
 (j+1, l+-1), and on-site gain/loss i*gamma*(-1)^(lam+j+l); the layers are
 tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
-cross-check between the lattice and the closed-form field.  Both builders
-return read-only arrays, so the O(N^6) transform is formed once per lattice;
-copy H or U before editing it.  The dense working set is H, U and one row
-block of U^dag H U: H is filled in place, and the transform keeps only the
-2x2 diagonal blocks of each row block it forms.
+cross-check between the lattice and the closed-form field.  H is returned
+read-only, so the O(N^6) transform is formed once per lattice; copy H before
+editing it.  The basis holds only its momentum labels, and U is never held
+whole: the dense working set is H plus one row block of U^dag H and one
+column block of U.  H is filled in place, and the transform keeps only the
+2x2 diagonal blocks of the products it forms.
 """
 
 from __future__ import annotations
@@ -90,11 +91,16 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumBasis:
-    """Unitary momentum-space basis; column 2i is (k_i, A), column 2i+1 is (k_i, B)."""
+    """Unitary momentum-space basis; column 2i is (k_i, A), column 2i+1 is (k_i, B).
 
-    u: np.ndarray
+    It holds the labels only: the transform makes the columns of U from ``n``."""
+
     momenta: tuple
     n: int
+
+
+def _grid_angles(n: int) -> np.ndarray:
+    return wrap_angle(2.0 * np.pi * np.arange(n) / n)
 
 
 def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
@@ -103,30 +109,9 @@ def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
     Sublattice A collects layer-2 sites on even j+l and layer-1 sites on odd
     j+l; B is the complement.  Columns are (1/N) exp(i(kx j + ky l)) on the
     corresponding sublattice support, with kx, ky on the 2*pi*m/N grid.
-    ``u`` is read-only.
     """
-    n = size.n
-    dim = size.dim
-    k = wrap_angle(2.0 * np.pi * np.arange(n) / n)
-    js, ls = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    even = (js + ls) % 2 == 0
-    lam_a = np.where(even, 2, 1)
-    lam_b = np.where(even, 1, 2)
-    flat_a = (lam_a - 1) * n * n + js * n + ls
-    flat_b = (lam_b - 1) * n * n + js * n + ls
-    u = np.zeros((dim, dim), dtype=complex)
-    # One kx row of momenta at a time, over (ky, j, l): freed (N^2, N^2)
-    # temporaries stay resident on the heap and raised the peak RSS of an
-    # N = 6..24 sweep by 17 %.  U is the one dense array made here; with H
-    # and a row block of the transform it is the whole dense working set.
-    for mx in range(n):
-        phase = (np.exp(1j * (k[mx] * js + k[:, None, None] * ls)) / n).reshape(n, -1).T
-        cols = 2 * (mx * n + np.arange(n))
-        u[flat_a.reshape(-1, 1), cols] = phase
-        u[flat_b.reshape(-1, 1), cols + 1] = phase
-    u.flags.writeable = False
-    momenta = tuple(Momentum(x, y) for x in k.tolist() for y in k.tolist())
-    return MomentumBasis(u=u, momenta=momenta, n=n)
+    k = _grid_angles(size.n).tolist()
+    return MomentumBasis(momenta=tuple(Momentum(x, y) for x in k for y in k), n=size.n)
 
 
 @dataclass(frozen=True)
@@ -142,53 +127,89 @@ class BlockCheckResult:
         return max(self.offblock, self.blockdev) < 1e-10
 
 
-# The last transform's diagonal blocks and off-block maximum, with weak references to the
-# read-only H and U it came from: block_check and spectral_mismatch on one lattice share one
+# The last transform's diagonal blocks and off-block maximum, with a weak reference to the
+# read-only H they came from: block_check and spectral_mismatch on one lattice share one
 # O(N^6) product, and a freed array's reference is dead, so a new array reusing its id is not it.
-_last_transform = (None, None, None, None)
+_last_transform = (None, None, None)
 
 
-# Rows of U^dag H U formed at a time.  Even, so no 2x2 block is split, and at least
-# 2N^2 = 72, so the N = 6 transform is the whole product in one.  At N = 24 it cuts the
-# 1152 rows into four blocks whose temporaries take a quarter of a dense matrix each;
-# 256 rows left a ragged 128-row block and ran 2-3 % slower, 128 rows slower still.
+# Rows of U^dag H U formed at a time, and columns of U made at a time.  Even, so no 2x2
+# block is split, and at least 2N^2 = 72, so the N = 6 transform is the whole product in
+# one.  At N = 24 it cuts the 1152 rows into four blocks that take a quarter of a dense
+# matrix each; 256 rows left a ragged 128-row block and ran 2-3 % slower, 128 rows slower still.
 _ROW_BLOCK = 288
 
 
-def _transform(h: np.ndarray, u: np.ndarray):
+def _column_maker(n: int):
+    """``columns(start, stop)``: columns start..stop of U as a fresh C-ordered array, for
+    even start and stop, filled from one (N^2, N^2) table of exp(i(kx j + ky l)) / N
+    whose rows are the momenta in basis order and whose columns are the sites (j, l)."""
+    dim = 2 * n * n
+    k = _grid_angles(n)
+    js, ls = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    table = np.empty((n, n, n * n), dtype=complex)
+    # One kx row of momenta at a time, over (ky, j, l): freed (N^2, N^2) temporaries stay
+    # resident on the heap and raise the peak RSS of an N = 6..24 sweep.
+    for mx in range(n):
+        table[mx] = (np.exp(1j * (k[mx] * js + k[:, None, None] * ls)) / n).reshape(n, -1)
+    table = table.reshape(n * n, n * n)
+    even = ((js + ls) % 2 == 0).ravel()
+    site = (js * n + ls).ravel()
+    rows_a = np.where(even, n * n, 0) + site  # layer 2 on even j+l, layer 1 on odd
+    rows_b = np.where(even, 0, n * n) + site
+
+    def columns(start, stop):
+        block = np.zeros((dim, stop - start), dtype=complex)
+        phase = table[start // 2 : stop // 2].T
+        block[rows_a, 0::2] = phase
+        block[rows_b, 1::2] = phase
+        return block
+
+    return columns
+
+
+def _transform(h: np.ndarray, n: int):
     """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and the largest
     modulus of an entry outside them.
 
-    The product is formed one block of ``_ROW_BLOCK`` rows at a time, so H, U
-    and one row block are all it holds."""
-    dim = u.shape[0]
-    nk = dim // 2
-    blocks = np.empty((nk, 2, 2), dtype=complex)
+    U is never held whole: its columns are made ``_ROW_BLOCK`` at a time.  Each row
+    block of U^dag H is formed once and multiplied by every column block in turn, so
+    H, the phase table, one row block and one column block are all it holds."""
+    dim = 2 * n * n
+    columns = _column_maker(n)
+    spans = [(start, min(start + _ROW_BLOCK, dim)) for start in range(0, dim, _ROW_BLOCK)]
+    blocks = np.empty((n * n, 2, 2), dtype=complex)
     peaks = []
-    for start in range(0, dim, _ROW_BLOCK):
-        m = u[:, start : start + _ROW_BLOCK].conj().T @ h @ u
-        local = np.arange(len(m) // 2)
-        i = start // 2 + local  # the momenta of these rows
-        blocks[i] = m.reshape(-1, 2, nk, 2)[local, :, i, :]
-        m.reshape(-1, 2, nk, 2)[local, :, i, :] = 0.0
-        peaks.append(np.max(np.abs(m)))
+    for row in spans:
+        # U's columns for these rows, conjugated in place and transposed: an F-ordered
+        # operand, which keeps the printed residues bit for bit at every even N up to 24
+        left = columns(*row)
+        left = np.conj(left, out=left).T @ h
+        for col in spans:
+            m = left @ columns(*col)
+            if col == row:
+                local = np.arange(len(m) // 2)
+                i = row[0] // 2 + local  # the momenta of these rows
+                blocks[i] = m.reshape(-1, 2, len(local), 2)[local, :, local, :]
+                m.reshape(-1, 2, len(local), 2)[local, :, local, :] = 0.0
+            peaks.append(np.max(np.abs(m)))
     return blocks, float(np.max(peaks))
 
 
 def _blocks(h: np.ndarray, basis: MomentumBasis):
-    """:func:`_transform` of H and ``basis.u``, reused while both are the same read-only arrays."""
+    """:func:`_transform` of H, reused while H is the same read-only array."""
     global _last_transform
-    u = basis.u
-    if h.shape != u.shape:
-        raise ValueError(f"H has shape {h.shape}, basis expects {u.shape}")
+    dim = 2 * basis.n * basis.n
+    if h.shape != (dim, dim):
+        raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
     # a writeable array, or a view whose base may be made writeable, is transformed every call
-    frozen = all(a.flags.owndata and not a.flags.writeable for a in (h, u))
-    last_h, last_u, blocks, offblock = _last_transform
-    if not (frozen and last_h is not None and last_h() is h and last_u() is u):
-        blocks, offblock = _transform(h, u)
-        blocks.flags.writeable = False  # shared by every caller with this H and U
+    frozen = h.flags.owndata and not h.flags.writeable
+    last_h, blocks, offblock = _last_transform
+    if not (frozen and last_h is not None and last_h() is h):
+        blocks, offblock = _transform(h, basis.n)
+        blocks.flags.writeable = False  # shared by every caller with this H
         if frozen:
-            _last_transform = (weakref.ref(h), weakref.ref(u), blocks, offblock)
+            _last_transform = (weakref.ref(h), blocks, offblock)
     return blocks, offblock
 
 

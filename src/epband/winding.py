@@ -59,15 +59,16 @@ class NonQuantizedLoopError(WindingError):
 
 @dataclass(frozen=True)
 class Loop:
-    """Counterclockwise circle on the Brillouin torus."""
+    """Counterclockwise circle on the Brillouin torus.  Its radius lies in (0, pi): a
+    wider circle wraps the 2 pi torus and encloses no region of it."""
 
     center: Momentum
     radius: float
     samples: int = 512
 
     def __post_init__(self):
-        if not (self.radius > 0.0) or not math.isfinite(self.radius):
-            raise ValueError(f"loop radius must be positive, got {self.radius!r}")
+        if not 0.0 < self.radius < math.pi:
+            raise ValueError(f"loop radius must lie in (0, pi), got {self.radius!r}")
         if self.samples < 256:
             raise ValueError("loops need at least 256 samples")
 
@@ -177,7 +178,10 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     with np.errstate(invalid="ignore", divide="ignore"):
         h_small = (np.min(bx * bx + by.real**2 + by.imag**2, axis=1) < 1e-24).tolist()
         e = principal_sqrt(bx * bx + by * by)
-        e_min = np.min(np.abs(e), axis=1).tolist()
+        abs_e = np.abs(e)
+        e_min = abs_e.min(axis=1).tolist()
+        e_max = abs_e.max(axis=1).tolist()  # inf or NaN where E^2 overflows
+        del abs_e
         a, b, norm = right_eigvec(bx, by, e)
         a /= norm
         b /= norm
@@ -201,6 +205,8 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         for i in range(len(loops)):
             if h_small[i]:
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
+            elif not math.isfinite(e_max[i]):
+                shared.append(WindingError("eigenvalue is not finite on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             elif margin_min[i] < _TIE_TOL:

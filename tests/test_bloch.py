@@ -13,7 +13,7 @@ from epband import (
     symmetry_residuals,
     wrap_angle,
 )
-from epband.bloch import bloch_field_grid, observables_grid, right_eigvec
+from epband.bloch import bloch_field_grid, field_scale, observables_grid, right_eigvec
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
@@ -343,6 +343,8 @@ def test_symmetry_residuals_tiny():
     assert {name for name, _ in rows} >= {"chiral"}
     for name, res in rows:
         assert res < 1e-12, name
+    # the CLI judges --tol relative to the largest |Bx|, |By|: |2J(cx + cy) + T| at (pi, pi)
+    assert field_scale(ANCHOR, 64) == 5.5
 
 
 def test_symmetry_residuals_random_params():
@@ -359,10 +361,10 @@ def test_symmetry_negative_control():
         by = 4.0 * params.t * np.sin(kx) * np.sin(ky) + 1j * params.gamma
         return bx, by
 
-    rows = symmetry_residuals(
-        ModelParams(1.0, -1.5, 0.7, 0.5), grid_n=64, field_fn=corrupted
-    )
+    params = ModelParams(1.0, -1.5, 0.7, 0.5)
+    rows = symmetry_residuals(params, grid_n=64, field_fn=corrupted)
     assert max(res for _, res in rows) > 0.1
+    assert max(res for _, res in rows) > 1e-9 * field_scale(params, 64)  # the CLI's judgment
 
 
 def test_chiral_row_is_structural():

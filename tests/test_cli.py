@@ -285,6 +285,27 @@ def test_winding_loop_through_defect_exit3():
     assert "vanishes" in proc.stderr
 
 
+def test_overflowing_field_exits_3():
+    # E^2 overflows on every loop: a WindingError naming it, where a bare ValueError
+    # "cannot convert float NaN to integer" used to exit 2
+    for argv in (["winding", "--J", "1", "--T", "1e300", "--t", "0.5", "--gamma", "1e-300",
+                  "--kx", "1", "--ky", "1"],
+                 ["btps", "--J", "1e300", "--T", "1e300", "--t", "1e300", "--gamma", "1e300"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.endswith("error: eigenvalue is not finite on the loop\n")
+
+
+@pytest.mark.parametrize("radius", ["3.141592653589793", "4.0", "7.0", "1e308"])
+def test_winding_rejects_a_loop_that_wraps_the_torus(capsys, radius):
+    # a circle of radius pi or more wraps the torus: 1e308 printed value 7.5 and exited 0
+    argv = ["winding", "--J", "1", *ANCHOR_FLAGS, "--kx", "-pi/3", "--ky", "-pi/2",
+            "--field", "F", "--loop-radius", radius]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: loop radius must lie in (0, pi), got ")
+
+
 def test_winding_swap_at_gamma_zero_exits_3(capsys):
     # the loop misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no touching; at
     # gamma = 0 its swapped half turn is no winding, however many samples it takes.  At
@@ -524,6 +545,17 @@ def test_symmetry_passes_at_anchor():
     assert len(report["residuals"]) == 9
 
 
+def test_symmetry_tol_is_relative_to_the_field():
+    # at t = 1e7 the swap residual is 7.45e-9, rounding of about 2e-16 relative to |h|; an
+    # absolute --tol 1e-9 called that a broken symmetry and exited 1
+    proc = run_cli("symmetry", "--J", "1", "--T", "-1.5", "--t", "1e7", "--gamma", "0.5",
+                   "--grid", "128", "--tol", "1e-9")
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["passed"] is True and report["tol"] == 1e-9
+    assert 7e-9 < report["maxResidual"] < 8e-9
+
+
 def test_symmetry_impossible_tol_exits_1():
     # residuals can be exactly 0.0 on symmetric grids, so only a negative
     # tolerance is guaranteed unreachable
@@ -584,16 +616,21 @@ def test_realspace_rejects_odd_side():
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 95.4 GiB")])
 def test_realspace_out_of_memory_exits_2(monkeypatch, capsys, exc):
-    # a lattice too large to allocate is bad input: one error line, no traceback
-    def build(params, size):
+    # a lattice too large to allocate is bad input: one error line, no traceback, whether H
+    # or the transform's blocks of U fail to allocate
+    def fail(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "build_realspace", build)
-    assert cli.main(["realspace", *ANCHOR_FLAGS, "--N", "200"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
-    assert str(exc) in err
+    for site in ("build_realspace", "block_check"):
+        with monkeypatch.context() as m:
+            if site == "block_check":
+                m.setattr(cli, "build_realspace", lambda params, size: None)
+            m.setattr(cli, site, fail)
+            assert cli.main(["realspace", *ANCHOR_FLAGS, "--N", "200"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert str(exc) in err
 
 
 def test_ring_csv_satisfies_level_set():

@@ -90,10 +90,21 @@ def test_anti_hermitian_part_is_gain_loss_diagonal():
     np.testing.assert_allclose(np.abs(np.diag(anti)), ANCHOR.gamma, atol=1e-15)
 
 
+def _dense_u(n):
+    # every column the transform makes, in one array
+    return lattice._column_maker(n)(0, 2 * n * n)
+
+
 def test_basis_unitary():
-    basis = build_momentum_basis(LatticeSize(4))
-    u = basis.u
+    u = _dense_u(4)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12)
+
+
+def test_basis_holds_no_array():
+    # the basis is its momentum labels; the transform makes U's columns from n
+    basis = build_momentum_basis(LatticeSize(24))
+    assert [v for v in vars(basis).values() if isinstance(v, np.ndarray)] == []
+    assert len(basis.momenta) == 24 * 24 and basis.n == 24
 
 
 def test_basis_zero_momentum_column():
@@ -104,7 +115,7 @@ def test_basis_zero_momentum_column():
     k0 = next(
         i for i, m in enumerate(basis.momenta) if abs(m.kx) < 1e-12 and abs(m.ky) < 1e-12
     )
-    col = basis.u[:, 2 * k0]
+    col = lattice._column_maker(n)(2 * k0, 2 * k0 + 2)[:, 0]
     for lam in (1, 2):
         for j in range(n):
             for l in range(n):
@@ -161,7 +172,8 @@ def test_vectorized_blocks_match_loop_reference():
     size = LatticeSize(6)
     h = build_realspace(p, size)
     basis = build_momentum_basis(size)
-    m = basis.u.conj().T @ h @ basis.u
+    u, _ = _loop_basis(6)
+    m = u.conj().T @ h @ u
     got, want = block_spectrum(h, basis), expected_spectrum(p, basis)
     outside = np.abs(m)
     dev_ab = dev_ba = mismatch = 0.0
@@ -191,12 +203,12 @@ def test_vectorized_blocks_match_loop_reference():
 def test_spectral_mismatch_is_per_momentum():
     # relabelling the momenta keeps the spectrum as a multiset but pairs each
     # block with the wrong +-E(k); both checks must see it, also when the
-    # transform of the same H and U is already at hand from a passing check
+    # transform of the same H is already at hand from a passing check
     size = LatticeSize(6)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     assert block_check(h, basis, ANCHOR).passed
-    shuffled = MomentumBasis(u=basis.u, momenta=basis.momenta[1:] + basis.momenta[:1], n=6)
+    shuffled = MomentumBasis(momenta=basis.momenta[1:] + basis.momenta[:1], n=6)
     assert spectral_mismatch(h, shuffled, ANCHOR) > 0.1
     assert not block_check(h, shuffled, ANCHOR).passed
 
@@ -258,8 +270,13 @@ def test_builders_byte_identical_to_site_loops(n):
         assert build_realspace(p, LatticeSize(n)).tobytes() == _loop_realspace(p, n).tobytes()
     basis = build_momentum_basis(LatticeSize(n))
     u, momenta = _loop_basis(n)
-    assert basis.u.tobytes() == u.tobytes()
+    assert _dense_u(n).tobytes() == u.tobytes()
     assert basis.momenta == momenta
+    # a column block of any even span is that slice of U, in a C-ordered array of its own
+    columns = lattice._column_maker(n)
+    for start, stop in ((0, 2), (2, 10), (n * n - 4, n * n + 6), (2 * n * n - 8, 2 * n * n)):
+        block = columns(start, stop)
+        assert block.flags.c_contiguous and block.tobytes() == u[:, start:stop].tobytes()
 
 
 def _dense_peak(fn):
@@ -281,13 +298,17 @@ def test_builder_holds_one_dense_matrix():
 
 
 def test_transform_holds_one_row_block(monkeypatch):
-    # besides the H and U handed in, both oracles together hold less than one dense matrix
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None, None))
+    # besides the H handed in, the basis and both oracles together hold less than one dense
+    # matrix: U is made one column block at a time and never held whole
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     size = LatticeSize(24)
     h = build_realspace(ANCHOR, size)
-    basis = build_momentum_basis(size)
-    assert _dense_peak(lambda: (block_check(h, basis, ANCHOR),
-                                spectral_mismatch(h, basis, ANCHOR))) < 1.0
+
+    def oracle():
+        basis = build_momentum_basis(size)
+        return block_check(h, basis, ANCHOR), spectral_mismatch(h, basis, ANCHOR)
+
+    assert _dense_peak(oracle) < 1.0
 
 
 @pytest.mark.parametrize("row_block", [None, 48])
@@ -299,13 +320,13 @@ def test_row_blocks_match_dense_transform(monkeypatch, n, row_block):
     rng = np.random.default_rng(200 + n)
     p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
     h = build_realspace(p, LatticeSize(n))
-    u = build_momentum_basis(LatticeSize(n)).u
+    u, _ = _loop_basis(n)
     m = u.conj().T @ h @ u
     nk = n * n
     i = np.arange(nk)
     want = m.reshape(nk, 2, nk, 2)[i, :, i, :]
     m.reshape(nk, 2, nk, 2)[i, :, i, :] = 0.0
-    blocks, offblock = lattice._transform(h, u)
+    blocks, offblock = lattice._transform(h, n)
     np.testing.assert_allclose(blocks, want, rtol=0, atol=1e-13)
     assert offblock == pytest.approx(np.max(np.abs(m)), abs=1e-13)
 
@@ -314,12 +335,12 @@ def _counted_transforms(monkeypatch):
     calls = []
     transform = lattice._transform
 
-    def counted(h, u):
+    def counted(h, n):
         calls.append(h.shape)
-        return transform(h, u)
+        return transform(h, n)
 
     monkeypatch.setattr(lattice, "_transform", counted)
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None, None))
+    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     return calls
 
 
@@ -343,37 +364,31 @@ def test_one_transform_per_lattice(monkeypatch):
     assert len(calls) == 2
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
     assert len(calls) == 2
-    # H with another read-only U is another transform: one column's sign flips its block
-    u = basis.u.copy()
-    u[:, 0] = -u[:, 0]
-    u.flags.writeable = False
-    assert block_check(h, MomentumBasis(u=u, momenta=basis.momenta, n=6), ANCHOR).blockdev > 0.1
-    assert len(calls) == 3
+    # the transform is H's alone: a basis built again shares it
+    assert block_check(h, build_momentum_basis(size), ANCHOR) == check
+    assert len(calls) == 2
     # a new lattice is a new transform, and the old one is then formed again
     block_check(build_realspace(ANCHOR, LatticeSize(4)), build_momentum_basis(LatticeSize(4)),
                 ANCHOR)
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
-    assert len(calls) == 5
+    assert len(calls) == 4
     # the memo holds no lattice alive
-    held = weakref.ref(h), weakref.ref(basis.u)
-    del h, basis
-    assert [r() for r in held] == [None, None]
+    held = weakref.ref(h)
+    del h
+    assert held() is None
 
 
 def test_builder_outputs_are_read_only():
     size = LatticeSize(4)
     h = build_realspace(ANCHOR, size)
-    basis = build_momentum_basis(size)
-    for a in (h, basis.u):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            a *= 2.0
-        with pytest.raises(ValueError):
-            a[:].flags.writeable = True  # nor through a view
+    with pytest.raises(ValueError, match="read-only"):
+        h[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        h *= 2.0
+    with pytest.raises(ValueError):
+        h[:].flags.writeable = True  # nor through a view
     assert build_realspace(ANCHOR, size).tobytes() == h.tobytes()
-    assert build_momentum_basis(size).u.tobytes() == basis.u.tobytes()
 
 
 def test_transform_follows_in_place_changes(monkeypatch):
@@ -414,18 +429,6 @@ def test_transform_follows_in_place_changes(monkeypatch):
     assert block_check(h, basis, ANCHOR) == bent_check
     _flip_bond(h, size.n)
     assert block_check(h, basis, ANCHOR) == check
-    # the basis too: flipping the sign of one column flips the off-diagonal entries of its
-    # block, in a writeable copy of U and in the builder's U with its writes enabled again
-    h = build_realspace(ANCHOR, size)
-    for u in (basis.u.copy(), basis.u):
-        changed = MomentumBasis(u=u, momenta=basis.momenta, n=size.n)
-        assert block_check(h, changed, ANCHOR) == check
-        u.flags.writeable = True
-        u[:, 0] = -u[:, 0]
-        assert block_check(h, changed, ANCHOR).blockdev > 0.1
-        assert spectral_mismatch(h, changed, ANCHOR) == mismatch  # the pair keeps its values
-        u[:, 0] = -u[:, 0]
-        assert block_check(h, changed, ANCHOR) == check
 
 
 def test_rebuilt_lattice_gets_its_own_transform(monkeypatch):

@@ -134,6 +134,12 @@ def test_loop_validation():
         Loop(center=Momentum(0, 0), radius=-1.0)
     with pytest.raises(ValueError):
         Loop(center=Momentum(0, 0), radius=0.1, samples=16)
+    # a circle of radius pi or more wraps the 2 pi torus and encloses no region: around the
+    # touching a 0.1 loop winds to 0.5, radii 4.0 and 7.0 wound to 1.0 and 1e308 to 7.5
+    for radius in (math.pi, 4.0, 7.0, 1e308):
+        with pytest.raises(ValueError, match=r"loop radius must lie in \(0, pi\)"):
+            Loop(center=Momentum(-math.pi / 3, -HALF_PI), radius=radius)
+    assert Loop(center=Momentum(0, 0), radius=math.nextafter(math.pi, 0.0)).radius < math.pi
 
 
 # ---------------------------------------------------------------- pinned values
@@ -775,6 +781,26 @@ def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
     with pytest.raises(NonQuantizedLoopError, match="raw angle 0.500000 turns") as info:
         winding_number(p, _GRAZING, kind)
     assert info.value.raw_angle == pytest.approx(0.5)
+
+
+def test_overflowing_field_is_a_winding_error():
+    # E^2 overflows on the loop: F used to reach round() as a NaN raw angle and raise a bare
+    # "cannot convert float NaN to integer", while E wound an infinite field.  The anchor
+    # scaled by 1e300 keeps the anchor's touchings, and there E read 0.0 around each of them
+    scaled = ModelParams(*(1e300 * x for x in (ANCHOR.J, ANCHOR.T, ANCHOR.t, ANCHOR.gamma)))
+    btps = locate_btps(ANCHOR)
+    around = [make_loop(b.k, btps) for b in btps]
+    assert {abs(winding_number(ANCHOR, lp, "E").value) for lp in around} == {0.0, 0.5}
+    loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = [o for p in (ModelParams(1.0, 1e300, 0.5, 1e-300),
+                                ModelParams(1e300, 1e300, 1e300, 1e300))
+                    for o in wind_loops(p, [loop])[0]]
+        outcomes += [o for pair in wind_loops(scaled, around) for o in pair]
+        with pytest.raises(WindingError, match="eigenvalue is not finite on the loop"):
+            winding_number(scaled, loop, "F")
+    assert {type(o) for o in outcomes} == {WindingError}
+    assert {str(o) for o in outcomes} == {"eigenvalue is not finite on the loop"}
 
 
 def test_winding_error_is_runtime_error():
