@@ -32,6 +32,7 @@ __all__ = [
     "bloch_field_grid",
     "right_eigvec",
     "observables_grid",
+    "zone_grid",
     "symmetry_residuals",
     "field_scale",
     "spectral_reality",
@@ -163,8 +164,9 @@ SYMMETRY_RELATIONS = (
 )
 
 
-def _zone_grid(grid_n: int):
-    """(kx, ky) meshes of the n x n zone grid 2 pi (i, j) / n, wrapped, with n >= 4."""
+def zone_grid(grid_n: int):
+    """(kx, ky) meshes of the n x n zone grid 2 pi (i, j) / n, wrapped, with n >= 4: the one
+    grid that the symmetry table, the spectral checks and the real-space oracle read."""
     if grid_n < 4:
         raise ValueError("grid_n must be at least 4")
     k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
@@ -184,7 +186,7 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
     """
     if field_fn is None:
         field_fn = bloch_field_grid
-    kx, ky = _zone_grid(grid_n)
+    kx, ky = zone_grid(grid_n)
     bx, by = field_fn(params, kx, ky)
     rows = []
     for name, rel in SYMMETRY_RELATIONS:
@@ -202,7 +204,7 @@ def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
 def field_scale(params: ModelParams, grid_n: int = 128) -> float:
     """Largest |Bx| or |By| on the zone grid of :func:`symmetry_residuals`: the scale its
     residuals are judged against, since they are rounding errors relative to |h|."""
-    bx, by = bloch_field_grid(params, *_zone_grid(grid_n))
+    bx, by = bloch_field_grid(params, *zone_grid(grid_n))
     return float(max(np.max(np.abs(bx)), np.max(np.abs(by))))
 
 
@@ -212,6 +214,6 @@ def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12)
     At t = 0 the model has PT- and CT-like products that force E^2 real, so
     this holds on the whole zone; any t != 0 generically breaks it.
     """
-    bx, by = bloch_field_grid(params, *_zone_grid(grid_n))
+    bx, by = bloch_field_grid(params, *zone_grid(grid_n))
     e = principal_sqrt(bx * bx + by * by)
     return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < tol))

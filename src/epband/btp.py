@@ -117,13 +117,13 @@ def face(params: ModelParams) -> Face:
 
     Each entry is 2i + 1 where :func:`merger_level` snaps the value onto the i-th mark,
     else 2i for the open interval below it.  The marks of c_+ and c_- are -2 and 2 at
-    t = 0 (|t| < 1e-12) and -1, 0 and 1 otherwise.  gamma/2|J| is placed against 0:
+    t = 0 (|t| < 1e-12 |J|) and -1, 0 and 1 otherwise.  gamma/2|J| is placed against 0:
     |gamma| <= 2|J| MERGER_TOL is gamma = 0, as is a gamma just past it that rounding
     leaves with both branches on one mark.  Both branch entries are then those of -T/2J,
     so no two branches share a mark.  An odd entry puts the point on a candidate line;
     points with equal faces lie in one face of the lines, where no touching merges.
     """
-    levels = _RING_LEVELS if abs(params.t) < _T_ZERO else _MERGER_LEVELS
+    levels = _RING_LEVELS if abs(params.t) < _T_ZERO * abs(params.J) else _MERGER_LEVELS
 
     def place(c, marks):
         m = merger_level(c, marks)
@@ -253,8 +253,9 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
         raise RuntimeError(f"ring vertex off the level set by {level_err:.3g}")
     bx, by = bloch_field_grid(params, verts[:, 0], verts[:, 1])
     abs_e = np.abs(principal_sqrt(bx * bx + by * by))
-    # on the ring |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|, which 0 < |t| < _T_ZERO lifts
-    if np.max(abs_e) >= 1e-6 + math.sqrt(8.0 * abs(params.gamma * params.t) + 16.0 * params.t**2):
+    # on the ring |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|, which 0 < |t| < _T_ZERO |J| lifts
+    lift = math.sqrt(8.0 * abs(params.gamma * params.t) + 16.0 * params.t**2)
+    if np.max(abs_e) >= 1e-6 * abs(params.J) + lift:
         raise RuntimeError(f"ring vertex with |E| = {np.max(abs_e):.3g}")
     return EpRing(verts, branch, c)
 

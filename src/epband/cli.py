@@ -340,6 +340,8 @@ def cmd_dispersion(args) -> int:
 
 def cmd_symmetry(args) -> int:
     params = _params(args)
+    if not 0.0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol!r}")
     rows = symmetry_residuals(params, grid_n=args.grid)
     worst = max(res for _, res in rows)
     passed = worst <= args.tol * field_scale(params, args.grid)  # --tol is relative to |h|
@@ -363,7 +365,7 @@ def cmd_realspace(args) -> int:
     basis = build_momentum_basis(size)
     check = block_check(h, basis, params)
     mismatch = spectral_mismatch(h, basis, params)
-    passed = check.passed and mismatch < 1e-10
+    passed = check.passed and mismatch < check.tol
     dump = ()
     if args.dump:
         rs, cs = np.nonzero(h)  # row-major order
@@ -380,7 +382,7 @@ def cmd_realspace(args) -> int:
         offblock=check.offblock,
         blockDeviation=check.blockdev,
         spectralMismatch=mismatch,
-        ordering=check.ordering,
+        ordering="AB",  # the basis's own sublattice order, the one block_check compares in
         passed=passed,
     )
     _atomic_write(*dump, (args.out or None, _chunks(args, report)))  # both files, or neither

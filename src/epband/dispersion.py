@@ -76,7 +76,7 @@ def sample_dispersion(params: ModelParams, origin: Momentum, direction, q) -> Di
     q = np.asarray(q, dtype=float)
     bx, by = bloch_field_grid(params, origin.kx + q * u[0], origin.ky + q * u[1])
     abs_e = np.abs(principal_sqrt(bx * bx + by * by))
-    if np.any(abs_e[q > 0] < 1e-14):
+    if np.any(abs_e[q > 0] < 1e-14 * abs(params.J)):
         raise ValueError("ray collides with another band touching")
     return DispersionSample(origin=origin, direction=u, q=q, abs_e=abs_e)
 

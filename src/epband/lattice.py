@@ -8,10 +8,11 @@ tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
 cross-check between the lattice and the closed-form field.  H is returned
 read-only, so the O(N^6) transform is formed once per lattice; copy H before
-editing it.  The basis holds only its momentum labels, and U is never held
-whole: the dense working set is H plus one row block of U^dag H and one
-column block of U.  H is filled in place, and the transform keeps only the
-2x2 diagonal blocks of the products it forms.
+editing it.  The basis holds only N, and U is never held whole: the dense
+working set is H plus one row block of U^dag H and one column block of U.
+H is filled in place, and the transform keeps only the 2x2 diagonal blocks
+of the products it forms.  Every block is compared in the basis's own
+sublattice order, and every tolerance is in units of |J|.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
+from .bloch import ModelParams, bloch_field_grid, principal_sqrt, zone_grid
 
 __all__ = [
     "LatticeSize",
@@ -31,8 +32,6 @@ __all__ = [
     "build_realspace",
     "build_momentum_basis",
     "block_check",
-    "block_spectrum",
-    "expected_spectrum",
     "spectral_mismatch",
 ]
 
@@ -91,16 +90,12 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumBasis:
-    """Unitary momentum-space basis; column 2i is (k_i, A), column 2i+1 is (k_i, B).
+    """Unitary momentum-space basis; column 2i is (k_i, A), column 2i+1 is (k_i, B), with k_i
+    the i-th point of :func:`~epband.bloch.zone_grid` (n) in row-major order.
 
-    It holds the labels only: the transform makes the columns of U from ``n``."""
+    It holds ``n`` only: the transform makes the columns of U from it."""
 
-    momenta: tuple
     n: int
-
-
-def _grid_angles(n: int) -> np.ndarray:
-    return wrap_angle(2.0 * np.pi * np.arange(n) / n)
 
 
 def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
@@ -110,21 +105,21 @@ def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
     j+l; B is the complement.  Columns are (1/N) exp(i(kx j + ky l)) on the
     corresponding sublattice support, with kx, ky on the 2*pi*m/N grid.
     """
-    k = _grid_angles(size.n).tolist()
-    return MomentumBasis(momenta=tuple(Momentum(x, y) for x in k for y in k), n=size.n)
+    return MomentumBasis(n=size.n)
 
 
 @dataclass(frozen=True)
 class BlockCheckResult:
-    """Deviations of U^dag H U from the direct sum of Bloch blocks."""
+    """Deviations of U^dag H U from the direct sum of Bloch blocks, and the tolerance
+    1e-10 |J| they are judged against: they are rounding errors relative to the couplings."""
 
     offblock: float
     blockdev: float
-    ordering: str
+    tol: float
 
     @property
     def passed(self) -> bool:
-        return max(self.offblock, self.blockdev) < 1e-10
+        return max(self.offblock, self.blockdev) < self.tol
 
 
 # The last transform's diagonal blocks and off-block maximum, with a weak reference to the
@@ -145,13 +140,13 @@ def _column_maker(n: int):
     even start and stop, filled from one (N^2, N^2) table of exp(i(kx j + ky l)) / N
     whose rows are the momenta in basis order and whose columns are the sites (j, l)."""
     dim = 2 * n * n
-    k = _grid_angles(n)
+    kx, ky = (k[:, :, None, None] for k in zone_grid(n))
     js, ls = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     table = np.empty((n, n, n * n), dtype=complex)
     # One kx row of momenta at a time, over (ky, j, l): freed (N^2, N^2) temporaries stay
     # resident on the heap and raise the peak RSS of an N = 6..24 sweep.
     for mx in range(n):
-        table[mx] = (np.exp(1j * (k[mx] * js + k[:, None, None] * ls)) / n).reshape(n, -1)
+        table[mx] = (np.exp(1j * (kx[mx] * js + ky[mx] * ls)) / n).reshape(n, -1)
     table = table.reshape(n * n, n * n)
     even = ((js + ls) % 2 == 0).ravel()
     site = (js * n + ls).ravel()
@@ -213,9 +208,9 @@ def _blocks(h: np.ndarray, basis: MomentumBasis):
     return blocks, offblock
 
 
-def _basis_field(params: ModelParams, basis: MomentumBasis):
-    kx, ky = np.array([k.xy for k in basis.momenta]).T
-    return bloch_field_grid(params, kx, ky)
+def _basis_field(params: ModelParams, n: int):
+    """(Bx, By) at the momenta of the basis, in its order."""
+    return bloch_field_grid(params, *(k.ravel() for k in zone_grid(n)))
 
 
 def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> BlockCheckResult:
@@ -223,46 +218,29 @@ def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> Blo
 
     offblock is the largest matrix element outside the 2x2 diagonal blocks;
     blockdev is the largest entrywise deviation of the blocks from the
-    analytic Bloch matrices, minimized over the two possible sublattice
-    orderings (reported as "AB" or "BA").
+    analytic [[By, Bx], [Bx, -By]], in the basis's own sublattice order.
     """
     blocks, offblock = _blocks(h, basis)
-    bx, by = _basis_field(params, basis)
+    bx, by = _basis_field(params, basis.n)
     hk = np.moveaxis(np.array([[by, bx + 0j], [bx + 0j, -by]]), -1, 0)
-    dev_ab = float(np.max(np.abs(blocks - hk)))
-    dev_ba = float(np.max(np.abs(blocks - hk[:, ::-1, ::-1])))
-    if dev_ab <= dev_ba:
-        return BlockCheckResult(offblock=offblock, blockdev=dev_ab, ordering="AB")
-    return BlockCheckResult(offblock=offblock, blockdev=dev_ba, ordering="BA")
-
-
-def block_spectrum(h: np.ndarray, basis: MomentumBasis) -> np.ndarray:
-    """All 2N^2 eigenvalues read off the transformed 2x2 blocks analytically.
-
-    Entries 2i and 2i+1 are the pair of the block at ``basis.momenta[i]``.
-    """
-    blocks, _ = _blocks(h, basis)
-    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    mean = 0.5 * (a + d)
-    root = principal_sqrt(mean * mean - (a * d - b * c))
-    return np.column_stack([mean + root, mean - root]).ravel()
-
-
-def expected_spectrum(params: ModelParams, basis: MomentumBasis) -> np.ndarray:
-    """+-E(k) over the finite momentum grid, in the order of :func:`block_spectrum`."""
-    bx, by = _basis_field(params, basis)
-    e = principal_sqrt(bx * bx + by * by)
-    return np.column_stack([e, -e]).ravel()
+    blockdev = float(np.max(np.abs(blocks - hk)))
+    return BlockCheckResult(offblock=offblock, blockdev=blockdev, tol=1e-10 * abs(params.J))
 
 
 def spectral_mismatch(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> float:
     """Max distance between each block's eigenvalue pair and +-E(k) at its momentum.
 
-    Each pair is matched to (E, -E) in the better of its two orders: a sort
-    is unstable when a +-E pair is purely imaginary up to rounding noise.
+    The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and
+    matched to (E, -E) in the better of its two orders: a sort is unstable when a
+    +-E pair is purely imaginary up to rounding noise.
     """
-    got = block_spectrum(h, basis).reshape(-1, 2)
-    e = expected_spectrum(params, basis)[0::2]
-    direct = np.maximum(np.abs(got[:, 0] - e), np.abs(got[:, 1] + e))
-    crossed = np.maximum(np.abs(got[:, 0] + e), np.abs(got[:, 1] - e))
+    blocks, _ = _blocks(h, basis)
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    mean = 0.5 * (a + d)
+    root = principal_sqrt(mean * mean - (a * d - b * c))
+    plus, minus = mean + root, mean - root
+    bx, by = _basis_field(params, basis.n)
+    e = principal_sqrt(bx * bx + by * by)
+    direct = np.maximum(np.abs(plus - e), np.abs(minus + e))
+    crossed = np.maximum(np.abs(plus + e), np.abs(minus - e))
     return float(np.max(np.minimum(direct, crossed)))

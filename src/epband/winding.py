@@ -123,13 +123,14 @@ def _wrap_steps(d):
     return np.subtract(np.pi, d, out=d)
 
 
-def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared):
-    """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays.
+def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared):
+    """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays; a field
+    below ``floor`` in magnitude somewhere on a loop collapses there.
 
     A loop whose ``shared`` entry is set already failed or needs refining
     for every kind and keeps that outcome.
     """
-    collapsed = (np.min(fx * fx + fy * fy, axis=1) < _FIELD_FLOOR**2).tolist()
+    collapsed = (np.min(fx * fx + fy * fy, axis=1) < floor * floor).tolist()
     d = _wrap_steps(np.diff(np.arctan2(fy, fx, out=fx), axis=1))  # fx is scratch
     raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
     coarse = (np.max(np.abs(d, out=d), axis=1) > 0.5 * np.pi).tolist()
@@ -167,22 +168,26 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
 
     Returns one tuple per loop with one outcome per kind: a WindingResult,
     the WindingError the loop hit, or a float, the raw angle of a pass that
-    needs more samples.
+    needs more samples.  Every floor on the field is in units of |J|, so scaling all
+    couplings together changes no outcome.
     """
     theta = 2.0 * np.pi * np.arange(m + 1) / m
     theta[m] = 0.0  # close each loop on the same matrix as its first sample
     cx, cy, r = np.array([[lp.center.kx, lp.center.ky, lp.radius] for lp in loops]).T[..., None]
     bx, by = bloch_field_grid(params, cx + r * np.cos(theta), cy + r * np.sin(theta))
-    # A loop through a defect gets 0/0 in its own rows only; its outcome is
-    # the defect error, whatever those rows hold.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h_small = (np.min(bx * bx + by.real**2 + by.imag**2, axis=1) < 1e-24).tolist()
+    # A loop through a defect gets 0/0 in its own rows only, and one whose field overflows
+    # inf in its own rows; its outcome is that error, whatever those rows hold.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        h2 = np.min(bx * bx + by.real**2 + by.imag**2, axis=1)
+        h_small = (h2 < 1e-24 * params.J * params.J).tolist()
         e = principal_sqrt(bx * bx + by * by)
         abs_e = np.abs(e)
         e_min = abs_e.min(axis=1).tolist()
-        e_max = abs_e.max(axis=1).tolist()  # inf or NaN where E^2 overflows
+        e_max = abs_e.max(axis=1)
         del abs_e
         a, b, norm = right_eigvec(bx, by, e)
+        # inf or NaN where E^2 overflows, or an eigenvector's norm does while E stays finite
+        finite = (np.isfinite(e_max) & np.isfinite(norm.max(axis=1))).tolist()
         a /= norm
         b /= norm
         del bx, by, norm  # keeps the peak low on refined loops
@@ -202,12 +207,13 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         margin_min = np.min(np.abs(stay, out=stay), axis=1).tolist()
         del stay, flip
         shared = []
+        e_floor = _FIELD_FLOOR * abs(params.J)
         for i in range(len(loops)):
-            if h_small[i]:
-                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
-            elif not math.isfinite(e_max[i]):
+            if not finite[i]:
                 shared.append(WindingError("eigenvalue is not finite on the loop"))
-            elif e_min[i] < _FIELD_FLOOR:
+            elif h_small[i]:
+                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
+            elif e_min[i] < e_floor:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             elif margin_min[i] < _TIE_TOL:
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
@@ -216,14 +222,14 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         swapped = parity[:, -1].tolist()
         per_kind = []
         for kind in kinds:
-            if kind == "F":
-                fx, fy = 2.0 * (ac * b).real, np.abs(a) ** 2
+            if kind == "F":  # normalized, so its floor is not scaled
+                fx, fy, floor = 2.0 * (ac * b).real, np.abs(a) ** 2, _FIELD_FLOOR
                 fy -= np.abs(b) ** 2
             else:
-                fx, fy = e.real.copy(), e.imag.copy()
+                fx, fy, floor = e.real.copy(), e.imag.copy(), e_floor
             fx *= sign
             fy *= sign
-            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, swapped, shared))
+            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, floor, swapped, shared))
     return list(zip(*per_kind))
 
 

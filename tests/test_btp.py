@@ -488,8 +488,9 @@ def test_one_level_rule_per_branch(j, at_zero, t, t_big, s, gamma, level_index, 
     is on a level."""
     levels = (-2.0, 2.0) if at_zero else (-1.0, 0.0, 1.0)
     level = levels[level_index % len(levels)]
-    p = ModelParams(J=j, T=s * gamma - 2.0 * j * (level + offset), t=t if at_zero else t_big,
-                    gamma=gamma)
+    # at_zero draws t = 0 or |t| = 5e-13 |J|, under the t = 0 floor 1e-12 |J| of face
+    p = ModelParams(J=j, T=s * gamma - 2.0 * j * (level + offset),
+                    t=t * abs(j) if at_zero else t_big, gamma=gamma)
     try:
         found, rings = locate_btps(p), []
     except RingRegimeError as exc:

@@ -286,11 +286,15 @@ def test_winding_loop_through_defect_exit3():
 
 
 def test_overflowing_field_exits_3():
-    # E^2 overflows on every loop: a WindingError naming it, where a bare ValueError
+    # the field overflows on every loop: a WindingError naming it, where a bare ValueError
     # "cannot convert float NaN to integer" used to exit 2
     for argv in (["winding", "--J", "1", "--T", "1e300", "--t", "0.5", "--gamma", "1e-300",
                   "--kx", "1", "--ky", "1"],
-                 ["btps", "--J", "1e300", "--T", "1e300", "--t", "1e300", "--gamma", "1e300"]):
+                 ["btps", "--J", "1e300", "--T", "1e300", "--t", "1e300", "--gamma", "1e300"],
+                 # E stays finite, but an eigenvector's norm overflows: this was read as tied
+                 # branch overlaps, a DegenerateTrackingError
+                 ["winding", "--J", "2e153", "--T", "6e153", "--t", "1e153", "--gamma", "1e153",
+                  "--kx", "1", "--ky", "1"]):
         proc = run_cli(*argv)
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.endswith("error: eigenvalue is not finite on the loop\n")
@@ -556,12 +560,13 @@ def test_symmetry_tol_is_relative_to_the_field():
     assert 7e-9 < report["maxResidual"] < 8e-9
 
 
-def test_symmetry_impossible_tol_exits_1():
-    # residuals can be exactly 0.0 on symmetric grids, so only a negative
-    # tolerance is guaranteed unreachable
-    proc = run_cli("symmetry", *ANCHOR_FLAGS, "--grid", "32", "--tol=-1")
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["passed"] is False
+def test_symmetry_rejects_a_bad_tol():
+    # a negative --tol used to fail the check (exit 1) with maxResidual 0.0, and nan or inf
+    # reached the report as a non-finite value
+    for tol in ("-1", "-1e-300", "nan", "inf"):
+        proc = run_cli("symmetry", *ANCHOR_FLAGS, "--grid", "32", f"--tol={tol}")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --tol must be finite and >= 0")
 
 
 def test_realspace_block_check(tmp_path):
@@ -608,6 +613,62 @@ def test_unwritable_out_names_the_path_given(tmp_path, capsys):
     argv = ["realspace", "--N", "4", "--dump", str(tmp_path / "h.csv"), "--out", str(out)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def _scaled_anchor(exp):
+    # the anchor couplings times 10^exp, spelled as one would type them
+    return ("--J", f"1e{exp}", "--T", f"-1.5e{exp}", "--t", f"5e{exp - 1}",
+            "--gamma", f"5e{exp - 1}")
+
+
+def _without_params(report):
+    del report["params"]
+    return report
+
+
+@pytest.mark.parametrize("exp", [-12, -9])
+def test_btps_census_is_scale_free(exp):
+    # every tolerance is in units of |J|: an absolute floor on |t| put the anchor at 1e-12 in
+    # the ring regime (exit 2), and one on |E| on the loop failed it at 1e-9 ("eigenvalue
+    # collapses on the loop", exit 3)
+    assert _without_params(run_json("btps", *_scaled_anchor(exp))) \
+        == _without_params(run_json("btps", *ANCHOR_FLAGS))
+
+
+def test_winding_is_scale_free():
+    # an absolute floor on |h|^2 read every loop of the anchor at 1e-12 as one through a defect
+    around = ("--kx", "-pi/2", "--ky", "-1.0471975511965983", "--loop-radius", "0.1")
+    for field in ("F", "E"):
+        got, want = (run_json("winding", *flags, *around, "--field", field)
+                     for flags in (_scaled_anchor(-12), ANCHOR_FLAGS))
+        assert want["value"] != 0.0
+        assert (got["value"], got["branchSwapped"]) == (want["value"], want["branchSwapped"])
+
+
+def test_ring_is_scale_free():
+    # the traced |E| on the ring grows as about 4e-8 |J|: at J = 100 it exceeded an absolute
+    # 1e-6 bound, and ring and btps --ring exited 3 with "ring vertex with |E| = 4.1e-06"
+    flags = [("--J", str(j), "--T", str(-0.5 * j), "--t", "0", "--gamma", str(0.5 * j))
+             for j in (100, 1)]
+    got, want = (_without_params(run_json("ring", *f, "--branch", "1", "--format", "json"))
+                 for f in flags)
+    assert got == want and got["count"] > 8
+    got, want = (_without_params(run_json("btps", *f, "--ring")) for f in flags)
+    assert got == want and len(got["rings"]) == 2
+
+
+def test_dispersion_is_scale_free():
+    # an absolute 1e-14 collision floor on |E| stopped the ray of the anchor at 1e-11 (exit 2)
+    ray = ("--kx", "0", "--ky", "pi/2", "--dx", "1", "--dy", "0")
+    got, want = (run_json("dispersion", *f, *ray) for f in (_scaled_anchor(-11), ANCHOR_FLAGS))
+    assert got["kind"] == want["kind"] == "HybridEP"
+    assert got["alpha"] == pytest.approx(want["alpha"], rel=1e-8)
+
+
+def test_realspace_gate_is_relative_to_j():
+    # blockDeviation 3.7e-9 at J = 1e6 is rounding: an absolute 1e-10 gate failed it (exit 1)
+    report = run_json("realspace", *_scaled_anchor(6), "--N", "6")
+    assert report["passed"] is True and report["blockDeviation"] > 1e-10
 
 
 def test_realspace_rejects_odd_side():

@@ -22,8 +22,8 @@ from epband import (
     spectral_mismatch,
 )
 from epband import lattice
-from epband.bloch import Momentum, wrap_angle
-from epband.lattice import MomentumBasis, block_spectrum, expected_spectrum, site_index
+from epband.bloch import Momentum, bloch_field_grid, principal_sqrt, wrap_angle, zone_grid
+from epband.lattice import site_index
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
@@ -101,20 +101,17 @@ def test_basis_unitary():
 
 
 def test_basis_holds_no_array():
-    # the basis is its momentum labels; the transform makes U's columns from n
-    basis = build_momentum_basis(LatticeSize(24))
-    assert [v for v in vars(basis).values() if isinstance(v, np.ndarray)] == []
-    assert len(basis.momenta) == 24 * 24 and basis.n == 24
+    # no array and no labels: the transform makes U's columns, and the checks the zone grid,
+    # from n
+    assert vars(build_momentum_basis(LatticeSize(24))) == {"n": 24}
 
 
 def test_basis_zero_momentum_column():
     # k = 0, sublattice A: amplitude 1/N on even-(j+l) sites of layer 2 and
     # odd-(j+l) sites of layer 1, zero elsewhere
     n = 4
-    basis = build_momentum_basis(LatticeSize(n))
-    k0 = next(
-        i for i, m in enumerate(basis.momenta) if abs(m.kx) < 1e-12 and abs(m.ky) < 1e-12
-    )
+    kx, ky = (k.ravel() for k in zone_grid(n))
+    (k0,) = np.flatnonzero((kx == 0.0) & (ky == 0.0))
     col = lattice._column_maker(n)(2 * k0, 2 * k0 + 2)[:, 0]
     for lam in (1, 2):
         for j in range(n):
@@ -166,51 +163,66 @@ def test_anchor_oracle_passes(n):
 
 
 def test_vectorized_blocks_match_loop_reference():
-    # one block, one momentum at a time, with the scalar math module
+    # one block, one momentum at a time, with the scalar math module and a numerical
+    # eigensolver; the blocks are compared in the A-then-B order the basis fixes
     rng = np.random.default_rng(12)
     p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
     size = LatticeSize(6)
     h = build_realspace(p, size)
     basis = build_momentum_basis(size)
-    u, _ = _loop_basis(6)
+    u, momenta = _loop_basis(6)
     m = u.conj().T @ h @ u
-    got, want = block_spectrum(h, basis), expected_spectrum(p, basis)
     outside = np.abs(m)
-    dev_ab = dev_ba = mismatch = 0.0
-    for i, k in enumerate(basis.momenta):
+    blockdev = mismatch = 0.0
+    for i, k in enumerate(momenta):
         block = m[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
         outside[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
         cx, cy = math.cos(k.kx), math.cos(k.ky)
         bx = 2.0 * p.J * (cx + cy) + p.T
         by = 4.0 * p.t * cx * cy + 1j * p.gamma
-        hk = np.array([[by, bx], [bx, -by]])
-        dev_ab = max(dev_ab, np.max(np.abs(block - hk)))
-        dev_ba = max(dev_ba, np.max(np.abs(block - hk[::-1, ::-1])))
+        blockdev = max(blockdev, np.max(np.abs(block - np.array([[by, bx], [bx, -by]]))))
         e = cmath.sqrt(bx * bx + by * by)
-        np.testing.assert_allclose(np.abs(want[2 * i : 2 * i + 2]), abs(e), atol=1e-14)
-        assert want[2 * i] == -want[2 * i + 1]
-        pair = np.sort_complex(got[2 * i : 2 * i + 2])
-        np.testing.assert_allclose(pair, np.sort_complex(np.linalg.eigvals(block)), atol=1e-12)
+        pair = np.linalg.eigvals(block)
         mismatch = max(mismatch, min(max(abs(pair[0] - e), abs(pair[1] + e)),
                                      max(abs(pair[0] + e), abs(pair[1] - e))))
     res = block_check(h, basis, p)
     assert res.offblock == np.max(outside)
-    assert res.blockdev == pytest.approx(min(dev_ab, dev_ba), abs=1e-14)
-    assert res.ordering == ("AB" if dev_ab <= dev_ba else "BA")
-    assert spectral_mismatch(h, basis, p) == pytest.approx(mismatch, abs=1e-14)
+    assert res.blockdev == pytest.approx(blockdev, abs=1e-14)
+    assert spectral_mismatch(h, basis, p) == pytest.approx(mismatch, abs=1e-12)
+
+
+def _zone_energies(p, n):
+    # E(k) on the n x n zone grid
+    bx, by = bloch_field_grid(p, *zone_grid(n))
+    return principal_sqrt(bx * bx + by * by)
 
 
 def test_spectral_mismatch_is_per_momentum():
-    # relabelling the momenta keeps the spectrum as a multiset but pairs each
-    # block with the wrong +-E(k); both checks must see it, also when the
-    # transform of the same H is already at hand from a passing check
+    # J -> -J moves every block to k + (pi, pi): the spectrum is the same multiset, but
+    # each block meets the wrong +-E(k).  Both checks must see it, also when the transform
+    # of the same H is already at hand from a passing check
     size = LatticeSize(6)
-    h = build_realspace(ANCHOR, size)
+    flipped = ModelParams(-ANCHOR.J, ANCHOR.T, ANCHOR.t, ANCHOR.gamma)
+    np.testing.assert_allclose(np.roll(_zone_energies(flipped, 6), (3, 3), axis=(0, 1)),
+                               _zone_energies(ANCHOR, 6), rtol=0, atol=1e-14)
+    h = build_realspace(flipped, size)
     basis = build_momentum_basis(size)
-    assert block_check(h, basis, ANCHOR).passed
-    shuffled = MomentumBasis(momenta=basis.momenta[1:] + basis.momenta[:1], n=6)
-    assert spectral_mismatch(h, shuffled, ANCHOR) > 0.1
-    assert not block_check(h, shuffled, ANCHOR).passed
+    assert block_check(h, basis, flipped).passed
+    assert spectral_mismatch(h, basis, flipped) < 1e-10
+    assert spectral_mismatch(h, basis, ANCHOR) > 1.0
+    assert not block_check(h, basis, ANCHOR).passed
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_block_check_compares_in_the_basis_sublattice_order(n):
+    # (t, gamma) -> (-t, -gamma) flips By, which swapping A and B would undo: a check that
+    # tried both orders let this lattice pass against the anchor
+    flipped = ModelParams(ANCHOR.J, ANCHOR.T, -ANCHOR.t, -ANCHOR.gamma)
+    h = build_realspace(flipped, LatticeSize(n))
+    basis = build_momentum_basis(LatticeSize(n))
+    assert block_check(h, basis, flipped).passed
+    res = block_check(h, basis, ANCHOR)
+    assert res.offblock < 1e-10 and res.blockdev > 1.0 and not res.passed
 
 
 def _loop_realspace(p, n):
@@ -268,10 +280,11 @@ def test_builders_byte_identical_to_site_loops(n):
     draws.append(ModelParams(-1.0, 0.0, -0.0, -0.0))
     for p in draws:
         assert build_realspace(p, LatticeSize(n)).tobytes() == _loop_realspace(p, n).tobytes()
-    basis = build_momentum_basis(LatticeSize(n))
     u, momenta = _loop_basis(n)
     assert _dense_u(n).tobytes() == u.tobytes()
-    assert basis.momenta == momenta
+    # the zone grid the checks read labels the columns as the loop does, bit for bit
+    kx, ky = (k.ravel().tolist() for k in zone_grid(n))
+    assert list(zip(kx, ky)) == [m.xy for m in momenta]
     # a column block of any even span is that slice of U, in a C-ordered array of its own
     columns = lattice._column_maker(n)
     for start, stop in ((0, 2), (2, 10), (n * n - 4, n * n + 6), (2 * n * n - 8, 2 * n * n)):
@@ -357,7 +370,6 @@ def test_one_transform_per_lattice(monkeypatch):
     basis = build_momentum_basis(size)
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
-    assert block_spectrum(h, basis).shape == (72,)
     assert len(calls) == 1
     # a writeable copy is transformed on its own and leaves the lattice's transform in place
     assert block_check(h.copy(), basis, ANCHOR) == check

@@ -354,14 +354,14 @@ def _labelled_census(p):
         return type(exc).__name__
 
 
-def _same_census(got, want):
-    # one to one, with positions to 1e-12 and every label exact
+def _same_census(got, want, tol=1e-12):
+    # one to one, with positions to tol and every label exact
     if isinstance(got, str) or isinstance(want, str):
         return got == want
     free = list(want)
     for k, *labels in got:
         match = next((w for w in free
-                      if torus_distance(k, w[0]) <= 1e-12 and list(w[1:]) == labels), None)
+                      if torus_distance(k, w[0]) <= tol and list(w[1:]) == labels), None)
         if match is None:
             return False
         free.remove(match)
@@ -410,6 +410,17 @@ def test_census_symmetry_group(p):
         image = [(Momentum(*op(k.kx, k.ky)), s, kind, det * wi, det * wii)
                  for k, s, kind, wi, wii in census]
         assert _same_census(image, census), (name, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_POINTS_FAMILIES, u=st.floats(-100.0, 100.0))
+def test_census_is_scale_free(p, u):
+    """Scaling every coupling by one factor changes no physics: the census keeps its kinds,
+    branches and windings exactly and its positions to 1e-9, or both raise alike.  Absolute
+    floors on |t| and on the field once put a scaled anchor in the ring regime or on a defect."""
+    scale = 10.0**u
+    scaled = ModelParams(scale * p.J, scale * p.T, scale * p.t, scale * p.gamma)
+    assert _same_census(_labelled_census(scaled), _labelled_census(p), tol=1e-9), (u, p)
 
 
 def test_scan_boundaries_straddling_diagonal():

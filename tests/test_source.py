@@ -87,6 +87,17 @@ def test_only_btp_puts_gamma_on_zero(path):
     assert found == []
 
 
+# bloch.zone_grid alone builds the zone grid that the symmetry table, the spectral checks and
+# the real-space oracle read: no other module makes momenta of its own that could disagree
+_ZONE_AXIS = "wrap_angle(2.0 * np.pi * np.arange("
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
+def test_only_bloch_builds_the_zone_grid(path):
+    found = path.read_text(encoding="utf-8").count(_ZONE_AXIS)
+    assert found == (1 if path.name == "bloch.py" else 0)
+
+
 # The winding kernel works on eigenvector components and the one norm right_eigvec returns:
 # no stacked (..., 2) arrays and no second norm pass over them
 _STACKED_PASSES = ("stack", "linalg.norm")
