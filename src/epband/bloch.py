@@ -209,11 +209,11 @@ def field_scale(params: ModelParams, grid_n: int = 128) -> float:
 
 
 def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12) -> bool:
-    """True iff every grid eigenvalue is purely real or purely imaginary.
+    """True iff every grid eigenvalue is purely real or purely imaginary, up to tol |J|.
 
     At t = 0 the model has PT- and CT-like products that force E^2 real, so
-    this holds on the whole zone; any t != 0 generically breaks it.
+    this holds on the whole zone; any t != 0 generically breaks it.  E is in units of |J|.
     """
-    bx, by = bloch_field_grid(params, *zone_grid(grid_n))
+    bx, by = (f / abs(params.J) for f in bloch_field_grid(params, *zone_grid(grid_n)))
     e = principal_sqrt(bx * bx + by * by)
     return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < tol))

@@ -1,4 +1,4 @@
-"""Locating and classifying band-touching points (BTPs).
+"""Locating and classifying band-touching points (BTPs), with their closed-form charges.
 
 For t != 0 every band touching is isolated and sits on one of the lines
 kx = +-pi/2 or ky = +-pi/2: solving Bx = +-gamma, By = +-i Bx gives
@@ -30,13 +30,13 @@ SEMI_DIRAC_POINT = "SemiDiracPoint"
 NORMAL_EP = "NormalEP"
 HYBRID_EP = "HybridEP"
 TRIVIAL_ISOLATED_EP = "TrivialIsolatedEP"
-# kind -> (|w_I| of its loop, order of E^2's zero on a ray or None on a merger level, caseId stem)
+# kind -> (order of E^2's zero on a ray or None on a merger level, caseId stem)
 KINDS = {
-    DIRAC_POINT: (1.0, 2, "dirac"),
-    SEMI_DIRAC_POINT: (0.0, None, "semidirac"),
-    NORMAL_EP: (0.5, 1, "normal"),
-    HYBRID_EP: (0.0, None, "hybrid"),
-    TRIVIAL_ISOLATED_EP: (0.0, None, "trivial"),
+    DIRAC_POINT: (2, "dirac"),
+    SEMI_DIRAC_POINT: (None, "semidirac"),
+    NORMAL_EP: (1, "normal"),
+    HYBRID_EP: (None, "hybrid"),
+    TRIVIAL_ISOLATED_EP: (None, "trivial"),
 }
 
 MERGER_TOL = 1e-9
@@ -53,17 +53,17 @@ class RingRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class Btp:
-    """One band-touching point.
+    """One band-touching point and its charges (w_I, w_II), as :func:`locate_btps` sets them.
 
     branch is +1 or -1 for the two gamma branches and 0 when they coincide
-    (gamma = 0).  Winding numbers are attached later by the phase pipeline.
+    (gamma = 0).
     """
 
     k: Momentum
     branch: int
     kind: str
-    w_i: float | None = None
-    w_ii: float | None = None
+    w_i: float
+    w_ii: float
 
 
 def branch_level(params: ModelParams, s: int) -> float:
@@ -161,7 +161,9 @@ def locate_btps(params: ModelParams) -> list[Btp]:
     branch with |c_s| <= 1 touches at |k_c| = arccos(c_s); on -1, 0 or 1 the
     points pair up into four merged ones.  At t = 0 a branch on -2 or 2 is the
     trivial EP at (pi, pi) or (0, 0), and any branch between them is a ring,
-    which raises RingRegimeError.  A gapped system returns an empty list.
+    which raises RingRegimeError.  A gapped system returns an empty list.  Each touching
+    carries its charges (w_I, w_II) in closed form, from the sign q of a 2x2 Jacobian: (q, 0)
+    on a Dirac point, (q/2, s q/2) on a normal EP of branch s, and (+0.0, +0.0) on the rest.
     """
     f = face(params)
     branches = (0,) if f.gamma == 1 else (1, -1)
@@ -176,17 +178,21 @@ def locate_btps(params: ModelParams) -> list[Btp]:
             pts = _t_zero_points(f, place)
             if pts is None:
                 rings.append(s)
-            btps.extend(Btp(Momentum(*xy), s, TRIVIAL_ISOLATED_EP) for xy in pts or ())
+            btps.extend(Btp(Momentum(*xy), s, TRIVIAL_ISOLATED_EP, 0.0, 0.0) for xy in pts or ())
             continue
         if not 0 < place < 2 * len(f.levels):
             continue  # past the outer marks: gapped
         level = f.level(place)
         kc = math.acos(branch_level(params, s) if level is None else level)
         kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
-        pts = [(k, h) for k in kcs for h in (_HALF_PI, -_HALF_PI)]
-        locs = dict.fromkeys(pts + [(h, k) for k, h in pts])
+        # q = sign(J t sin 2k_c sin k_perp) on a ky = +-pi/2 line, and -q with the axes swapped
+        pts = {(k, h): math.copysign(1.0, params.t / params.J * math.sin(2.0 * k) * math.sin(h))
+               for k in kcs for h in (_HALF_PI, -_HALF_PI)}  # t / J never underflows, J t may
+        locs = {**pts, **{(h, k): -q for (k, h), q in pts.items()}}
+        u = 0.0 if level is not None else 1.0 if s == 0 else 0.5  # |w_I|
         kinds = (DIRAC_POINT, SEMI_DIRAC_POINT) if s == 0 else (NORMAL_EP, HYBRID_EP)
-        btps.extend(Btp(Momentum(x, y), s, kinds[level is not None]) for x, y in locs)
+        btps.extend(Btp(Momentum(x, y), s, kinds[level is not None], u * q + 0.0, s * u * q + 0.0)
+                    for (x, y), q in locs.items())  # + 0.0 turns a -0.0 into +0.0
     if rings:
         raise RingRegimeError(
             "t = 0 with gamma != 0 puts the band touchings on rings "

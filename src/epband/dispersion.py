@@ -123,7 +123,7 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
     """
     if kind not in KINDS:
         return None
-    _, n, stem = KINDS[kind]
+    n, stem = KINDS[kind]
     u, f = _unit(direction), face(params)
     snapped = params if f.gamma != 1 else replace(params, gamma=0.0)
     if n is None:

@@ -232,15 +232,16 @@ def spectral_mismatch(h: np.ndarray, basis: MomentumBasis, params: ModelParams) 
 
     The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and
     matched to (E, -E) in the better of its two orders: a sort is unstable when a
-    +-E pair is purely imaginary up to rounding noise.
+    +-E pair is purely imaginary up to rounding noise.  Blocks and field are squared in
+    units of |J|, so no scale of the couplings overflows them, and the distance is scaled back.
     """
-    blocks, _ = _blocks(h, basis)
+    blocks = _blocks(h, basis)[0] / abs(params.J)
     a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
     mean = 0.5 * (a + d)
     root = principal_sqrt(mean * mean - (a * d - b * c))
     plus, minus = mean + root, mean - root
-    bx, by = _basis_field(params, basis.n)
+    bx, by = (f / abs(params.J) for f in _basis_field(params, basis.n))
     e = principal_sqrt(bx * bx + by * by)
     direct = np.maximum(np.abs(plus - e), np.abs(minus + e))
     crossed = np.maximum(np.abs(plus + e), np.abs(minus - e))
-    return float(np.max(np.minimum(direct, crossed)))
+    return float(np.max(np.minimum(direct, crossed))) * abs(params.J)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import ModelParams
-from .btp import KINDS, Btp, Face, face, locate_btps
+from .btp import Btp, Face, face, locate_btps
 from .winding import UnresolvedLoopError, WindingError, make_loop, settled, wind_loops
 
 __all__ = ["ConfigurationSignature", "PhaseCell", "PhaseGrid", "BoundaryReport", "signature",
@@ -102,24 +102,21 @@ def _discrete_label(b: Btp):
 
 
 def signature(params: ModelParams) -> ConfigurationSignature:
-    """Locate all band touchings, wind each loop, and assemble the census.
+    """Locate all band touchings with their charges, and confirm each by winding its loop.
 
     Every loop is built before any is wound, so a touching that no loop separates raises
     :class:`UnresolvedLoopError` at once.  The rest surface per touching, in order: its F
-    winding, its E winding, a |w_I| that breaks the kind :func:`locate_btps` set; last,
-    charges that do not sum to 0.
+    winding, its E winding, then windings that differ from the charges :func:`locate_btps`
+    set on it.
     """
     btps = locate_btps(params)
     loops = [make_loop(b.k, btps) for b in btps]
-    done = []
     for b, windings in zip(btps, wind_loops(params, loops)):
         wi, wii = (settled(w).value for w in windings)
-        if abs(wi) != KINDS[b.kind][0]:
-            raise UnresolvedLoopError(f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}")
-        done.append(replace(b, w_i=wi, w_ii=wii))
-    if sum(b.w_i for b in done) or sum(b.w_ii for b in done):  # the torus indices sum to 0
-        raise UnresolvedLoopError(f"charges {[(b.w_i, b.w_ii) for b in done]} do not sum to 0")
-    return ConfigurationSignature(tuple(done))
+        if (wi, wii) != (b.w_i, b.w_ii):
+            raise UnresolvedLoopError(f"windings ({wi:+g}, {wii:+g}) at {b.k.xy} contradict "
+                                      f"its {b.kind} charges ({b.w_i:+g}, {b.w_ii:+g})")
+    return ConfigurationSignature(tuple(btps))
 
 
 def census_type(sig: ConfigurationSignature):

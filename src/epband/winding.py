@@ -22,7 +22,7 @@ import numpy as np
 
 from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
                     torus_distance)
-from .btp import face, locate_btps
+from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
            "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
@@ -46,7 +46,7 @@ class DegenerateTrackingError(WindingError):
 
 
 class UnresolvedLoopError(WindingError):
-    """No loop resolves a touching: its partner is too close, or its winding breaks its kind."""
+    """No loop resolves a touching: its partner is too close, or it winds off its charges."""
 
 
 class NonQuantizedLoopError(WindingError):
@@ -269,6 +269,9 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
         return []
     if len({loop.samples for loop in loops}) > 1:
         raise ValueError("loops wound together must share a sample count")
+    # windings are scale-free, so wind in units of |J|; a ratio past the float range clamps to it
+    j, top = abs(params.J), np.finfo(float).max
+    params = ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
     first = _attempt(params, loops, loops[0].samples, kinds)
     no_swap = face(params).gamma == 1
     return [
@@ -305,13 +308,11 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
 
 
 def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
-    """Does the big loop's winding equal the sum over enclosed touchings?
+    """Does the big loop's winding equal the sum of the enclosed touchings' charges?
 
-    Checked for both field kinds.  Every listed touching must clear the loop
-    path by more than 1e-3 so that enclosure is unambiguous.  Each enclosed
-    touching's loop is sized off all that :func:`~epband.btp.locate_btps` finds, so
-    no loop swallows a partner left out of ``btps``.  Every loop is built before any
-    is wound, so one that no loop separates raises :class:`UnresolvedLoopError` at once.
+    Checked for both field kinds, against the (w_I, w_II) that
+    :func:`~epband.btp.locate_btps` sets on each touching.  Every listed touching must
+    clear the loop path by more than 1e-3 so that enclosure is unambiguous.
     """
     enclosed = []
     for b in btps:
@@ -320,11 +321,6 @@ def winding_additivity_check(params: ModelParams, btps, big_loop: Loop) -> bool:
             raise ValueError(f"band touching at {b.k.xy} sits on the loop path")
         if d < big_loop.radius:
             enclosed.append(b)
-    located = locate_btps(params)
-    parts = wind_loops(params, [make_loop(b.k, located) for b in enclosed])
-    totals = wind_loops(params, [big_loop])[0]
-    for i in range(2):  # F, then E
-        total = settled(totals[i]).value
-        if abs(total - sum(settled(p[i]).value for p in parts)) > 1e-9:
-            return False
-    return True
+    charges = (sum(b.w_i for b in enclosed), sum(b.w_ii for b in enclosed))
+    totals = wind_loops(params, [big_loop])[0]  # F, then E
+    return all(settled(total).value == charge for total, charge in zip(totals, charges))

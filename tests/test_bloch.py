@@ -395,12 +395,20 @@ def test_chiral_anticommutation_pointwise():
 # ---------------------------------------------------------------- reality at t=0
 
 
+# the verdict is scale-free: an absolute tol of 1e-12 read the anchor scaled by 1e-13 as real,
+# and E^2 overflowed to NaN at 1e200, where the t = 0 spectrum read as not real
+_SCALES = (1.0, 1e-13, 1e200)
+
+
 def test_spectral_reality_true_at_t_zero():
-    assert spectral_reality(ModelParams(1.0, 1.0, 0.0, 0.5), grid_n=64)
+    for scale in _SCALES:
+        assert spectral_reality(ModelParams(scale, scale, 0.0, 0.5 * scale), grid_n=64)
 
 
 def test_spectral_reality_false_generic():
-    assert not spectral_reality(ANCHOR, grid_n=64)
+    for scale in _SCALES:
+        scaled = ModelParams(scale, -1.5 * scale, 0.5 * scale, 0.5 * scale)
+        assert not spectral_reality(scaled, grid_n=64)
 
 
 def test_spectral_reality_hermitian():

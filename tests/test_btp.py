@@ -219,8 +219,8 @@ def refine_btps_numeric(params: ModelParams, coarse_n: int = 64, tol: float = 1e
     back to Bx = By = 0 when gamma = 0 makes Im E^2 vanish identically);
     minima whose seeds fail to converge in 50 steps are dropped with a
     warning.  Converged points are deduplicated on the torus (1e-4) and
-    tagged with the branch and kind inferred from cos kx + cos ky.  An empty
-    result simply means a gapped spectrum.
+    tagged with the branch and kind inferred from cos kx + cos ky; their charges are left
+    NaN.  An empty result simply means a gapped spectrum.
     """
     if coarse_n < 32:
         raise ValueError("coarse_n must be at least 32")
@@ -302,7 +302,7 @@ def refine_btps_numeric(params: ModelParams, coarse_n: int = 64, tol: float = 1e
         if abs(params.gamma) >= _T_ZERO:
             matches = [s for s in (1, -1) if abs(c - branch_level(params, s)) < level_tol]
             branch = matches[0] if len(matches) == 1 else 0
-        out.append(Btp(m, branch, _kind_from_level(params, c, level_tol)))
+        out.append(Btp(m, branch, _kind_from_level(params, c, level_tol), math.nan, math.nan))
     return _dedup_btps(_sorted_btps(out))
 
 

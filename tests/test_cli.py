@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -287,13 +288,18 @@ def test_winding_loop_through_defect_exit3():
 
 def test_overflowing_field_exits_3():
     # the field overflows on every loop: a WindingError naming it, where a bare ValueError
-    # "cannot convert float NaN to integer" used to exit 2
+    # "cannot convert float NaN to integer" used to exit 2.  Loops are wound in units of |J|,
+    # so only couplings far larger than J overflow
     for argv in (["winding", "--J", "1", "--T", "1e300", "--t", "0.5", "--gamma", "1e-300",
                   "--kx", "1", "--ky", "1"],
-                 ["btps", "--J", "1e300", "--T", "1e300", "--t", "1e300", "--gamma", "1e300"],
+                 ["btps", "--J", "1", "--T", "-1.5", "--t", "1e300", "--gamma", "0.5"],
+                 # T / |J| lies past the float range: it clamps to the largest float, which
+                 # overflows the field
+                 ["winding", "--J", "1e-10", "--T", "1e300", "--t", "0.5", "--gamma", "0.5",
+                  "--kx", "1", "--ky", "1"],
                  # E stays finite, but an eigenvector's norm overflows: this was read as tied
                  # branch overlaps, a DegenerateTrackingError
-                 ["winding", "--J", "2e153", "--T", "6e153", "--t", "1e153", "--gamma", "1e153",
+                 ["winding", "--J", "1", "--T", "1e154", "--t", "0.5", "--gamma", "0.5",
                   "--kx", "1", "--ky", "1"]):
         proc = run_cli(*argv)
         assert proc.returncode == 3 and proc.stdout == ""
@@ -326,7 +332,8 @@ def test_winding_swap_at_gamma_zero_exits_3(capsys):
     "flags, message",
     [
         (("--T", "-1", "--gamma", "1e-5"), "too close to separate"),  # partner EPs 1e-5 apart
-        (("--T", "-1.99998", "--gamma", "0"), "contradicts its kind"),  # aliased Dirac windings
+        # aliased Dirac windings
+        (("--T", "-1.99998", "--gamma", "0"), "contradict its DiracPoint charges"),
     ],
 )
 def test_btps_unresolved_touching_exits_3(flags, message):
@@ -626,23 +633,34 @@ def _without_params(report):
     return report
 
 
-@pytest.mark.parametrize("exp", [-12, -9])
-def test_btps_census_is_scale_free(exp):
+@pytest.mark.parametrize("exp", [-200, -12, -9, 300])
+def test_btps_census_is_scale_free(exp, capsys):
     # every tolerance is in units of |J|: an absolute floor on |t| put the anchor at 1e-12 in
     # the ring regime (exit 2), and one on |E| on the loop failed it at 1e-9 ("eigenvalue
-    # collapses on the loop", exit 3)
+    # collapses on the loop", exit 3).  Loops are wound in units of |J|: at 1e-200 |E| still
+    # fell below its floor, and at 1e300 E^2 overflowed ("eigenvalue is not finite", exit 3)
     assert _without_params(run_json("btps", *_scaled_anchor(exp))) \
         == _without_params(run_json("btps", *ANCHOR_FLAGS))
+    for flags in (_scaled_anchor(exp), ANCHOR_FLAGS):
+        assert cli.main(["btps", *flags, "--format", "csv"]) == 0
+    got, want = capsys.readouterr().out.split("kx,ky", 2)[1:]
+    assert got == want
 
 
 def test_winding_is_scale_free():
-    # an absolute floor on |h|^2 read every loop of the anchor at 1e-12 as one through a defect
+    # an absolute floor on |h|^2 read every loop of the anchor at 1e-12 as one through a defect,
+    # and E^2 overflowed on every loop of the anchor at 1e300 (exit 3)
     around = ("--kx", "-pi/2", "--ky", "-1.0471975511965983", "--loop-radius", "0.1")
-    for field in ("F", "E"):
+    for field, exp in itertools.product(("F", "E"), (-12, 300)):
         got, want = (run_json("winding", *flags, *around, "--field", field)
-                     for flags in (_scaled_anchor(-12), ANCHOR_FLAGS))
+                     for flags in (_scaled_anchor(exp), ANCHOR_FLAGS))
         assert want["value"] != 0.0
         assert (got["value"], got["branchSwapped"]) == (want["value"], want["branchSwapped"])
+    # E stays finite at 2e153, but an eigenvector's norm overflowed (exit 3)
+    at = ("--kx", "1", "--ky", "1")
+    got, want = (run_json("winding", "--J", j, "--T", big_t, "--t", t, "--gamma", t, *at)
+                 for j, big_t, t in (("2e153", "6e153", "1e153"), ("1", "3", "0.5")))
+    assert (got["value"], got["branchSwapped"]) == (want["value"], want["branchSwapped"])
 
 
 def test_ring_is_scale_free():
@@ -669,6 +687,14 @@ def test_realspace_gate_is_relative_to_j():
     # blockDeviation 3.7e-9 at J = 1e6 is rounding: an absolute 1e-10 gate failed it (exit 1)
     report = run_json("realspace", *_scaled_anchor(6), "--N", "6")
     assert report["passed"] is True and report["blockDeviation"] > 1e-10
+
+
+def test_realspace_mismatch_is_scale_free():
+    # spectral_mismatch squared block entries near 1e200: "non-finite value nan in report"
+    # (exit 2).  It squares them in units of |J| and scales the distance back
+    got, want = (run_json("realspace", *f, "--N", "6") for f in (_scaled_anchor(200), ANCHOR_FLAGS))
+    assert got["passed"] is True
+    assert got["spectralMismatch"] == pytest.approx(1e200 * want["spectralMismatch"], rel=1e-9)
 
 
 def test_realspace_rejects_odd_side():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,16 +133,16 @@ def test_signature_gapped_empty():
 
 
 def _first_sequential_error(params):
-    """The error of building every loop, then treating each touching in turn: F, E, kind law."""
-    law = {"DiracPoint": 1.0, "NormalEP": 0.5}
+    """The error of building every loop, then treating each touching in turn: F, E, charges."""
     btps = locate_btps(params)
     try:
         loops = [make_loop(b.k, btps) for b in btps]
         for b, loop in zip(btps, loops):
             wi = winding_number(params, loop, "F").value
-            winding_number(params, loop, "E")
-            if abs(wi) != law.get(b.kind, 0.0):
-                msg = f"w_I = {wi:+g} at {b.k.xy} contradicts its kind {b.kind}"
+            wii = winding_number(params, loop, "E").value
+            if (wi, wii) != (b.w_i, b.w_ii):
+                msg = (f"windings ({wi:+g}, {wii:+g}) at {b.k.xy} contradict its {b.kind} "
+                       f"charges ({b.w_i:+g}, {b.w_ii:+g})")
                 return UnresolvedLoopError(msg)
     except WindingError as exc:
         return exc
@@ -169,13 +170,14 @@ def test_signature_rejects_winding_against_kind(big_t):
     # near the semi-Dirac merger the 512-sample loops around the Dirac points alias to
     # w_I = 0 (at 2e-5) or +-1/2 (at 2e-4); the census must not relabel them.  A +-1/2 comes
     # with a branch swap, which no loop makes at gamma = 0, so those loops refine on to the
-    # true +-1; an aliased 0 breaks the kind law
+    # true +-1; an aliased 0 contradicts the touching's closed-form charges
     params = ModelParams(1.0, big_t, T05, 0.0)
     assert {b.kind for b in locate_btps(params)} == {"DiracPoint"}
     if big_t == -2.0 + 2e-4:
         assert [abs(b.w_i) for b in signature(params).btps] == [1.0] * 8
         return
-    with pytest.raises(UnresolvedLoopError, match="w_I = [+]0 .* contradicts its kind DiracPoint"):
+    with pytest.raises(UnresolvedLoopError,
+                       match=r"windings \([+]0, [+]0\) .* contradict its DiracPoint charges"):
         signature(params)
 
 
@@ -193,14 +195,14 @@ def test_gamma_zero_merger_draw_becomes_a_census(big_t):
 
 
 # 12 draws per family of the points benchmark; this seed gives censuses, and errors from
-# make_loop, from the kind law and from the tracking
+# make_loop, from the charge law and from the tracking
 _POINTS_DRAWS = BENCHMARK_WORKLOADS.draw_points(23, per_family=12)
 
 
 @pytest.mark.parametrize("params", [p for _, p in _POINTS_DRAWS],
                          ids=[f"{label}-{i}" for i, (label, _) in enumerate(_POINTS_DRAWS)])
 def test_signature_raises_first_sequential_error_on_points_draws(params):
-    # a census exactly when one loop per touching, wound on its own, breaks no law
+    # a census exactly when one loop per touching, wound on its own, winds its charges
     expected = _first_sequential_error(params)
     if expected is None:
         assert [b.k for b in signature(params).btps] == [b.k for b in locate_btps(params)]
@@ -213,8 +215,8 @@ def test_signature_raises_first_sequential_error_on_points_draws(params):
 
 @pytest.mark.parametrize("failing", [0, 2])
 def test_signature_raises_a_loop_error_before_winding(monkeypatch, failing):
-    # Every touching here breaks its kind's winding law, yet a loop that cannot be built
-    # for touching ``failing`` raises first: every loop is built before any is wound.
+    # Every touching here winds off its charges, yet a loop that cannot be built for
+    # touching ``failing`` raises first: every loop is built before any is wound.
     params = ModelParams(1.0, -2.0 + 2e-5, T05, 0.0)
     btps = locate_btps(params)
     real = epband.phase.make_loop
@@ -233,23 +235,67 @@ def test_signature_raises_a_loop_error_before_winding(monkeypatch, failing):
         signature(params)
 
 
+def _plant_flips(monkeypatch, flips):
+    """Make signature's loops wind -value for each (touching index, 0 for w_I or 1 for w_II)."""
+    real = epband.phase.wind_loops
+
+    def wind_loops_flipping(*args, **kwargs):
+        windings = [list(w) for w in real(*args, **kwargs)]
+        for i, kind in flips:
+            w = windings[i][kind]
+            windings[i][kind] = dataclasses.replace(w, value=-w.value)
+        return [tuple(w) for w in windings]
+
+    monkeypatch.setattr(epband.phase, "wind_loops", wind_loops_flipping)
+
+
+def _contradicts_at(b):
+    return re.escape(f"at {b.k.xy} contradict its {b.kind} charges")
+
+
 @pytest.mark.parametrize("kind", [0, 1])  # w_I, w_II
 def test_signature_rejects_a_census_that_is_not_charge_neutral(monkeypatch, kind):
     # the indices on the torus sum to 0: one planted sign flip must not pass as a census
     params = ModelParams(1.0, -1.5, T05, 0.5)
-    sig = signature(params)
-    assert sum(b.w_i for b in sig.btps) == sum(b.w_ii for b in sig.btps) == 0.0
-    real = epband.phase.wind_loops
-
-    def wind_loops_flipping_one(*args, **kwargs):
-        windings = [list(w) for w in real(*args, **kwargs)]
-        flipped = next(w for w in windings if w[kind].value != 0.0)
-        flipped[kind] = dataclasses.replace(flipped[kind], value=-flipped[kind].value)
-        return [tuple(w) for w in windings]
-
-    monkeypatch.setattr(epband.phase, "wind_loops", wind_loops_flipping_one)
-    with pytest.raises(UnresolvedLoopError, match="do not sum to 0"):
+    btps = signature(params).btps
+    assert sum(b.w_i for b in btps) == sum(b.w_ii for b in btps) == 0.0
+    i = next(i for i, b in enumerate(btps) if (b.w_i, b.w_ii)[kind] != 0.0)
+    _plant_flips(monkeypatch, [(i, kind)])
+    with pytest.raises(UnresolvedLoopError, match=_contradicts_at(btps[i])):
         signature(params)
+
+
+# normal EPs (+-1/2, -+1/2) beside hybrid EPs (0, 0), and eight Dirac points (+-1, 0)
+_FLIPPED_CENSUSES = [ModelParams(1.0, -1.5, T05, 0.5), ModelParams(1.0, -1.0, T05, 0.0)]
+
+
+@pytest.mark.parametrize("params", _FLIPPED_CENSUSES, ids=["normal", "dirac"])
+def test_signature_rejects_any_one_flipped_loop(monkeypatch, params):
+    # each loop must wind its own touching's charges: a flip of any one nonzero w_I or w_II
+    # raises at that touching
+    btps = signature(params).btps
+    flips = [(i, kind) for i, b in enumerate(btps) for kind in (0, 1) if (b.w_i, b.w_ii)[kind]]
+    assert len(flips) in (8, 16)
+    for i, kind in flips:
+        with monkeypatch.context() as m:
+            _plant_flips(m, [(i, kind)])
+            with pytest.raises(UnresolvedLoopError, match=_contradicts_at(btps[i])):
+                signature(params)
+
+
+@pytest.mark.parametrize("params", _FLIPPED_CENSUSES, ids=["normal", "dirac"])
+def test_signature_rejects_sign_flips_that_keep_both_sums(monkeypatch, params):
+    # two touchings of opposite charges, both flipped: every |w_I| still fits its kind and
+    # both sums stay 0, so only the per-touching law catches it, at the first of the two
+    btps = signature(params).btps
+    pairs = [(i, j) for i, a in enumerate(btps) for j, b in enumerate(btps)
+             if i < j and a.w_i and (a.w_i, a.w_ii) == (-b.w_i, -b.w_ii)]
+    assert len(pairs) == 16
+    for i, j in pairs:
+        with monkeypatch.context() as m:
+            _plant_flips(m, [(x, kind) for x in (i, j) for kind in (0, 1)])
+            with pytest.raises(UnresolvedLoopError, match=_contradicts_at(btps[i])):
+                signature(params)
 
 
 @pytest.mark.parametrize("gamma", [1e-5, 3e-5])
@@ -413,11 +459,12 @@ def test_census_symmetry_group(p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=_POINTS_FAMILIES, u=st.floats(-100.0, 100.0))
+@given(p=_POINTS_FAMILIES, u=st.floats(-300.0, 300.0))
 def test_census_is_scale_free(p, u):
     """Scaling every coupling by one factor changes no physics: the census keeps its kinds,
     branches and windings exactly and its positions to 1e-9, or both raise alike.  Absolute
-    floors on |t| and on the field once put a scaled anchor in the ring regime or on a defect."""
+    floors on |t| and on the field once put a scaled anchor in the ring regime or on a defect,
+    and a field wound at scale 1e+-200 over- or underflowed."""
     scale = 10.0**u
     scaled = ModelParams(scale * p.J, scale * p.T, scale * p.t, scale * p.gamma)
     assert _same_census(_labelled_census(scaled), _labelled_census(p), tol=1e-9), (u, p)

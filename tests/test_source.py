@@ -65,6 +65,21 @@ def test_only_btp_names_the_touching_kinds(path):
     assert found == (list(_KIND_NAMES) if path.name == "btp.py" else [])
 
 
+# btp.locate_btps alone sets a touching's charges, in closed form: no other module builds a Btp
+# or passes w_i= or w_ii=, and KINDS keeps no |w_I| column beside each kind's order and stem
+def test_only_btp_sets_charges():
+    builders, keywords = [], []
+    for path in SOURCES:
+        calls = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(n, ast.Call)]
+        if any(ast.unparse(n.func).split(".")[-1] == "Btp" for n in calls):
+            builders.append(path.name)
+        keywords += [f"{path.name}:{n.lineno}" for n in calls for kw in n.keywords
+                     if kw.arg in ("w_i", "w_ii")]
+    assert builders == ["btp.py"] and keywords == []
+    assert {len(entry) for entry in epband.btp.KINDS.values()} == {2}
+
+
 # btp.face alone decides where gamma = 0 is: it puts 0 < |gamma| <= 2|J| 1e-9 there too.  No
 # other module compares gamma with 0, so none keeps a gamma = 0 of its own
 def _names_gamma(node):

@@ -66,12 +66,11 @@ def _hermitian_draw(rng):
     return ModelParams(J=1.0, T=big_t, t=rng.uniform(0.2, 0.8), gamma=0.0)
 
 
-def _untracked_winding(params, loop, planar):
+def _untracked_winding(params, loop, planar, m=1024):
     """Turns of ``planar(Bx, By) -> (x, y)`` around the loop; no branch tracking.
 
-    Samples double until no step turns by more than pi/4.
+    Samples double from ``m`` until no step turns by more than pi/4.
     """
-    m = 1024
     while True:
         theta = 2.0 * np.pi * np.arange(m + 1) / m
         bx, by = bloch_field_grid(
@@ -631,6 +630,30 @@ def test_hermitian_texture_is_field_winding_near_merger():
     _assert_texture_is_field_winding(ModelParams(1.0, -2.0 + 2e-5, 0.5, 0.0))
 
 
+def _small_t_hermitian_draws(seed=12):
+    """gamma = 0 draws at |t/J| around 1e-3, 1e-2 and 1e-1, clear of the mergers at T in
+    {0, +-2J}, and T = -2 + 2e-5 next to the semi-Dirac merger."""
+    rng = np.random.default_rng(seed)
+    for e in (-3.0, -2.0, -1.0):
+        for _ in range(4):
+            big_t = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.95)
+            t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(e - 0.5, e + 0.5)
+            yield ModelParams(1.0, big_t, t, 0.0)
+    yield ModelParams(1.0, -2.0 + 2e-5, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("params", list(_small_t_hermitian_draws()))
+def test_charge_rule_is_the_untracked_field_winding(params):
+    # at gamma = 0, w_I of a Dirac point is the degree of (Bx, Re By) around it.  Here the
+    # census's tracked 512-sample loops fail generically, yet the closed-form charge that
+    # locate_btps sets equals the untracked winding at 2^16 samples or more
+    btps = locate_btps(params)
+    assert [b.kind for b in btps] == ["DiracPoint"] * 8
+    for b in btps:
+        turns = _untracked_winding(params, make_loop(b.k, btps), _hermitian_field, m=2**16)
+        assert (b.w_i, b.w_ii) == (pytest.approx(turns, abs=1e-6), 0.0)
+
+
 # gamma = 0 and |t/J| = 1e-3: the Dirac cone is so anisotropic that the Bloch vector turns by
 # about pi within a short arc of the loop, and overlap tracking swaps branches twice there
 _SMALL_T = ModelParams(1.0, -1.0, 0.001, 0.0)
@@ -681,41 +704,30 @@ def test_additivity_check_passes():
 
 @pytest.mark.parametrize("gamma", [1e-10, -1e-10, 5e-10])
 def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
-    # |gamma| <= 2|J| 1e-9 snaps onto gamma = 0: one Dirac point where the partner EPs
-    # lie within make_loop's 1e-9 self-match, whose loop encloses both
+    # |gamma| <= 2|J| 1e-9 snaps onto gamma = 0: one Dirac point where the partner EPs lie
     big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05, samples=1024)
     p = ModelParams(1.0, -1.0, 0.5, gamma)
     assert signature(p).btps == signature(dataclasses.replace(p, gamma=0.0)).btps
     assert winding_additivity_check(p, locate_btps(p), big)
-    # past the snap the partner lies 3.5e-9 off and no loop separates the two
+    # past the snap the partner lies 3.5e-9 off and no loop separates the two, so the census
+    # raises; the big loop needs no loop per touching and winds the pair's summed charges,
+    # which neither touching carries alone
     p = ModelParams(1.0, -1.0, 0.5, math.copysign(3e-9, gamma))
     btps = locate_btps(p)
     assert {b.kind for b in btps} == {"NormalEP"}
     with pytest.raises(UnresolvedLoopError, match="too close to separate"):
-        winding_additivity_check(p, btps, big)
-    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
         signature(p)
+    pair = [b for b in btps if torus_distance(b.k, big.center) < big.radius]
+    assert len(pair) == 2 and winding_additivity_check(p, btps, big)
+    for left_out in pair:
+        assert not winding_additivity_check(p, [b for b in btps if b is not left_out], big)
     p = ModelParams(1.0, -1.0, 0.5, 0.05)
     assert winding_additivity_check(p, locate_btps(p), big)
 
 
-def test_additivity_raises_an_unseparated_touching_before_winding(monkeypatch):
-    # the partner EPs lie 3.5e-9 apart: their loops fail to build before the big loop is wound
-    p = ModelParams(1.0, -1.0, 0.5, 3e-9)
-    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05)
-
-    def wind_loops_unreachable(*args, **kwargs):
-        raise AssertionError("a loop was wound before every loop was built")
-
-    monkeypatch.setattr(epband.winding, "wind_loops", wind_loops_unreachable)
-    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
-        winding_additivity_check(p, locate_btps(p), big)
-
-
 def test_additivity_check_fails_when_an_enclosed_touching_is_left_out():
-    # with one touching of the enclosed pair left out, the parts miss half of the unit charge.
-    # Each part's loop is sized off every located touching, so at gamma = 0.01 (acceptance
-    # 3's pair, 0.0115 apart) the kept one's loop does not swallow the one left out
+    # with one touching of the enclosed pair left out, the charges miss half of the unit
+    # charge; at gamma = 0.01 acceptance 3's pair lies 0.0115 apart
     for gamma, radius in ((0.5, 0.4), (0.01, 0.05)):
         p = ModelParams(1.0, -1.0, 0.5, gamma)
         btps = locate_btps(p)
@@ -784,23 +796,36 @@ def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
 
 
 def test_overflowing_field_is_a_winding_error():
-    # E^2 overflows on the loop: F used to reach round() as a NaN raw angle and raise a bare
-    # "cannot convert float NaN to integer", while E wound an infinite field.  The anchor
-    # scaled by 1e300 keeps the anchor's touchings, and there E read 0.0 around each of them
-    scaled = ModelParams(*(1e300 * x for x in (ANCHOR.J, ANCHOR.T, ANCHOR.t, ANCHOR.gamma)))
-    btps = locate_btps(ANCHOR)
-    around = [make_loop(b.k, btps) for b in btps]
-    assert {abs(winding_number(ANCHOR, lp, "E").value) for lp in around} == {0.0, 0.5}
+    # E^2 overflows on the loop at T = 1e300: F used to reach round() as a NaN raw angle and
+    # raise a bare "cannot convert float NaN to integer", while E wound an infinite field.  At
+    # T = 1e154 E stays finite but an eigenvector's norm overflows, once read as tied overlaps
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = [o for p in (ModelParams(1.0, 1e300, 0.5, 1e-300),
-                                ModelParams(1e300, 1e300, 1e300, 1e300))
+                                ModelParams(1.0, 1e154, 0.5, 0.5))
                     for o in wind_loops(p, [loop])[0]]
-        outcomes += [o for pair in wind_loops(scaled, around) for o in pair]
         with pytest.raises(WindingError, match="eigenvalue is not finite on the loop"):
-            winding_number(scaled, loop, "F")
+            winding_number(ModelParams(1.0, 1e300, 0.5, 1e-300), loop, "F")
     assert {type(o) for o in outcomes} == {WindingError}
     assert {str(o) for o in outcomes} == {"eigenvalue is not finite on the loop"}
+
+
+@pytest.mark.parametrize("base, scale", [(ANCHOR, 1e300), (ANCHOR, 1e-200),
+                                         (ModelParams(1.0, 3.0, 0.5, 0.5), 2e153)],
+                         ids=["anchor-1e300", "anchor-1e-200", "gapped-2e153"])
+def test_windings_are_scale_free(base, scale):
+    # loops are wound in units of |J|.  The anchor scaled by 1e300 overflowed E^2 on every
+    # loop ("eigenvalue is not finite"), where E read 0.0 around every touching before; at
+    # 1e-200 |E| fell below its floor ("eigenvalue collapses"); and at 2e153 the gapped base
+    # kept E finite but overflowed an eigenvector's norm
+    scaled = ModelParams(*(scale * x for x in dataclasses.astuple(base)))
+    btps = locate_btps(ANCHOR)
+    loops = [make_loop(b.k, btps) for b in btps] + [Loop(center=Momentum(1.0, 1.0), radius=0.1)]
+    want = [[(w.value, w.branch_swapped) for w in pair] for pair in wind_loops(base, loops)]
+    if base == ANCHOR:
+        assert {abs(pair[1][0]) for pair in want} == {0.0, 0.5}
+    got = [[(w.value, w.branch_swapped) for w in pair] for pair in wind_loops(scaled, loops)]
+    assert got == want
 
 
 def test_winding_error_is_runtime_error():
