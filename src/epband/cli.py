@@ -95,7 +95,7 @@ def parse_angle(text: str) -> float:
 
 
 def parse_range(text: str):
-    """(lo, hi) from "lo:hi"."""
+    """(lo, hi) from "lo:hi", both finite."""
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
@@ -103,6 +103,8 @@ def parse_range(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"range must look like lo:hi, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"range bounds must be finite, got {text!r}")
     return lo, hi
 
 

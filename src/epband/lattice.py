@@ -8,7 +8,7 @@ tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
 cross-check between the lattice and the closed-form field.  H is returned
 read-only, so the O(N^6) transform is formed once per lattice; copy H before
-editing it.  The basis holds only N, and U is never held whole: the dense
+editing it.  The basis is the lattice size, and U is never held whole: the dense
 working set is H plus one row block of U^dag H and one column block of U.
 H is filled in place, and the transform keeps only the 2x2 diagonal blocks
 of the products it forms.  Every block is compared in the basis's own
@@ -26,7 +26,6 @@ from .bloch import ModelParams, bloch_field_grid, principal_sqrt, zone_grid
 
 __all__ = [
     "LatticeSize",
-    "MomentumBasis",
     "BlockCheckResult",
     "site_index",
     "build_realspace",
@@ -88,24 +87,16 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class MomentumBasis:
-    """Unitary momentum-space basis; column 2i is (k_i, A), column 2i+1 is (k_i, B), with k_i
-    the i-th point of :func:`~epband.bloch.zone_grid` (n) in row-major order.
-
-    It holds ``n`` only: the transform makes the columns of U from it."""
-
-    n: int
-
-
-def build_momentum_basis(size: LatticeSize) -> MomentumBasis:
+def build_momentum_basis(size: LatticeSize) -> LatticeSize:
     """Plane-wave sublattice basis that block-diagonalizes the Hamiltonian.
 
     Sublattice A collects layer-2 sites on even j+l and layer-1 sites on odd
     j+l; B is the complement.  Columns are (1/N) exp(i(kx j + ky l)) on the
-    corresponding sublattice support, with kx, ky on the 2*pi*m/N grid.
+    corresponding sublattice support: column 2i is (k_i, A) and 2i+1 is (k_i, B), with k_i
+    the i-th point of :func:`~epband.bloch.zone_grid` (N) in row-major order.  N is all
+    the basis holds, so it is the size itself: the transform makes the columns of U from it.
     """
-    return MomentumBasis(n=size.n)
+    return size
 
 
 @dataclass(frozen=True)
@@ -191,10 +182,10 @@ def _transform(h: np.ndarray, n: int):
     return blocks, float(np.max(peaks))
 
 
-def _blocks(h: np.ndarray, basis: MomentumBasis):
+def _blocks(h: np.ndarray, basis: LatticeSize):
     """:func:`_transform` of H, reused while H is the same read-only array."""
     global _last_transform
-    dim = 2 * basis.n * basis.n
+    dim = basis.dim
     if h.shape != (dim, dim):
         raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
     # a writeable array, or a view whose base may be made writeable, is transformed every call
@@ -213,7 +204,7 @@ def _basis_field(params: ModelParams, n: int):
     return bloch_field_grid(params, *(k.ravel() for k in zone_grid(n)))
 
 
-def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> BlockCheckResult:
+def block_check(h: np.ndarray, basis: LatticeSize, params: ModelParams) -> BlockCheckResult:
     """Transform H to the momentum basis and compare against h(k) blocks.
 
     offblock is the largest matrix element outside the 2x2 diagonal blocks;
@@ -227,7 +218,7 @@ def block_check(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> Blo
     return BlockCheckResult(offblock=offblock, blockdev=blockdev, tol=1e-10 * abs(params.J))
 
 
-def spectral_mismatch(h: np.ndarray, basis: MomentumBasis, params: ModelParams) -> float:
+def spectral_mismatch(h: np.ndarray, basis: LatticeSize, params: ModelParams) -> float:
     """Max distance between each block's eigenvalue pair and +-E(k) at its momentum.
 
     The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and

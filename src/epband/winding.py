@@ -7,7 +7,7 @@ sigma_y h sigma_y = -h, makes sigma_y v the -E eigenvector of the +E
 eigenvector v, with F(sigma_y v) = -F(v).  Tracking picks, sample by sample,
 v or sigma_y v by the larger overlap magnitude against the previous one;
 encircling an exceptional point swaps the branch after one turn and the
-winding lands on a half-odd value.
+winding lands on a half-odd value.  At gamma = 0 no branch swaps, and none is tracked.
 Results are snapped to the nearest half-integer and the snap residual is
 reported.  :func:`wind_loops` winds many loops and both kinds in one pass
 over a (loops, samples) array; :func:`winding_number` is its one-loop case.
@@ -200,7 +200,9 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         np.multiply(bc[:, :-1], a[:, 1:], out=y)
         flip = np.abs(np.subtract(x, y, out=x))
         del x, y, bc  # F needs only a, b and ac
-        parity = np.logical_xor.accumulate(flip > stay, axis=1)
+        # where face puts gamma on 0, h is real symmetric and E >= 0: +E is one global branch
+        track = face(params).gamma != 1
+        parity = np.logical_xor.accumulate((flip > stay) & track, axis=1)
         sign = np.ones((len(loops), m + 1))
         sign[:, 1:][parity] = -1.0
         stay -= flip
@@ -215,7 +217,7 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < e_floor:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif margin_min[i] < _TIE_TOL:
+            elif track and margin_min[i] < _TIE_TOL:
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
@@ -233,14 +235,10 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     return list(zip(*per_kind))
 
 
-def _refine(params: ModelParams, loop: Loop, kind: str, outcome, no_swap: bool):
-    """Double this loop's samples, on its own, until ``outcome`` settles.  Where
-    :func:`~epband.btp.face` puts gamma on 0 (``no_swap``), h is real symmetric and no loop
-    swaps branches: a swap needs more samples, as a coarse step does."""
+def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
+    """Double this loop's samples, on its own, until ``outcome`` settles."""
     m = loop.samples
     while True:
-        if isinstance(outcome, WindingResult) and outcome.branch_swapped and no_swap:
-            outcome = outcome.raw_angle
         if not isinstance(outcome, float):
             return outcome
         if m >= MAX_SAMPLES:
@@ -273,9 +271,8 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     j, top = abs(params.J), np.finfo(float).max
     params = ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
     first = _attempt(params, loops, loops[0].samples, kinds)
-    no_swap = face(params).gamma == 1
     return [
-        tuple(_refine(params, loop, kind, out, no_swap) for kind, out in zip(kinds, outcomes))
+        tuple(_refine(params, loop, kind, out) for kind, out in zip(kinds, outcomes))
         for loop, outcomes in zip(loops, first)
     ]
 
@@ -298,10 +295,10 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
         the -E branch would flip the sign of F and E everywhere, which
         leaves every winding unchanged.
 
-    The sample count doubles (up to 2^16) whenever some wrapped angle step
-    exceeds pi/2, or the loop swaps branches where :func:`~epband.btp.face`
-    puts gamma on 0; if it still does, or the total fails to quantize, the raw
-    angle is reported in a :class:`NonQuantizedLoopError`.
+    Where :func:`~epband.btp.face` puts gamma on 0, no branch is tracked: F is then the
+    field's own direction (Bx, By) / E.  The sample count doubles (up to 2^16) whenever
+    some wrapped angle step exceeds pi/2; if it still does, or the total fails to
+    quantize, the raw angle is reported in a :class:`NonQuantizedLoopError`.
     """
     ((outcome,),) = wind_loops(params, [loop], (field_kind,))
     return settled(outcome)

@@ -61,9 +61,18 @@ def test_parse_range():
     import argparse
 
     assert parse_range("-2:2") == (-2.0, 2.0)
-    for bad in ("1:2:3", "a:b", "7"):
+    for bad in ("1:2:3", "a:b", "7", "0:inf", "nan:1", "-inf:0"):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_range(bad)
+
+
+def test_scan_refuses_a_non_finite_range_bound():
+    # an infinite bound once reached the grid: numpy warned "invalid value encountered in
+    # multiply" and the scan failed on a gamma of nan that was never given
+    proc = run_cli("scan", "--res", "8", "--gamma-range", "0:inf", "--t", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "range bounds must be finite, got '0:inf'" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("spelled, plain", [
@@ -317,27 +326,33 @@ def test_winding_rejects_a_loop_that_wraps_the_torus(capsys, radius):
 
 
 def test_winding_swap_at_gamma_zero_exits_3(capsys):
-    # the loop misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no touching; at
-    # gamma = 0 its swapped half turn is no winding, however many samples it takes.  At
-    # 5e-10 it encloses one EP of the split pair, yet btp.face puts that gamma on 0
+    # the loop misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no touching.
+    # Tracking once swapped branches on it and wound a half turn; at gamma = 0 no branch is
+    # tracked, and the field turns too fast beside the Dirac point to settle at any sample
+    # count.  At 5e-10 it encloses one EP of the split pair, yet btp.face puts that gamma on 0
     for gamma in ("0", "5e-10"):
         argv = ["winding", "--J", "1", "--T", "-1", "--t", "0.5", "--gamma", gamma, "--kx",
                 "1.1471975512965977", "--ky", "pi/2", "--loop-radius", "0.1", "--field", "F"]
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: winding failed to quantize, raw angle 0.500000 turns\n"
+        assert out == ""
+        assert err == "error: winding failed to quantize, raw angle -0.000000 turns\n"
 
 
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (("--T", "-1", "--gamma", "1e-5"), "too close to separate"),  # partner EPs 1e-5 apart
-        # aliased Dirac windings
-        (("--T", "-1.99998", "--gamma", "0"), "contradict its DiracPoint charges"),
+        # partner EPs 1e-5 apart
+        (("--T", "-1", "--t", "0.5", "--gamma", "1e-5"), "too close to separate"),
+        # gamma = 0 at |t/J| = 1.6e-3: a Dirac loop still turns too fast at 2^16 samples
+        (("--J", "1.2731068227677047", "--T", "-0.05096735189088856",
+          "--t", "0.0020740942029168377", "--gamma", "0"), "failed to quantize, raw angle -1"),
+        # t = 1.55e-11 lies above the t = 0 cutoff: a loop passes where the overlaps tie
+        (("--T", "-0.6179", "--t", "1.55e-11", "--gamma", "0.5"), "overlaps tied on the loop"),
     ],
 )
 def test_btps_unresolved_touching_exits_3(flags, message):
-    proc = run_cli("btps", *flags, "--t", "0.5")
+    proc = run_cli("btps", *flags)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert message in proc.stderr

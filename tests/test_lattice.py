@@ -102,8 +102,9 @@ def test_basis_unitary():
 
 def test_basis_holds_no_array():
     # no array and no labels: the transform makes U's columns, and the checks the zone grid,
-    # from n
-    assert vars(build_momentum_basis(LatticeSize(24))) == {"n": 24}
+    # from n, so the basis is the size itself
+    size = LatticeSize(24)
+    assert build_momentum_basis(size) is size and vars(size) == {"n": 24}
 
 
 def test_basis_zero_momentum_column():

@@ -152,7 +152,8 @@ def _first_sequential_error(params):
 @pytest.mark.parametrize(
     "params",
     [
-        ModelParams(1.0, -2.0 + 2e-5, T05, 0.0),  # Dirac windings alias to 0
+        # gamma = 0 beside the merger at T = 0: Dirac points 1.3e-4 apart
+        ModelParams(1.1525466266029498, 0.00021055998584752834, 0.013225014747116985, 0.0),
         ModelParams(1.0, -1.0, T05, 1e-5),  # partner EPs 1e-5 apart
     ],
 )
@@ -165,37 +166,24 @@ def test_signature_raises_first_sequential_error(params):
     assert str(info.value) == str(expected)
 
 
-@pytest.mark.parametrize("big_t", [-2.0 + 2e-5, -2.0 + 2e-4])
-def test_signature_rejects_winding_against_kind(big_t):
-    # near the semi-Dirac merger the 512-sample loops around the Dirac points alias to
-    # w_I = 0 (at 2e-5) or +-1/2 (at 2e-4); the census must not relabel them.  A +-1/2 comes
-    # with a branch swap, which no loop makes at gamma = 0, so those loops refine on to the
-    # true +-1; an aliased 0 contradicts the touching's closed-form charges
-    params = ModelParams(1.0, big_t, T05, 0.0)
-    assert {b.kind for b in locate_btps(params)} == {"DiracPoint"}
-    if big_t == -2.0 + 2e-4:
-        assert [abs(b.w_i) for b in signature(params).btps] == [1.0] * 8
-        return
-    with pytest.raises(UnresolvedLoopError,
-                       match=r"windings \([+]0, [+]0\) .* contradict its DiracPoint charges"):
-        signature(params)
-
-
-@pytest.mark.parametrize("big_t", [-1.9996454409691105, -1.9998471017538408])
+@pytest.mark.parametrize("big_t", [-1.9996454409691105, -1.9998471017538408, -2.0 + 2e-4,
+                                   -2.0 + 2e-5])
 def test_gamma_zero_merger_draw_becomes_a_census(big_t):
-    # two merger draws of the points benchmark (seed 1): their 512-sample Dirac loops come
-    # back as a swapped +-1/2, which a loop at gamma = 0 cannot make, and refine on to +-1
+    # two merger draws of the points benchmark (seed 1) and two points nearer the semi-Dirac
+    # merger.  Tracked 512-sample Dirac loops made up branch swaps here and wound +-1/2 or, at
+    # 2e-5, 0; at gamma = 0 no branch is tracked, and each loop winds its charge +-1
     params = ModelParams(1.0, big_t, T05, 0.0)
     btps = signature(params).btps
     assert BENCHMARK_WORKLOADS.law_failure(params, btps) is None
+    assert {b.kind for b in btps} == {"DiracPoint"}
     assert [abs(b.w_i) for b in btps] == [1.0] * 8 and sum(b.w_i for b in btps) == 0
-    # btp.face puts 0 < |gamma| <= 2|J| 1e-9 on gamma = 0, and so does the no-swap rule
+    # btp.face puts 0 < |gamma| <= 2|J| 1e-9 on gamma = 0, and so does the winding pass
     for gamma in (5e-10, -5e-10, 1e-9):
         assert signature(ModelParams(1.0, big_t, T05, gamma)).btps == btps
 
 
 # 12 draws per family of the points benchmark; this seed gives censuses, and errors from
-# make_loop, from the charge law and from the tracking
+# make_loop and from the tracking
 _POINTS_DRAWS = BENCHMARK_WORKLOADS.draw_points(23, per_family=12)
 
 
@@ -215,8 +203,8 @@ def test_signature_raises_first_sequential_error_on_points_draws(params):
 
 @pytest.mark.parametrize("failing", [0, 2])
 def test_signature_raises_a_loop_error_before_winding(monkeypatch, failing):
-    # Every touching here winds off its charges, yet a loop that cannot be built for
-    # touching ``failing`` raises first: every loop is built before any is wound.
+    # A loop that cannot be built for touching ``failing`` raises before any loop is wound:
+    # every loop is built first.
     params = ModelParams(1.0, -2.0 + 2e-5, T05, 0.0)
     btps = locate_btps(params)
     real = epband.phase.make_loop

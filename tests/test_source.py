@@ -3,6 +3,7 @@ characters."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -202,3 +203,30 @@ def test_benchmark_trace_sites_stay_called(monkeypatch, tmp_path):
     assert epband.cli.main(["btps", *flags]) == 0
     assert calls == {"epband.cli.signature": 1, "epband.phase.locate_btps": 1,
                      "epband.phase.make_loop": 12}
+
+
+_PROPERTY_PAIR = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+# The suite turns warnings into errors; a failing property test must still leave every later
+# test to run, as it did not when hypothesis's report hook warned inside that setting
+def test_a_failing_property_test_ends_no_session(tmp_path):
+    (tmp_path / "test_pair.py").write_text(_PROPERTY_PAIR, encoding="utf-8")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(ini), "--rootdir", str(tmp_path), "test_pair.py"],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import epband.winding
 from epband import (
@@ -274,7 +275,9 @@ def test_mixed_batch_refines_only_the_loop_that_needs_it():
     for loop, windings in zip((near, far), results):
         for kind, batched in zip(("F", "E"), windings):
             assert batched == winding_number(p, loop, kind)
-    assert results[0][1].samples > 512  # the E winding near the merger refines
+    # the F winding near the merger refines onto the Dirac charge; E is real there and does not
+    assert (results[0][0].value, results[0][1].value) == (btps[0].w_i, btps[0].w_ii)
+    assert results[0][0].samples > 512 and results[0][1].samples == 512
     assert [r.samples for r in results[1]] == [512, 512]
 
 
@@ -347,8 +350,10 @@ def _two_eigenvector_attempt(params, loops, m, kinds):
             v /= np.linalg.norm(v, axis=-1)[..., None]
         o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
         o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
-        flip_from_plus = o_pm > o_pp
-        ambiguous = np.any(flip_from_plus != (o_mp > o_mm), axis=1)
+        # at gamma = 0 h is real symmetric and E >= 0: the +E branch is followed throughout
+        track = face(params).gamma != 1
+        flip_from_plus = (o_pm > o_pp) & track
+        ambiguous = np.any(flip_from_plus != ((o_mp > o_mm) & track), axis=1)
         parity = np.cumsum(flip_from_plus, axis=1) % 2
         parity = np.concatenate([np.zeros((len(loops), 1), parity.dtype), parity], axis=1)
         on_plus = parity == 0
@@ -364,7 +369,7 @@ def _two_eigenvector_attempt(params, loops, m, kinds):
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             elif ambiguous[i]:
                 shared.append(math.nan)
-            elif margin_min[i] < _TIE_TOL:
+            elif track and margin_min[i] < _TIE_TOL:
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
@@ -469,7 +474,8 @@ def _stacked_attempt(params, loops, m, kinds):
         a, b = v[..., 0], v[..., 1]
         stay = np.abs(a[:, :-1].conj() * a[:, 1:] + b[:, :-1].conj() * b[:, 1:])
         flip = np.abs(a[:, :-1].conj() * b[:, 1:] - b[:, :-1].conj() * a[:, 1:])
-        parity = np.cumsum(flip > stay, axis=1) % 2
+        track = face(params).gamma != 1  # gamma = 0: no branch swaps, and none is tracked
+        parity = np.cumsum((flip > stay) & track, axis=1) % 2
         sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
         h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
@@ -480,7 +486,7 @@ def _stacked_attempt(params, loops, m, kinds):
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif margin_min[i] < _TIE_TOL:
+            elif track and margin_min[i] < _TIE_TOL:
                 shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
@@ -622,11 +628,8 @@ def test_hermitian_texture_is_field_winding():
         _assert_texture_is_field_winding(_hermitian_draw(rng))
 
 
-@pytest.mark.xfail(
-    reason="ROADMAP item 1: Dirac windings alias near the semi-Dirac merger "
-    "(512 samples, no guard on the untracked field's turning)",
-)
 def test_hermitian_texture_is_field_winding_near_merger():
+    # tracked 512-sample loops once swapped branches in pairs here and wound 0 for +-1
     _assert_texture_is_field_winding(ModelParams(1.0, -2.0 + 2e-5, 0.5, 0.0))
 
 
@@ -644,18 +647,62 @@ def _small_t_hermitian_draws(seed=12):
 
 @pytest.mark.parametrize("params", list(_small_t_hermitian_draws()))
 def test_charge_rule_is_the_untracked_field_winding(params):
-    # at gamma = 0, w_I of a Dirac point is the degree of (Bx, Re By) around it.  Here the
-    # census's tracked 512-sample loops fail generically, yet the closed-form charge that
-    # locate_btps sets equals the untracked winding at 2^16 samples or more
+    # at gamma = 0, w_I of a Dirac point is the degree of (Bx, Re By) around it: the closed-form
+    # charge that locate_btps sets equals the untracked winding at 2^16 samples or more
     btps = locate_btps(params)
     assert [b.kind for b in btps] == ["DiracPoint"] * 8
     for b in btps:
         turns = _untracked_winding(params, make_loop(b.k, btps), _hermitian_field, m=2**16)
         assert (b.w_i, b.w_ii) == (pytest.approx(turns, abs=1e-6), 0.0)
+    # tracked loops failed the census on 6 of these 13 draws; untracked, it confirms every
+    # charge save beside the merger at T = 0, where k_c lies within 0.03 of pi/2 and the
+    # loops' field turns past pi/2 in a step at every sample count
+    if abs(params.T) < 0.1:
+        with pytest.raises(NonQuantizedLoopError):
+            signature(params)
+    else:
+        assert list(signature(params).btps) == btps
+
+
+def test_gamma_zero_loop_beside_the_t_zero_merger_raises_a_typed_error():
+    # gamma = 0 and -T/2J = 0.02: k_c lies 0.02 from pi/2, and every Dirac loop's field still
+    # turns past pi/2 in a step at 2^16 samples.  Its raw angle is the charge, yet F raises
+    # and never returns a value; E is real and winds 0
+    p = ModelParams(1.2731068227677047, -0.05096735189088856, 0.0020740942029168377, 0.0)
+    btps = locate_btps(p)
+    for b, (f, e) in zip(btps, wind_loops(p, [make_loop(b.k, btps) for b in btps])):
+        assert type(f) is NonQuantizedLoopError and f.raw_angle == pytest.approx(b.w_i)
+        assert (e.value, e.samples) == (b.w_ii, 512)
+    with pytest.raises(NonQuantizedLoopError, match="raw angle -1.000000 turns"):
+        signature(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.floats(0.3, 3.0), j_sign=st.sampled_from([1.0, -1.0]), big_t=st.floats(-2.0, 2.0),
+       e=st.floats(-4.0, math.log10(3.0)), t_sign=st.sampled_from([1.0, -1.0]),
+       g=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0))
+def test_gamma_zero_loop_winds_its_charges_or_raises(j, j_sign, big_t, e, t_sign, g):
+    # at gamma = 0 and in the band face snaps onto it, |t/J| log-uniform in [1e-4, 3]: each
+    # touching's loop winds its closed-form charges or raises a WindingError, never another
+    # value.  Tracked loops returned 0 for +-1 here, and +-1/2 with a made-up swap
+    p = ModelParams(j_sign * j, big_t * j, t_sign * j * 10.0**e, g * 2e-9 * j)
+    assume(face(p).gamma == 1)
+    btps = locate_btps(p)
+    for b in btps:
+        try:
+            loop = make_loop(b.k, btps)
+        except UnresolvedLoopError:
+            continue
+        for kind, charge in (("F", b.w_i), ("E", b.w_ii)):
+            try:
+                assert winding_number(p, loop, kind).value == charge, (p, b, kind)
+            except WindingError:
+                pass
 
 
 # gamma = 0 and |t/J| = 1e-3: the Dirac cone is so anisotropic that the Bloch vector turns by
-# about pi within a short arc of the loop, and overlap tracking swaps branches twice there
+# about pi within a short arc of the loop.  Overlap tracking swapped branches twice there and
+# wound 0; untracked, the field's steps trip the pi/2 guard until the loop settles on -1
 _SMALL_T = ModelParams(1.0, -1.0, 0.001, 0.0)
 _SMALL_T_DIRAC = Momentum(-HALF_PI, -1.0471975511965983)
 
@@ -666,10 +713,6 @@ def test_small_t_dirac_field_winding(radius):
     assert _untracked_winding(_SMALL_T, loop, _hermitian_field) == pytest.approx(-1.0, abs=1e-6)
 
 
-@pytest.mark.xfail(
-    reason="ROADMAP item 2: the tracked texture winds 0 around this w_I = -1 Dirac point "
-    "(no guard on the untracked field's turning)",
-)
 def test_small_t_dirac_winding_is_never_silently_wrong():
     loop = Loop(center=_SMALL_T_DIRAC, radius=0.1)
     try:
@@ -775,24 +818,25 @@ def test_loop_that_grazes_a_dirac_point_reports_the_collapsed_eigenvalue():
 
 
 # a loop at gamma = 0 that misses the Dirac point at (pi/3, pi/2) by 1e-10 and encloses no
-# touching: its 512-sample pass comes back swapped, at 1/2 a turn
+# touching: tracked, its 512-sample pass came back swapped, at 1/2 a turn
 _GRAZING = Loop(Momentum(1.1471975512965977, HALF_PI), 0.1)
 
 
 @pytest.mark.parametrize("kind", ["F", "E"])
 def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
-    # at gamma = 0 h is real symmetric and no loop swaps branches.  The first F pass ends on
-    # a swapped half turn, which now refines like the coarse first E pass, and neither field
-    # settles before the sample cap
+    # at gamma = 0 h is real symmetric and no loop swaps branches, so none is tracked.  F
+    # turns past pi/2 in one step beside the Dirac point at every sample count and never
+    # settles; E is real and >= 0 and settles on 0 at once
     p = ModelParams(1.0, -1.0, 0.5, 0.0)
     ((first,),) = _attempt(p, [_GRAZING], _GRAZING.samples, (kind,))
-    if kind == "F":
-        assert first.branch_swapped and first.value == 0.5
-    else:
-        assert first == pytest.approx(0.5)  # a raw angle: a step past pi/2
-    with pytest.raises(NonQuantizedLoopError, match="raw angle 0.500000 turns") as info:
+    if kind == "E":
+        assert (first.value, first.branch_swapped, first.samples) == (0.0, False, 512)
+        assert winding_number(p, _GRAZING, kind) == first
+        return
+    assert first == pytest.approx(0.0, abs=1e-12)  # a raw angle: a step past pi/2
+    with pytest.raises(NonQuantizedLoopError, match="raw angle -0.000000 turns") as info:
         winding_number(p, _GRAZING, kind)
-    assert info.value.raw_angle == pytest.approx(0.5)
+    assert info.value.raw_angle == pytest.approx(0.0, abs=1e-12)
 
 
 def test_overflowing_field_is_a_winding_error():
