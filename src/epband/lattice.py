@@ -8,15 +8,16 @@ tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
 cross-check between the lattice and the closed-form field.  H is returned
 read-only, so the O(N^6) transform is formed once per lattice; copy H before
-editing it.  The basis is the lattice size, and U is never held whole: the dense
-working set is H plus one row block of U^dag H and one column block of U.
-H is filled in place, and the transform keeps only the 2x2 diagonal blocks
-of the products it forms.  Every block is compared in the basis's own
-sublattice order, and every tolerance is in units of |J|.
+editing it.  The basis is the lattice size, and U is never formed: each of its
+columns lives on one sublattice, so the transform multiplies each sublattice pair of H
+by plane-wave tables, and holds H, one table, one pair of H and one chunk of products.
+H is filled in place, and only the 2x2 diagonal blocks of the products are kept.  Every
+block is compared in the basis's own sublattice order; every tolerance is in units of |J|.
 """
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ class LatticeSize:
     n: int
 
     def __post_init__(self):
+        try:  # an integer of any kind, np.int64 included, but not 6.0
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"lattice size must be an integer, got {self.n!r}") from None
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"lattice size must be even and >= 4, got {self.n}")
 
@@ -94,7 +99,7 @@ def build_momentum_basis(size: LatticeSize) -> LatticeSize:
     j+l; B is the complement.  Columns are (1/N) exp(i(kx j + ky l)) on the
     corresponding sublattice support: column 2i is (k_i, A) and 2i+1 is (k_i, B), with k_i
     the i-th point of :func:`~epband.bloch.zone_grid` (N) in row-major order.  N is all
-    the basis holds, so it is the size itself: the transform makes the columns of U from it.
+    the basis holds, so it is the size itself: the transform makes its plane-wave tables from it.
     """
     return size
 
@@ -119,66 +124,60 @@ class BlockCheckResult:
 _last_transform = (None, None, None)
 
 
-# Rows of U^dag H U formed at a time, and columns of U made at a time.  Even, so no 2x2
-# block is split, and at least 2N^2 = 72, so the N = 6 transform is the whole product in
-# one.  At N = 24 it cuts the 1152 rows into four blocks that take a quarter of a dense
-# matrix each; 256 rows left a ragged 128-row block and ran 2-3 % slower, 128 rows slower still.
-_ROW_BLOCK = 288
+# Momenta transformed at a time.  At N = 6 one chunk is the whole product; at N = 24 it cuts
+# the 576 momenta into four, so a chunk's products take 1/16 of a dense matrix each.
+_CHUNK = 144
 
 
-def _column_maker(n: int):
-    """``columns(start, stop)``: columns start..stop of U as a fresh C-ordered array, for
-    even start and stop, filled from one (N^2, N^2) table of exp(i(kx j + ky l)) / N
-    whose rows are the momenta in basis order and whose columns are the sites (j, l)."""
-    dim = 2 * n * n
-    kx, ky = (k[:, :, None, None] for k in zone_grid(n))
-    js, ls = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    table = np.empty((n, n, n * n), dtype=complex)
-    # One kx row of momenta at a time, over (ky, j, l): freed (N^2, N^2) temporaries stay
-    # resident on the heap and raise the peak RSS of an N = 6..24 sweep.
+def _sublattices(n: int):
+    """Rows of H on sublattice A and on B, each in increasing row order, and the (N^2, N^2)
+    table of exp(i(kx j + ky l)) / N whose rows are A's sites (j, l) in that order and whose
+    columns are the momenta in basis order.  B's sites are A's with their halves swapped."""
+    j, l = np.divmod(np.arange(n * n), n)
+    sites = np.argsort((j + l + 1) % 2, kind="stable")  # odd j + l, then even
+    layer = np.repeat([0, n * n], n * n // 2)  # the layer-1 rows come first
+    rows = (layer + sites, layer + np.roll(sites, n * n // 2))
+    kx, ky = zone_grid(n)
+    table = np.empty((n * n, n * n), dtype=complex)
+    # One kx row of momenta at a time: freed (N^2, N^2) temporaries stay resident on the heap
+    # and raise the peak RSS of an N = 6..24 sweep.
     for mx in range(n):
-        table[mx] = (np.exp(1j * (kx[mx] * js + ky[mx] * ls)) / n).reshape(n, -1)
-    table = table.reshape(n * n, n * n)
-    even = ((js + ls) % 2 == 0).ravel()
-    site = (js * n + ls).ravel()
-    rows_a = np.where(even, n * n, 0) + site  # layer 2 on even j+l, layer 1 on odd
-    rows_b = np.where(even, 0, n * n) + site
+        table[:, mx * n : (mx + 1) * n] = np.exp(1j * (kx[mx] * j[sites, None]
+                                                        + ky[mx] * l[sites, None])) / n
+    return rows, table
 
-    def columns(start, stop):
-        block = np.zeros((dim, stop - start), dtype=complex)
-        phase = table[start // 2 : stop // 2].T
-        block[rows_a, 0::2] = phase
-        block[rows_b, 1::2] = phase
-        return block
 
-    return columns
+def _chunk(hab: np.ndarray, table: np.ndarray, shift: int, start: int, out: np.ndarray):
+    """Rows start.. of Phi_a^dag H_ab Phi_b, with Phi_b the table and Phi_a it with its sites
+    rolled by ``shift``: the diagonal goes into ``out``; the largest modulus off it is returned.
+    A call of its own, so one chunk's products are freed before the next chunk's are made."""
+    stop = min(start + _CHUNK, len(table))
+    left = np.roll(table[:, start:stop], shift, axis=0)
+    # conjugated in place and transposed: an F-ordered operand, which keeps the printed
+    # residues bit for bit at N = 4, 6 and 8
+    m = np.conj(left, out=left).T @ hab @ table
+    i = np.arange(start, stop)  # the momenta of this chunk
+    out[i] = m[i - start, i]
+    m[i - start, i] = 0.0
+    return np.max(np.abs(m))
 
 
 def _transform(h: np.ndarray, n: int):
-    """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and the largest
-    modulus of an entry outside them.
-
-    U is never held whole: its columns are made ``_ROW_BLOCK`` at a time.  Each row
-    block of U^dag H is formed once and multiplied by every column block in turn, so
-    H, the phase table, one row block and one column block are all it holds."""
-    dim = 2 * n * n
-    columns = _column_maker(n)
-    spans = [(start, min(start + _ROW_BLOCK, dim)) for start in range(0, dim, _ROW_BLOCK)]
-    blocks = np.empty((n * n, 2, 2), dtype=complex)
+    """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and the largest modulus of an
+    entry outside them: block (a, b) is Phi_a^dag H[rows_a, rows_b] Phi_b, over the rows where
+    U's columns are nonzero, for the four sublattice pairs, ``_CHUNK`` momenta at a time."""
+    nk = n * n
+    rows, table = _sublattices(n)
+    blocks = np.empty((nk, 2, 2), dtype=complex)
     peaks = []
-    for row in spans:
-        # U's columns for these rows, conjugated in place and transposed: an F-ordered
-        # operand, which keeps the printed residues bit for bit at every even N up to 24
-        left = columns(*row)
-        left = np.conj(left, out=left).T @ h
-        for col in spans:
-            m = left @ columns(*col)
-            if col == row:
-                local = np.arange(len(m) // 2)
-                i = row[0] // 2 + local  # the momenta of these rows
-                blocks[i] = m.reshape(-1, 2, len(local), 2)[local, :, local, :]
-                m.reshape(-1, 2, len(local), 2)[local, :, local, :] = 0.0
-            peaks.append(np.max(np.abs(m)))
+    for b in (0, 1):
+        if b:
+            table = np.roll(table, nk // 2, axis=0)  # A's sites into B's order
+        for a in (0, 1):
+            hab = h[np.ix_(rows[a], rows[b])]
+            peaks += [_chunk(hab, table, nk // 2 * (a != b), start, blocks[:, a, b])
+                      for start in range(0, nk, _CHUNK)]
+            del hab  # not held beside two tables
     return blocks, float(np.max(peaks))
 
 

@@ -712,6 +712,33 @@ def test_realspace_mismatch_is_scale_free():
     assert got["spectralMismatch"] == pytest.approx(1e200 * want["spectralMismatch"], rel=1e-9)
 
 
+# realspace stdout at the anchor, recorded when U^dag H U was formed from zero-padded columns
+# of U.  Its residues are rounding: summing over each sublattice's rows alone, in increasing
+# row order, leaves them bit for bit at these sizes (from N = 10 on they move below 1e-13).
+_REALSPACE_SHA256 = {
+    4: "d4caebb21dc29aa223c02476ca5d52f4a99f94cb219b042d9323939b8c4aef8b",
+    6: "c64132621f3347ad9daa6bdd8b6afee3269c471104f14bdb03c3f5d72674311c",
+    8: "53c31b07455440d7d6868c453306bc579e3736bd8f3fe42fddbaf6dfad177c7f",
+}
+
+
+def test_realspace_bytes_are_pinned_for_any_blas_thread_count():
+    def stdout(n, threads=None):
+        env = dict(os.environ)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = str(threads)
+        proc = subprocess.run([sys.executable, "-m", "epband", "realspace", *ANCHOR_FLAGS,
+                               "--N", str(n)], capture_output=True, env=env)
+        assert proc.returncode == (0 if n % 4 else 1), proc.stderr  # ROADMAP item 3 at 0 mod 4
+        return proc.stdout
+
+    for n in (4, 8):
+        assert hashlib.sha256(stdout(n)).hexdigest() == _REALSPACE_SHA256[n]
+    runs = {(n, threads): stdout(n, threads) for n in (6, 24) for threads in (1, 2)}
+    assert runs[6, 1] == runs[6, 2] and runs[24, 1] == runs[24, 2]
+    assert hashlib.sha256(runs[6, 1]).hexdigest() == _REALSPACE_SHA256[6]
+
+
 def test_realspace_rejects_odd_side():
     assert run_cli("realspace", "--N", "5").returncode == 2
 

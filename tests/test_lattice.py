@@ -37,6 +37,18 @@ def test_size_validation():
         LatticeSize(5)
 
 
+def test_size_must_be_an_integer():
+    # LatticeSize(6.0) was built with dim 72.0, and build_realspace then raised a bare
+    # TypeError ("'float' object cannot be interpreted as an integer")
+    for bad in (6.0, np.float64(6.0), "6", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LatticeSize(bad)
+    size = LatticeSize(np.int64(6))  # any integer type is taken, and stored as an int
+    assert size == LatticeSize(6) and type(size.n) is int and size.dim == 72
+    assert build_realspace(ANCHOR, size).tobytes() \
+        == build_realspace(ANCHOR, LatticeSize(6)).tobytes()
+
+
 def test_builder_affine_in_couplings():
     # H(J,T,t,g) - H(J,0,0,0) carries no J term; doubling every coupling
     # doubles the matrix.  Together these pin the all-zero limit to 0.
@@ -90,9 +102,20 @@ def test_anti_hermitian_part_is_gain_loss_diagonal():
     np.testing.assert_allclose(np.abs(np.diag(anti)), ANCHOR.gamma, atol=1e-15)
 
 
+def _sublattice_tables(n):
+    # each sublattice's rows of H and its plane-wave table: A's is the transform's table, and
+    # B's is A's with its sites rolled, as the transform rolls it
+    rows, table = lattice._sublattices(n)
+    return rows, (table, np.roll(table, n * n // 2, axis=0))
+
+
 def _dense_u(n):
-    # every column the transform makes, in one array
-    return lattice._column_maker(n)(0, 2 * n * n)
+    # U from the transform's tables: column 2i + a is table a's column i on sublattice a's rows
+    rows, tables = _sublattice_tables(n)
+    u = np.zeros((2 * n * n, 2 * n * n), dtype=complex)
+    for a in (0, 1):
+        u[rows[a], a::2] = tables[a]
+    return u
 
 
 def test_basis_unitary():
@@ -113,7 +136,7 @@ def test_basis_zero_momentum_column():
     n = 4
     kx, ky = (k.ravel() for k in zone_grid(n))
     (k0,) = np.flatnonzero((kx == 0.0) & (ky == 0.0))
-    col = lattice._column_maker(n)(2 * k0, 2 * k0 + 2)[:, 0]
+    col = _dense_u(n)[:, 2 * k0]
     for lam in (1, 2):
         for j in range(n):
             for l in range(n):
@@ -286,11 +309,12 @@ def test_builders_byte_identical_to_site_loops(n):
     # the zone grid the checks read labels the columns as the loop does, bit for bit
     kx, ky = (k.ravel().tolist() for k in zone_grid(n))
     assert list(zip(kx, ky)) == [m.xy for m in momenta]
-    # a column block of any even span is that slice of U, in a C-ordered array of its own
-    columns = lattice._column_maker(n)
-    for start, stop in ((0, 2), (2, 10), (n * n - 4, n * n + 6), (2 * n * n - 8, 2 * n * n)):
-        block = columns(start, stop)
-        assert block.flags.c_contiguous and block.tobytes() == u[:, start:stop].tobytes()
+    # each sublattice's table is U's columns of that sublattice restricted to its rows, which
+    # are in increasing order, bit for bit
+    rows, tables = _sublattice_tables(n)
+    for a in (0, 1):
+        assert np.all(np.diff(rows[a]) > 0)
+        assert tables[a].tobytes() == u[rows[a], a::2].tobytes()
 
 
 def _dense_peak(fn):
@@ -311,9 +335,10 @@ def test_builder_holds_one_dense_matrix():
     assert _dense_peak(lambda: build_realspace(ANCHOR, LatticeSize(24))) <= 1.1
 
 
-def test_transform_holds_one_row_block(monkeypatch):
-    # besides the H handed in, the basis and both oracles together hold less than one dense
-    # matrix: U is made one column block at a time and never held whole
+def test_transform_holds_one_table_and_one_sublattice_pair(monkeypatch):
+    # besides the H handed in, the basis and both oracles together hold one quarter-size table,
+    # one quarter-size sublattice pair of H and three 1/16-size chunk products: 11/16 of a
+    # dense matrix.  U is never formed, and B's table never sits beside a pair of H
     monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     size = LatticeSize(24)
     h = build_realspace(ANCHOR, size)
@@ -322,15 +347,16 @@ def test_transform_holds_one_row_block(monkeypatch):
         basis = build_momentum_basis(size)
         return block_check(h, basis, ANCHOR), spectral_mismatch(h, basis, ANCHOR)
 
-    assert _dense_peak(oracle) < 1.0
+    assert _dense_peak(oracle) < 0.7
 
 
-@pytest.mark.parametrize("row_block", [None, 48])
+@pytest.mark.parametrize("chunk", [None, 48, 45])
 @pytest.mark.parametrize("n", [10, 12, 14])
-def test_row_blocks_match_dense_transform(monkeypatch, n, row_block):
-    # the module's block size splits N = 14 in two; 48 rows split every N, the last block short
-    if row_block is not None:
-        monkeypatch.setattr(lattice, "_ROW_BLOCK", row_block)
+def test_row_blocks_match_dense_transform(monkeypatch, n, chunk):
+    # the module's chunk of momenta splits N = 14 in two, the last chunk short; 48 momenta split
+    # N = 12 evenly and N = 10 and 14 unevenly, 45 split every N^2 unevenly
+    if chunk is not None:
+        monkeypatch.setattr(lattice, "_CHUNK", chunk)
     rng = np.random.default_rng(200 + n)
     p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
     h = build_realspace(p, LatticeSize(n))
