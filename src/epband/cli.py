@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import re
 import stat
@@ -25,17 +26,36 @@ from dataclasses import asdict
 
 import numpy as np
 
+import epband
 from .bloch import (ModelParams, Momentum, field_scale, observables_grid, symmetry_residuals,
                     torus_distance)
 from .btp import KINDS, RingRegimeError, face, locate_btps, trace_ep_ring
-from .dispersion import default_qs, expected_dispersion, fit_power_law, sample_dispersion
-from .lattice import (
-    LatticeSize, block_check, build_momentum_basis, build_realspace, spectral_mismatch,
-)
-from .phase import scan_phase_diagram, signature, census_type
-from .winding import Loop, winding_number
 
 __all__ = ["main", "parse_angle", "parse_range"]
+
+
+def _on_first_call(path: str):
+    """``epband.<path>``, whose submodule loads on the first call.  The package keeps each
+    public name as its submodule defined it: patch ``epband.cli.<name>`` to reach a command."""
+    get = operator.attrgetter(path)
+    return lambda *args, **kwargs: get(epband)(*args, **kwargs)
+
+
+# phase, winding, dispersion and lattice load only for the commands that call into them
+scan_phase_diagram = _on_first_call("scan_phase_diagram")
+signature = _on_first_call("signature")
+census_type = _on_first_call("census_type")
+Loop = _on_first_call("Loop")
+winding_number = _on_first_call("winding_number")
+default_qs = _on_first_call("dispersion.default_qs")  # not a public name
+expected_dispersion = _on_first_call("expected_dispersion")
+fit_power_law = _on_first_call("fit_power_law")
+sample_dispersion = _on_first_call("sample_dispersion")
+LatticeSize = _on_first_call("LatticeSize")
+block_check = _on_first_call("block_check")
+build_momentum_basis = _on_first_call("build_momentum_basis")
+build_realspace = _on_first_call("build_realspace")
+spectral_mismatch = _on_first_call("spectral_mismatch")
 
 SCHEMA_VERSION = 1
 
@@ -173,6 +193,9 @@ def _atomic_write(*outputs) -> None:
     for path, _ in outputs:
         if path and os.path.isdir(path):
             raise UsageError(f"{path} is a directory")
+    targets = [os.path.realpath(path) for path, _ in outputs if path]
+    if len(set(targets)) < len(targets):  # the second rename would replace the first file
+        raise UsageError(f"two outputs name one file: {max(targets, key=targets.count)}")
     os.umask(umask := os.umask(0))  # read the umask
     temps, placed = [], []
     try:

@@ -17,7 +17,6 @@ face and flags a cell on a line instead of classifying it, and
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -76,6 +75,7 @@ class ConfigurationSignature:
         return tuple(sorted(_discrete_label(b) for b in self.btps))
 
     def wii_hash(self) -> str:
+        import hashlib  # here, not at load: only the scan hashes, and OpenSSL loads slowly
         text = ";".join(f"{kx:.6f},{ky:.6f},{w:+.1f}" for kx, ky, w in self.signed_wii)
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 

@@ -1027,6 +1027,32 @@ def test_out_refuses_a_directory_before_replacing_anything(tmp_path, capsys):
     assert list(tmp_path.glob(".epband-*")) == []
 
 
+@pytest.mark.parametrize("spelling", ["same", "dot", "symlink"])
+def test_outputs_naming_one_file_are_refused_before_writing(tmp_path, capsys, spelling):
+    # --dump and --out at one file once exited 0: both temp files were renamed onto it, and
+    # the report replaced the dump.  The path is refused, and what sits there is kept.
+    target = tmp_path / "r.txt"
+    target.write_text("keep\n")
+    other = {"same": str(target), "dot": f"{tmp_path}/./r.txt", "symlink": tmp_path / "link"}
+    if spelling == "symlink":
+        other["symlink"].symlink_to(target)
+    argv = ["realspace", *ANCHOR_FLAGS, "--N", "4", "--dump", str(target), "--out"]
+    assert cli.main([*argv, str(other[spelling])]) == 2
+    assert capsys.readouterr() == ("", f"error: two outputs name one file: {target}\n")
+    assert target.read_text() == "keep\n"
+    assert list(tmp_path.glob(".epband-*")) == []
+
+
+def test_field_export_refuses_a_csv_linked_to_the_svg(tmp_path, capsys):
+    svg = tmp_path / "t.svg"
+    svg.write_text("keep\n")
+    (tmp_path / "t.csv").symlink_to(svg)
+    assert cli.main(["field-export", *ANCHOR_FLAGS, "--grid", "8", "--out", str(svg)]) == 2
+    assert capsys.readouterr().err == f"error: two outputs name one file: {svg}\n"
+    assert svg.read_text() == "keep\n"
+    assert list(tmp_path.glob(".epband-*")) == []
+
+
 # ---------------------------------------------------------------------------
 # determinism: the benchmark's recorded outputs, checked in process
 
@@ -1153,6 +1179,45 @@ def test_stdout_matches_benchmark_reference(capsys, tmp_path, label):
     files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
              for name in reference["files"]}
     assert files == reference["files"]
+
+
+def _imported(*args):
+    """The modules a fresh `python -X importtime ARGS` imports beyond a bare interpreter."""
+    def names(argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        return {line.split("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and line.count("|") == 2}
+
+    return names(args) - names(["-c", "pass"])
+
+
+# What each README command loads of the package beyond epband, bloch, btp and cli (-m runs
+# epband.__main__ without importing it): only the modules it runs.  None of them hashes, so
+# none loads OpenSSL.
+_COMMAND_MODULES = {
+    "btps_json": {"phase", "winding"},
+    "btps_csv": {"phase", "winding"},
+    "btps_ring": {"phase", "winding"},
+    "ring": set(),
+    "symmetry": set(),
+    "field_export": set(),
+    "realspace": {"lattice"},
+    "dispersion": {"dispersion"},
+    "winding": {"winding"},
+}
+
+
+@pytest.mark.parametrize("label", sorted(_COMMAND_MODULES))
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, label):
+    argv, written = _COMMANDS[label]
+    argv = [str(tmp_path / Path(a).name) if a in written else a for a in argv]
+    loaded = _imported("-m", "epband", *argv)
+    base = {"epband", "epband.bloch", "epband.btp", "epband.cli"}
+    want = base | {f"epband.{m}" for m in _COMMAND_MODULES[label]}
+    assert {m for m in loaded if m.split(".")[0] == "epband"} == want
+    assert "_hashlib" not in loaded
 
 
 def test_benchmark_commands_write_nothing_past_redirected_stdout(capfd, tmp_path):
