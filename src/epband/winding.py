@@ -4,10 +4,11 @@ Both invariants are angle accumulations along a small counterclockwise loop:
 w_I follows F = (<sigma_x>, <sigma_z>) of one continuously tracked
 eigenbranch, w_II follows (Re E, Im E) of its eigenvalue.  Chiral symmetry,
 sigma_y h sigma_y = -h, makes sigma_y v the -E eigenvector of the +E
-eigenvector v, with F(sigma_y v) = -F(v).  Tracking picks, sample by sample,
-v or sigma_y v by the larger overlap magnitude against the previous one;
-encircling an exceptional point swaps the branch after one turn and the
-winding lands on a half-odd value.  At gamma = 0 no branch swaps, and none is tracked.
+eigenvector v, with F(sigma_y v) = -F(v).  The branch follows its eigenvalue,
+which stays 2|E| from its partner where the eigenvectors coalesce: it swaps
+where two consecutive principal roots of E^2 point apart.  Encircling an
+exceptional point swaps it after one turn, and the winding lands on a half-odd
+value.  At gamma = 0 no branch swaps, and none is tracked.
 Results are snapped to the nearest half-integer and the snap residual is
 reported.  :func:`wind_loops` winds many loops and both kinds in one pass
 over a (loops, samples) array; :func:`winding_number` is its one-loop case.
@@ -25,12 +26,11 @@ from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, rig
 from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
-           "DegenerateTrackingError", "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop",
-           "settled", "winding_number", "wind_loops", "winding_additivity_check"]
+           "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop", "settled",
+           "winding_number", "wind_loops", "winding_additivity_check"]
 
 MAX_SAMPLES = 2**16
 _FIELD_FLOOR = 1e-10
-_TIE_TOL = 1e-12
 
 
 class WindingError(RuntimeError):
@@ -39,10 +39,6 @@ class WindingError(RuntimeError):
 
 class LoopThroughDefectError(WindingError):
     """The field magnitude vanished on the loop; a touching point sits on it."""
-
-
-class DegenerateTrackingError(WindingError):
-    """Branch overlaps tied; the loop passes through a degeneracy."""
 
 
 class UnresolvedLoopError(WindingError):
@@ -123,17 +119,19 @@ def _wrap_steps(d):
     return np.subtract(np.pi, d, out=d)
 
 
-def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared):
-    """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays; a field
-    below ``floor`` in magnitude somewhere on a loop collapses there.
+def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared, witness):
+    """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays, and
+    whether each loop's field turns past pi/2 in a step; a field below ``floor`` in magnitude
+    somewhere on a loop collapses there.
 
-    A loop whose ``shared`` entry is set already failed or needs refining
-    for every kind and keeps that outcome.
+    A loop whose ``shared`` entry is set already failed for every kind and
+    keeps that outcome; one whose ``witness`` entry is set needs refining.
     """
     collapsed = (np.min(fx * fx + fy * fy, axis=1) < floor * floor).tolist()
     d = _wrap_steps(np.diff(np.arctan2(fy, fx, out=fx), axis=1))  # fx is scratch
     raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
-    coarse = (np.max(np.abs(d, out=d), axis=1) > 0.5 * np.pi).tolist()
+    coarse = np.max(np.abs(d, out=d), axis=1) > 0.5 * np.pi
+    refine = (coarse | witness).tolist()
     outcomes = []
     for i, loop in enumerate(loops):
         if shared[i] is not None:
@@ -145,7 +143,7 @@ def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared):
         raw = raws[i]
         value = round(2.0 * raw) / 2.0
         residual = abs(raw - value)
-        if coarse[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
+        if refine[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
             outcomes.append(raw)
             continue
         outcomes.append(
@@ -160,11 +158,15 @@ def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared):
                 samples=m,
             )
         )
-    return outcomes
+    return outcomes, coarse
 
 
 def _attempt(params: ModelParams, loops, m: int, kinds):
     """One tracked pass at ``m`` samples over all loops, fused across kinds.
+
+    Where :func:`~epband.btp.face` puts gamma off 0, the branch swaps where
+    Re(E_n+1 conj E_n) < 0, and F, wound even when only E is asked for, is the
+    tracking's witness: a loop whose F turns past pi/2 in a step refines its E too.
 
     Returns one tuple per loop with one outcome per kind: a WindingResult,
     the WindingError the loop hit, or a float, the raw angle of a pass that
@@ -191,23 +193,9 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         a /= norm
         b /= norm
         del bx, by, norm  # keeps the peak low on refined loops
-        ac, bc = a.conj(), b.conj()
-        # |<v_n|v_n+1>| against |<v_n|sigma_y v_n+1>|; sigma_y is unitary, so
-        # the same pair serves a loop that currently runs on the minus branch.
-        x, y = ac[:, :-1] * a[:, 1:], bc[:, :-1] * b[:, 1:]
-        stay = np.abs(np.add(x, y, out=x))
-        np.multiply(ac[:, :-1], b[:, 1:], out=x)
-        np.multiply(bc[:, :-1], a[:, 1:], out=y)
-        flip = np.abs(np.subtract(x, y, out=x))
-        del x, y, bc  # F needs only a, b and ac
         # where face puts gamma on 0, h is real symmetric and E >= 0: +E is one global branch
         track = face(params).gamma != 1
-        parity = np.logical_xor.accumulate((flip > stay) & track, axis=1)
-        sign = np.ones((len(loops), m + 1))
-        sign[:, 1:][parity] = -1.0
-        stay -= flip
-        margin_min = np.min(np.abs(stay, out=stay), axis=1).tolist()
-        del stay, flip
+        parity = track & np.logical_xor.accumulate((e[:, 1:] * e[:, :-1].conj()).real < 0.0, axis=1)
         shared = []
         e_floor = _FIELD_FLOOR * abs(params.J)
         for i in range(len(loops)):
@@ -217,34 +205,34 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < e_floor:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif track and margin_min[i] < _TIE_TOL:
-                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
         swapped = parity[:, -1].tolist()
-        per_kind = []
-        for kind in kinds:
+        outcomes, witness = {}, False
+        # where a branch is tracked, F is wound before E, asked for or not: it is the witness
+        for kind in ("F", "E") if track and "E" in kinds else kinds:
             if kind == "F":  # normalized, so its floor is not scaled
-                fx, fy, floor = 2.0 * (ac * b).real, np.abs(a) ** 2, _FIELD_FLOOR
+                fx, fy, floor = 2.0 * (a.conj() * b).real, np.abs(a) ** 2, _FIELD_FLOOR
                 fy -= np.abs(b) ** 2
             else:
                 fx, fy, floor = e.real.copy(), e.imag.copy(), e_floor
-            fx *= sign
-            fy *= sign
-            per_kind.append(_kind_outcomes(loops, kind, m, fx, fy, floor, swapped, shared))
-    return list(zip(*per_kind))
+            for f in (fx, fy):  # the -E branch's field is the opposite of the +E one's
+                np.negative(f[:, 1:], out=f[:, 1:], where=parity)
+            outcomes[kind], coarse = _kind_outcomes(loops, kind, m, fx, fy, floor, swapped,
+                                                    shared, witness)
+            witness = track & coarse
+    return list(zip(*(outcomes[kind] for kind in kinds)))
 
 
 def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
-    """Double this loop's samples, on its own, until ``outcome`` settles."""
+    """Double this loop's samples on its own until ``outcome`` settles, never past 2^16."""
     m = loop.samples
-    while True:
-        if not isinstance(outcome, float):
-            return outcome
-        if m >= MAX_SAMPLES:
+    while isinstance(outcome, float):
+        if 2 * m > MAX_SAMPLES:
             return NonQuantizedLoopError(outcome)
         m *= 2
         ((outcome,),) = _attempt(params, [loop], m, (kind,))
+    return outcome
 
 
 def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
@@ -253,7 +241,7 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     The field, the eigenvector and the branch tracking are evaluated once on
     a (loops, samples + 1) array and shared by all kinds.  Only that first
     pass is batched: a loop and kind that need more samples double them on
-    their own, up to 2^16, as in :func:`winding_number`.
+    their own, never past 2^16, as in :func:`winding_number`.
 
     Returns a list with, per loop and in order, a tuple with one outcome per
     kind: the :class:`WindingResult`, or the :class:`WindingError` that loop
@@ -296,9 +284,10 @@ def winding_number(params: ModelParams, loop: Loop, field_kind: str = "F") -> Wi
         leaves every winding unchanged.
 
     Where :func:`~epband.btp.face` puts gamma on 0, no branch is tracked: F is then the
-    field's own direction (Bx, By) / E.  The sample count doubles (up to 2^16) whenever
-    some wrapped angle step exceeds pi/2; if it still does, or the total fails to
-    quantize, the raw angle is reported in a :class:`NonQuantizedLoopError`.
+    field's own direction (Bx, By) / E.  Elsewhere the branch follows its eigenvalue.  The
+    sample count doubles, to at most 2^16, whenever some wrapped angle step exceeds pi/2,
+    and off gamma = 0 E's count doubles too where F's step does; if a step still does, or
+    the total fails to quantize, the raw angle is reported in a :class:`NonQuantizedLoopError`.
     """
     ((outcome,),) = wind_loops(params, [loop], (field_kind,))
     return settled(outcome)

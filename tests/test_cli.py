@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from epband import LatticeSize, ModelParams, build_realspace, cli
+from epband import LatticeSize, ModelParams, build_realspace, cli, locate_btps
 from epband.cli import parse_angle, parse_range
 
 ANCHOR_FLAGS = ("--T", "-1.5", "--gamma", "0.5", "--t", "0.5")
@@ -306,8 +306,8 @@ def test_overflowing_field_exits_3():
                  # overflows the field
                  ["winding", "--J", "1e-10", "--T", "1e300", "--t", "0.5", "--gamma", "0.5",
                   "--kx", "1", "--ky", "1"],
-                 # E stays finite, but an eigenvector's norm overflows: this was read as tied
-                 # branch overlaps, a DegenerateTrackingError
+                 # E stays finite, but an eigenvector's norm overflows: this was once read as
+                 # tied branch overlaps
                  ["winding", "--J", "1", "--T", "1e154", "--t", "0.5", "--gamma", "0.5",
                   "--kx", "1", "--ky", "1"]):
         proc = run_cli(*argv)
@@ -347,8 +347,6 @@ def test_winding_swap_at_gamma_zero_exits_3(capsys):
         # gamma = 0 at |t/J| = 1.6e-3: a Dirac loop still turns too fast at 2^16 samples
         (("--J", "1.2731068227677047", "--T", "-0.05096735189088856",
           "--t", "0.0020740942029168377", "--gamma", "0"), "failed to quantize, raw angle -1"),
-        # t = 1.55e-11 lies above the t = 0 cutoff: a loop passes where the overlaps tie
-        (("--T", "-0.6179", "--t", "1.55e-11", "--gamma", "0.5"), "overlaps tied on the loop"),
     ],
 )
 def test_btps_unresolved_touching_exits_3(flags, message):
@@ -356,6 +354,33 @@ def test_btps_unresolved_touching_exits_3(flags, message):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert message in proc.stderr
+
+
+def test_btps_at_t_1_55e_11_prints_the_located_census(capsys):
+    # t = 1.55e-11 lies above the t = 0 cutoff.  A loop there once passed where the tracked
+    # eigenvector overlaps tied, and btps exited 3; the eigenvalue tracks the branch, and every
+    # loop winds the charges locate_btps sets
+    flags = ["btps", "--T", "-0.6179", "--t", "1.55e-11", "--gamma", "0.5"]
+    assert cli.main([*flags, "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest()[:12] == "5ec93bc9b8f0"
+    assert cli.main(flags) == 0
+    printed = json.loads(capsys.readouterr().out)["btps"]
+    btps = locate_btps(ModelParams(1.0, -0.6179, 1.55e-11, 0.5))
+    assert [b.kind for b in btps] == ["NormalEP"] * 16
+    assert [(b["branch"], b["wI"], b["wII"]) for b in printed] == [
+        (b.branch, b.w_i, b.w_ii) for b in btps]
+    assert [(b["kx"], b["ky"]) for b in printed] == [pytest.approx(b.k.xy, abs=1e-11) for b in btps]
+
+
+def test_winding_around_an_ep_pair_prints_the_summed_charge(capsys):
+    # the loop encloses two NormalEPs of charges (-1/2, -1/2) and (-1/2, +1/2).  Eigenvector
+    # overlaps cancelled two branch swaps on it and printed -0.5 with branchSwapped true
+    argv = ["winding", "--T", "-0.1832", "--t", "0.3493", "--gamma", "-0.000378", "--kx",
+            "-1.6318", "--ky", "-1.4547", "--loop-radius", "0.075", "--field", "F"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["value"], report["branchSwapped"]) == (-1.0, False)
 
 
 @pytest.mark.parametrize("gamma", ["5e-10", "-5e-10", "2e-09"])

@@ -28,14 +28,7 @@ from epband.bloch import (bloch_field_grid, observables_grid, principal_sqrt, ri
                           torus_distance, wrap_angle)
 from epband.btp import face
 from epband.cli import _ARROW_GRID, _centers
-from epband.winding import (
-    _FIELD_FLOOR,
-    _TIE_TOL,
-    DegenerateTrackingError,
-    NonQuantizedLoopError,
-    _attempt,
-    _wrap_steps,
-)
+from epband.winding import _FIELD_FLOOR, NonQuantizedLoopError, _attempt, _wrap_steps
 from test_bloch import stacked_eigvec
 from test_cli import BENCHMARK_WORKLOADS
 from test_phase import line_distance
@@ -308,11 +301,6 @@ def test_wind_loops_validation():
     assert list(wind_loops(ANCHOR, [])) == []
 
 
-def _overlap(u, v):
-    a, b = u[:, :-1].conj(), v[:, 1:]
-    return np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-
-
 def _loop_sets(params):
     """The loops ``signature`` winds at ``params``, up to its first unresolved touching."""
     btps = locate_btps(params)
@@ -336,46 +324,40 @@ def _loop_field(params, loops, m):
     return bloch_field_grid(params, kx, ky)
 
 
-def _two_eigenvector_attempt(params, loops, m, kinds):
-    """Reference first pass: solve for both eigenvectors and track by four overlaps.
+def _eigenvalue_parity(e, track):
+    """Branch parity per sample, 0 on the start branch, as a cumsum over the steps where two
+    consecutive principal roots point apart; none where nothing is tracked."""
+    swaps = ((e[:, 1:] * e[:, :-1].conj()).real < 0.0) & track
+    return np.concatenate([np.zeros((len(e), 1), int), np.cumsum(swaps, axis=1) % 2], axis=1)
 
-    Returns what ``_attempt`` returns, with nan in place of the raw angle
-    when the two branches disagree on where the tracking flips.
-    """
+
+def _two_eigenvector_attempt(params, loops, m, kinds):
+    """Reference first pass: solve for both eigenvectors and take F off the one on the branch
+    the eigenvalue parity picks."""
     bx, by = _loop_field(params, loops, m)
     with np.errstate(invalid="ignore", divide="ignore"):
         e = principal_sqrt(bx * bx + by * by)
         plus, minus = stacked_eigvec(bx, by, e), stacked_eigvec(bx, by, -e)
         for v in (plus, minus):
             v /= np.linalg.norm(v, axis=-1)[..., None]
-        o_pp, o_pm = _overlap(plus, plus), _overlap(plus, minus)
-        o_mp, o_mm = _overlap(minus, plus), _overlap(minus, minus)
         # at gamma = 0 h is real symmetric and E >= 0: the +E branch is followed throughout
         track = face(params).gamma != 1
-        flip_from_plus = (o_pm > o_pp) & track
-        ambiguous = np.any(flip_from_plus != ((o_mp > o_mm) & track), axis=1)
-        parity = np.cumsum(flip_from_plus, axis=1) % 2
-        parity = np.concatenate([np.zeros((len(loops), 1), parity.dtype), parity], axis=1)
-        on_plus = parity == 0
-        margins = np.where(on_plus[:, :-1], np.abs(o_pp - o_pm), np.abs(o_mm - o_mp))
+        on_plus = _eigenvalue_parity(e, track) == 0
         h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
-        margin_min = np.min(margins, axis=1)
         shared = []
         for i in range(len(loops)):
             if h_min[i] < 1e-12:
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif ambiguous[i]:
-                shared.append(math.nan)
-            elif track and margin_min[i] < _TIE_TOL:
-                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
         swapped = (on_plus[:, -1] != on_plus[:, 0]).tolist()
-        per_kind = []
-        for kind in kinds:
+        per_kind, witness = {}, False
+        for kind in ("F", "E"):
+            if kind not in kinds and not (track and kind == "F"):
+                continue  # where a branch is tracked, F witnesses it even when not asked for
             if kind == "F":
                 a = np.where(on_plus, plus[..., 0], minus[..., 0])
                 b = np.where(on_plus, plus[..., 1], minus[..., 1])
@@ -384,8 +366,10 @@ def _two_eigenvector_attempt(params, loops, m, kinds):
             else:
                 e_tr = np.where(on_plus, e, -e)
                 fx, fy = e_tr.real, e_tr.imag
-            per_kind.append(_stacked_outcomes(loops, kind, m, fx, fy, swapped, shared))
-    return list(zip(*per_kind))
+            per_kind[kind], coarse = _stacked_outcomes(loops, kind, m, fx, fy, swapped, shared,
+                                                       witness)
+            witness = coarse & track  # F's steps past pi/2 refine E
+    return list(zip(*(per_kind[kind] for kind in kinds)))
 
 
 def _family_draws(rng, n):
@@ -439,12 +423,14 @@ def _stacked_right_eigvec(bx, by, e):
     return np.where(use1[..., None], v1, v2)
 
 
-def _stacked_outcomes(loops, kind, m, fx, fy, swapped, shared):
-    """Per-loop outcomes of one field, taken with np.hypot and wrap_angle's float remainder."""
+def _stacked_outcomes(loops, kind, m, fx, fy, swapped, shared, witness):
+    """Per-loop outcomes of one field, taken with np.hypot and wrap_angle's float remainder,
+    and which loops turn past pi/2 in a step; a loop set in ``witness`` needs refining."""
     collapsed = np.min(np.hypot(fx, fy), axis=1) < _FIELD_FLOOR
     d = wrap_angle(np.diff(np.arctan2(fy, fx), axis=1))
     raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
     coarse = np.max(np.abs(d), axis=1) > 0.5 * np.pi
+    refine = coarse | witness
     outcomes = []
     for i, loop in enumerate(loops):
         if shared[i] is not None:
@@ -456,12 +442,12 @@ def _stacked_outcomes(loops, kind, m, fx, fy, swapped, shared):
         raw = raws[i]
         value = round(2.0 * raw) / 2.0
         residual = abs(raw - value)
-        if coarse[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
+        if refine[i] or residual >= 0.05 or (abs(round(2.0 * value)) % 2 == 1) != swapped[i]:
             outcomes.append(raw)
             continue
         outcomes.append(WindingResult(value, raw, residual, kind, swapped[i], loop.center,
                                       loop.radius, m))
-    return outcomes
+    return outcomes, coarse
 
 
 def _stacked_attempt(params, loops, m, kinds):
@@ -472,34 +458,31 @@ def _stacked_attempt(params, loops, m, kinds):
         v = _stacked_right_eigvec(bx, by, e)
         v /= np.linalg.norm(v, axis=-1)[..., None]
         a, b = v[..., 0], v[..., 1]
-        stay = np.abs(a[:, :-1].conj() * a[:, 1:] + b[:, :-1].conj() * b[:, 1:])
-        flip = np.abs(a[:, :-1].conj() * b[:, 1:] - b[:, :-1].conj() * a[:, 1:])
         track = face(params).gamma != 1  # gamma = 0: no branch swaps, and none is tracked
-        parity = np.cumsum((flip > stay) & track, axis=1) % 2
-        sign = 1.0 - 2.0 * np.concatenate([np.zeros((len(loops), 1)), parity], axis=1)
+        sign = 1.0 - 2.0 * _eigenvalue_parity(e, track)
         h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
-        margin_min = np.min(np.abs(stay - flip), axis=1)
         shared = []
         for i in range(len(loops)):
             if h_min[i] < 1e-12:
                 shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
-            elif track and margin_min[i] < _TIE_TOL:
-                shared.append(DegenerateTrackingError("eigenbranch overlaps tied on the loop"))
             else:
                 shared.append(None)
         swapped = (sign[:, -1] < 0).tolist()
-        per_kind = []
-        for kind in kinds:
+        per_kind, witness = {}, False
+        for kind in ("F", "E"):
+            if kind not in kinds and not (track and kind == "F"):
+                continue  # where a branch is tracked, F witnesses it even when not asked for
             if kind == "F":
                 fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2 - np.abs(b) ** 2
             else:
                 fx, fy = e.real, e.imag
-            per_kind.append(_stacked_outcomes(loops, kind, m, sign * fx, sign * fy, swapped,
-                                              shared))
-    return list(zip(*per_kind))
+            per_kind[kind], coarse = _stacked_outcomes(loops, kind, m, sign * fx, sign * fy,
+                                                       swapped, shared, witness)
+            witness = coarse & track  # F's steps past pi/2 refine E
+    return list(zip(*(per_kind[kind] for kind in kinds)))
 
 
 def _bits(x):
@@ -722,6 +705,125 @@ def test_small_t_dirac_winding_is_never_silently_wrong():
     assert result.value == -1.0
 
 
+# ---------------------------------------------------------------- gamma != 0 battery
+
+
+def _factor_turns(params, loop, m=4096, cap=2**18):
+    """Turns (n+, n-) of the factors z+- = Bx +- i By of E^2 around the loop, or None where no
+    count up to ``cap`` certifies them.
+
+    |dz/dtheta| <= L r with L = 2 sqrt(2) |J| + 4 |t|, so a step whose L r dtheta lies below
+    |z| at its start keeps z off 0, and its principal angle difference is the true one.
+    """
+    lip = (2.0 * math.sqrt(2.0) * abs(params.J) + 4.0 * abs(params.t)) * loop.radius
+    while m <= cap:
+        bx, by = _loop_field(params, [loop], m)
+        zs = (bx + 1j * by, bx - 1j * by)
+        low = min(np.min(np.abs(z[:, :-1])) for z in zs)
+        if low > 2.0 * np.pi * lip / m:
+            return [round(np.sum(wrap_angle(np.diff(np.angle(z)))) / (2.0 * np.pi)) for z in zs]
+        m = 2 * cap if low == 0.0 else 2 ** math.ceil(math.log2(2.5 * np.pi * lip / low))
+    return None
+
+
+def _battery_truth(params, btps, loop):
+    """(w_I, w_II) around the loop, or None where unresolved: the enclosed charges where every
+    touching clears the path by a tenth of the radius, else w_I = (n+ - n-)/2 and
+    w_II = (n+ + n-)/2 from the factor turns."""
+    dists = [torus_distance(loop.center, b.k) for b in btps]
+    if all(abs(d - loop.radius) > 0.1 * loop.radius for d in dists):
+        inside = [b for b, d in zip(btps, dists) if d < loop.radius]
+        return sum(b.w_i for b in inside), sum(b.w_ii for b in inside)
+    turns = _factor_turns(params, loop)
+    return None if turns is None else ((turns[0] - turns[1]) / 2, (turns[0] + turns[1]) / 2)
+
+
+def _battery_draws(rng, n):
+    """n couplings at gamma != 0, |t/J| log-uniform in [1e-3, 3] and |gamma/J| in [1e-4, 2],
+    each with 10 circles: 8 in 10 centred near a touching (radius 1e-3 to 0.5), so that it may
+    sit on or beside the path, and the rest anywhere (radius 0.01 to 1)."""
+    for _ in range(n):
+        j = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-0.3, 0.3)
+        t = rng.choice([-1.0, 1.0]) * abs(j) * 10.0 ** rng.uniform(-3.0, math.log10(3.0))
+        gamma = rng.choice([-1.0, 1.0]) * abs(j) * 10.0 ** rng.uniform(-4.0, math.log10(2.0))
+        params = ModelParams(j, abs(j) * rng.uniform(-3.0, 3.0), t, gamma)
+        btps = locate_btps(params)
+        loops = []
+        for _ in range(10):
+            if btps and rng.random() < 0.8:
+                k = btps[rng.integers(len(btps))].k
+                radius = 10.0 ** rng.uniform(-3.0, math.log10(0.5))
+                off, phi = radius * rng.uniform(0.0, 1.2), rng.uniform(0.0, 2.0 * math.pi)
+                center = Momentum(k.kx + off * math.cos(phi), k.ky + off * math.sin(phi))
+            else:
+                radius = rng.uniform(0.01, 1.0)
+                center = Momentum(*rng.uniform(-math.pi, math.pi, 2))
+            loops.append(Loop(center, radius))
+        yield params, btps, loops
+
+
+def test_gamma_off_zero_loops_wind_the_truth_or_raise():
+    # every WindingResult equals the truth for both kinds; overlap tracking wound a wrong F on
+    # 8 of these 397 resolved loops, by cancelling two branch swaps
+    checked = from_factors = 0
+    for params, btps, loops in _battery_draws(np.random.default_rng(32), 40):
+        for loop, outcomes in zip(loops, wind_loops(params, loops)):
+            want = _battery_truth(params, btps, loop)
+            if want is None:
+                continue
+            for kind, got, charge in zip("FE", outcomes, want):
+                assert isinstance(got, WindingError) or got.value == charge, (params, loop, kind)
+            checked += 1
+            from_factors += any(abs(torus_distance(loop.center, b.k) - loop.radius)
+                                <= 0.1 * loop.radius for b in btps)
+    assert checked > 390 and from_factors > 40
+
+
+def test_factor_turns_are_the_enclosed_charges():
+    # the two truths agree wherever both resolve, the factors' sign convention included
+    rng = np.random.default_rng(33)
+    for params, btps, loops in _battery_draws(rng, 4):
+        for loop in loops:
+            turns = _factor_turns(params, loop)
+            dists = [torus_distance(loop.center, b.k) for b in btps]
+            if turns is None or min((abs(d - loop.radius) for d in dists), default=1.0) < 1e-6:
+                continue
+            inside = [b for b, d in zip(btps, dists) if d < loop.radius]
+            assert ((turns[0] - turns[1]) / 2, (turns[0] + turns[1]) / 2) == (
+                sum(b.w_i for b in inside), sum(b.w_ii for b in inside))
+
+
+# two NormalEPs inside one loop, of charges (-1/2, -1/2) and (-1/2, +1/2): overlap tracking
+# cancelled two branch swaps on it and printed -1/2 for F, with a swap
+_EP_PAIR = ModelParams(1.0, -0.1832, 0.3493, -0.000378)
+_EP_PAIR_LOOP = Loop(Momentum(-1.6318, -1.4547), 0.075)
+
+
+def test_loop_around_an_ep_pair_winds_the_summed_charges():
+    btps = locate_btps(_EP_PAIR)
+    inside = [(b.kind, b.w_i, b.w_ii) for b in btps
+              if torus_distance(b.k, _EP_PAIR_LOOP.center) < _EP_PAIR_LOOP.radius]
+    assert sorted(inside) == [("NormalEP", -0.5, -0.5), ("NormalEP", -0.5, 0.5)]
+    f, e = wind_loops(_EP_PAIR, [_EP_PAIR_LOOP])[0]
+    assert (f.value, f.branch_swapped, e.value, e.branch_swapped) == (-1.0, False, 0.0, False)
+    assert winding_additivity_check(_EP_PAIR, btps, _EP_PAIR_LOOP)
+
+
+def test_f_witness_refines_e_where_the_eigenvalue_parity_misses_a_swap():
+    # one EP of charges (1/2, 1/2) inside, its partner 0.2 % of the radius outside.  At 512
+    # samples E's raw angle is 0, which would settle as 0; F turns past pi/2 in a step there,
+    # so E refines with it and settles on the enclosed 1/2 at 1024
+    p = ModelParams(-1.7211918856118138, -1.380712155685991, -3.496732609332671,
+                    -0.0002022556919559631)
+    loop = Loop(Momentum(1.5797257961213709, 1.9732967579648282), 0.013584569544871004)
+    ((first,),) = _attempt(p, [loop], 512, ("E",))
+    assert first == pytest.approx(0.0, abs=1e-12)
+    assert _battery_truth(p, locate_btps(p), loop) == (0.5, 0.5)
+    for kind in ("F", "E"):
+        r = winding_number(p, loop, kind)
+        assert (r.value, r.branch_swapped, r.samples) == (0.5, True, 1024)
+
+
 # ---------------------------------------------------------------- additivity
 
 
@@ -839,10 +941,29 @@ def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
     assert info.value.raw_angle == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("start, counts", [(300, [300 * 2**i for i in range(8)]),
+                                          (40000, [40000]), (2**16, [2**16])])
+def test_refinement_never_passes_max_samples(monkeypatch, start, counts):
+    # the grazing loop's F never settles: a 300-sample start doubled up to 76,800, past the
+    # 2^16 cap.  Doubling stops where it would pass the cap, so a start at or above it gets
+    # one pass
+    seen = []
+
+    def spy(params, loops, m, kinds):
+        seen.append(m)
+        return _attempt(params, loops, m, kinds)
+
+    monkeypatch.setattr(epband.winding, "_attempt", spy)
+    loop = dataclasses.replace(_GRAZING, samples=start)
+    with pytest.raises(NonQuantizedLoopError):
+        winding_number(ModelParams(1.0, -1.0, 0.5, 0.0), loop, "F")
+    assert seen == counts
+
+
 def test_overflowing_field_is_a_winding_error():
     # E^2 overflows on the loop at T = 1e300: F used to reach round() as a NaN raw angle and
     # raise a bare "cannot convert float NaN to integer", while E wound an infinite field.  At
-    # T = 1e154 E stays finite but an eigenvector's norm overflows, once read as tied overlaps
+    # T = 1e154 E stays finite but an eigenvector's norm overflows
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         outcomes = [o for p in (ModelParams(1.0, 1e300, 0.5, 1e-300),
