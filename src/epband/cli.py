@@ -393,10 +393,11 @@ def cmd_realspace(args) -> int:
     passed = check.passed and mismatch < check.tol
     dump = ()
     if args.dump:
-        rs, cs = np.nonzero(h)  # row-major order
+        order = np.lexsort((h.cols, h.rows))  # row-major order
         rows = (
             [str(r), str(c), _fmt(v.real), _fmt(v.imag)]
-            for r, c, v in zip(rs.tolist(), cs.tolist(), h[rs, cs])
+            for r, c, v in zip(h.rows[order].tolist(), h.cols[order].tolist(), h.vals[order])
+            if v != 0
         )
         dump = ((args.dump, _csv_chunks(("row", "col", "re", "im"), rows)),)
     report = _report(
@@ -610,7 +611,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MemoryError as exc:  # e.g. a lattice whose dense H cannot be allocated
+    except MemoryError as exc:  # e.g. a lattice whose plane-wave tables cannot be allocated
         sys.stderr.write(f"error: out of memory: {exc or 'allocation failed'}\n")
         return 2
     except (RuntimeError, ArithmeticError) as exc:  # WindingError is a RuntimeError

@@ -6,13 +6,13 @@ has nearest-neighbor hopping J, diagonal hoppings t(-1)^(lam+j+l) to
 (j+1, l+-1), and on-site gain/loss i*gamma*(-1)^(lam+j+l); the layers are
 tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
-cross-check between the lattice and the closed-form field.  H is returned
-read-only, so the O(N^6) transform is formed once per lattice; copy H before
-editing it.  The basis is the lattice size, and U is never formed: each of its
-columns lives on one sublattice, so the transform multiplies each sublattice pair of H
-by plane-wave tables, and holds H, one table, one pair of H and one chunk of products.
-H is filled in place, and only the 2x2 diagonal blocks of the products are kept.  Every
-block is compared in the basis's own sublattice order; every tolerance is in units of |J|.
+cross-check between the lattice and the closed-form field.  H is never dense: it is its 10
+entries per row in read-only arrays, so the O(N^6) transform is formed once per lattice; edit
+a copy (``dataclasses.replace``).  The basis is the lattice size, and U is never formed: each
+of its columns lives on one sublattice, so the transform scatters each sublattice pair of H
+from the entries and multiplies it by plane-wave tables, holding one table, one pair of H and
+one chunk of products, and keeps only the 2x2 diagonal blocks.  Every block is compared
+in the basis's own sublattice order; every tolerance is in units of |J|.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .bloch import ModelParams, bloch_field_grid, principal_sqrt, zone_grid
 
 __all__ = [
     "LatticeSize",
+    "RealSpaceH",
     "BlockCheckResult",
     "site_index",
     "build_realspace",
@@ -62,34 +63,43 @@ def site_index(lam: int, j: int, l: int, n: int) -> int:
     return (lam - 1) * n * n + (j % n) * n + (l % n)
 
 
-def build_realspace(params: ModelParams, size: LatticeSize) -> np.ndarray:
-    """Dense Hamiltonian of the periodic bilayer.
+@dataclass(frozen=True)
+class RealSpaceH:
+    """H as its entries H[rows[i], cols[i]] = vals[i], each (row, col) once, in read-only arrays."""
 
-    The Hermitian part collects J, t and T hoppings; the anti-Hermitian part
-    is the diagonal i*gamma*(-1)^(lam+j+l) staggering.  It is read-only.
-    """
+    size: LatticeSize
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+
+def build_realspace(params: ModelParams, size: LatticeSize) -> RealSpaceH:
+    """Hamiltonian of the periodic bilayer as its 10 entries per row: the J, t and T hoppings
+    (the Hermitian part) and the diagonal i*gamma*(-1)^(lam+j+l) staggering (anti-Hermitian)."""
     n = size.n
-    dim = size.dim
     # Site arrays in site_index order: layer 0/1 for lam = 1/2, then (j, l).
-    layer, j, l = np.indices((2, n, n)).reshape(3, dim)
-    here = np.arange(dim)
+    layer, j, l = np.indices((2, n, n)).reshape(3, -1)
+    here = np.arange(size.dim)
     sign = np.where((layer + 1 + j + l) % 2, -1.0, 1.0)  # (-1)^(lam+j+l)
 
     def to(dj, dl):
         return layer * n * n + (j + dj) % n * n + (l + dl) % n
 
-    # For N >= 4 every hopping and its Hermitian partner have entries of their own, so
-    # entries are set, not summed.  The hoppings are real; v + 0.0 stores a zero coupling
-    # (t = -0.0 included) as +0.0, like every other zero of H.
-    h = np.zeros((dim, dim), dtype=complex)
-    layer1 = here[: n * n]
-    for rows, cols, v in ((here, to(1, 0), params.J), (here, to(0, 1), params.J),
-                          (here, to(1, 1), params.t * sign), (here, to(1, -1), params.t * sign),
-                          (layer1, layer1 + n * n, params.T)):
-        h[rows, cols] = h[cols, rows] = v + 0.0
-    h[np.diag_indices(dim)] += 1j * params.gamma * sign
-    h.flags.writeable = False
-    return h
+    # For N >= 4 every hopping and its Hermitian partner have entries of their own.  The
+    # hoppings are real; v + 0.0 stores a zero coupling (t = -0.0 included) as +0.0.
+    rows, cols, vals = [here], [here], [0j + 1j * params.gamma * sign]
+    for r, c, v in ((here, to(1, 0), params.J), (here, to(0, 1), params.J),
+                    (here, to(1, 1), params.t * sign), (here, to(1, -1), params.t * sign),
+                    (here[: n * n], here[n * n :], params.T)):
+        rows, cols, vals = rows + [r, c], cols + [c, r], vals + 2 * [np.full(r.shape, v + 0.0)]
+    entries = [np.concatenate(a) for a in (rows, cols, vals)]
+    for a in entries:
+        a.flags.writeable = False
+    return RealSpaceH(size, *entries)
 
 
 def build_momentum_basis(size: LatticeSize) -> LatticeSize:
@@ -120,7 +130,7 @@ class BlockCheckResult:
 
 # The last transform's diagonal blocks and off-block maximum, with a weak reference to the
 # read-only H they came from: block_check and spectral_mismatch on one lattice share one
-# O(N^6) product, and a freed array's reference is dead, so a new array reusing its id is not it.
+# O(N^6) product, and a freed record's reference is dead, so a new one reusing its id is not it.
 _last_transform = (None, None, None)
 
 
@@ -162,33 +172,35 @@ def _chunk(hab: np.ndarray, table: np.ndarray, shift: int, start: int, out: np.n
     return np.max(np.abs(m))
 
 
-def _transform(h: np.ndarray, n: int):
+def _transform(h: RealSpaceH, n: int):
     """The 2x2 diagonal blocks of U^dag H U, shape (N^2, 2, 2), and the largest modulus of an
     entry outside them: block (a, b) is Phi_a^dag H[rows_a, rows_b] Phi_b, over the rows where
     U's columns are nonzero, for the four sublattice pairs, ``_CHUNK`` momenta at a time."""
     nk = n * n
     rows, table = _sublattices(n)
+    sub, at = np.divmod(np.argsort(np.concatenate(rows)), nk)  # each site's sublattice, row in it
     blocks = np.empty((nk, 2, 2), dtype=complex)
     peaks = []
     for b in (0, 1):
         if b:
             table = np.roll(table, nk // 2, axis=0)  # A's sites into B's order
         for a in (0, 1):
-            hab = h[np.ix_(rows[a], rows[b])]
+            hab = np.zeros((nk, nk), dtype=complex)
+            pair = (sub[h.rows] == a) & (sub[h.cols] == b)
+            hab[at[h.rows[pair]], at[h.cols[pair]]] = h.vals[pair]
             peaks += [_chunk(hab, table, nk // 2 * (a != b), start, blocks[:, a, b])
                       for start in range(0, nk, _CHUNK)]
             del hab  # not held beside two tables
     return blocks, float(np.max(peaks))
 
 
-def _blocks(h: np.ndarray, basis: LatticeSize):
-    """:func:`_transform` of H, reused while H is the same read-only array."""
+def _blocks(h: RealSpaceH, basis: LatticeSize):
+    """:func:`_transform` of H, reused while H is the same record of read-only arrays."""
     global _last_transform
-    dim = basis.dim
-    if h.shape != (dim, dim):
-        raise ValueError(f"H has shape {h.shape}, basis expects {(dim, dim)}")
-    # a writeable array, or a view whose base may be made writeable, is transformed every call
-    frozen = h.flags.owndata and not h.flags.writeable
+    if h.size != basis:
+        raise ValueError(f"H is of {h.size!r}, basis is of {basis!r}")
+    # writeable arrays, or views whose base may be made writeable, are transformed every call
+    frozen = all(a.flags.owndata and not a.flags.writeable for a in (h.rows, h.cols, h.vals))
     last_h, blocks, offblock = _last_transform
     if not (frozen and last_h is not None and last_h() is h):
         blocks, offblock = _transform(h, basis.n)
@@ -203,7 +215,7 @@ def _basis_field(params: ModelParams, n: int):
     return bloch_field_grid(params, *(k.ravel() for k in zone_grid(n)))
 
 
-def block_check(h: np.ndarray, basis: LatticeSize, params: ModelParams) -> BlockCheckResult:
+def block_check(h: RealSpaceH, basis: LatticeSize, params: ModelParams) -> BlockCheckResult:
     """Transform H to the momentum basis and compare against h(k) blocks.
 
     offblock is the largest matrix element outside the 2x2 diagonal blocks;
@@ -217,7 +229,7 @@ def block_check(h: np.ndarray, basis: LatticeSize, params: ModelParams) -> Block
     return BlockCheckResult(offblock=offblock, blockdev=blockdev, tol=1e-10 * abs(params.J))
 
 
-def spectral_mismatch(h: np.ndarray, basis: LatticeSize, params: ModelParams) -> float:
+def spectral_mismatch(h: RealSpaceH, basis: LatticeSize, params: ModelParams) -> float:
     """Max distance between each block's eigenvalue pair and +-E(k) at its momentum.
 
     The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and

@@ -6,6 +6,7 @@ reports which sub-checks failed.  Criteria 1, 6 and 8 carry wall-clock
 budgets of 5, 20 and 60 seconds.
 """
 
+import dataclasses
 import math
 import sys
 import time
@@ -364,10 +365,9 @@ def test_criterion_7_realspace_oracle(capfd):
     if mismatch >= 1e-10:
         bad.append(f"spectral mismatch {mismatch:.3e}")
 
-    bent = h.copy()
-    rows, cols = np.nonzero(np.abs(h - ANCHOR.J) < 1e-12)
-    bent[rows[0], cols[0]] += 0.1  # one nearest-neighbour bond detuned
-    broken = block_check(bent, basis, ANCHOR)
+    vals = h.vals.copy()
+    vals[np.flatnonzero(np.abs(vals - ANCHOR.J) < 1e-12)[0]] += 0.1  # one J entry detuned
+    broken = block_check(dataclasses.replace(h, vals=vals), basis, ANCHOR)
     if broken.passed or broken.offblock <= 1e-3:
         bad.append("detuned bond was not detected by the block check")
     _verdict(capfd, 7, bad)

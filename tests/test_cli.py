@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from epband import LatticeSize, ModelParams, build_realspace, cli, locate_btps
 from epband.cli import parse_angle, parse_range
+from test_lattice import _dense
 
 ANCHOR_FLAGS = ("--T", "-1.5", "--gamma", "0.5", "--t", "0.5")
 
@@ -628,10 +629,19 @@ def test_realspace_block_check(tmp_path):
     assert len(lines) > 72  # hoppings outnumber sites
 
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n):
-    params = ModelParams(1.0, -1.5, 0.5, 0.5)
-    h = build_realspace(params, LatticeSize(n))
+# zero couplings put explicit zero entries into H, t = -0.0 as +0.0: the dump leaves them out
+_ZERO_COUPLINGS = {"J-only": (1.0, 0.0, 0.0, 0.0), "t0": (1.0, 2.0, 0.0, 0.5),
+                   "t-0.0": (1.0, 0.0, -0.0, 0.0)}
+
+
+@pytest.mark.parametrize("n, couplings", [
+    *(pytest.param(n, (1.0, -1.5, 0.5, 0.5), id=str(n)) for n in (4, 6)),
+    *(pytest.param(n, c, id=f"{n}-{label}")
+      for n in (4, 6) for label, c in _ZERO_COUPLINGS.items()),
+])
+def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n, couplings):
+    params = ModelParams(*couplings)
+    h = _dense(build_realspace(params, LatticeSize(n)))
     lines = ["row,col,re,im"]
     for r in range(h.shape[0]):
         for c in range(h.shape[1]):
@@ -639,7 +649,8 @@ def test_realspace_dump_matches_entry_loop(tmp_path, capsys, n):
             if v != 0:
                 lines.append(",".join([str(r), str(c), cli._fmt(v.real), cli._fmt(v.imag)]))
     dump = tmp_path / "h.csv"
-    cli.main(["realspace", "--J", "1", *ANCHOR_FLAGS, "--N", str(n), "--dump", str(dump)])
+    flags = [f"--{name}={v!r}" for name, v in zip(("J", "T", "t", "gamma"), couplings)]
+    cli.main(["realspace", *flags, "--N", str(n), "--dump", str(dump)])
     capsys.readouterr()
     assert dump.read_text() == "\n".join(lines) + "\n"
 
@@ -731,10 +742,11 @@ def test_realspace_gate_is_relative_to_j():
 
 def test_realspace_mismatch_is_scale_free():
     # spectral_mismatch squared block entries near 1e200: "non-finite value nan in report"
-    # (exit 2).  It squares them in units of |J| and scales the distance back
+    # (exit 2).  It squares them in units of |J| and scales the distance back.  Both mismatches
+    # are rounding residues, so they agree to a few ulps of |J|, not to a relative tolerance
     got, want = (run_json("realspace", *f, "--N", "6") for f in (_scaled_anchor(200), ANCHOR_FLAGS))
-    assert got["passed"] is True
-    assert got["spectralMismatch"] == pytest.approx(1e200 * want["spectralMismatch"], rel=1e-9)
+    assert got["passed"] is True and got["spectralMismatch"] < 1e-10 * 1e200
+    assert abs(got["spectralMismatch"] / 1e200 - want["spectralMismatch"]) <= 4 * 2.0 ** -52
 
 
 # realspace stdout at the anchor, recorded when U^dag H U was formed from zero-padded columns
@@ -1096,6 +1108,18 @@ def _benchmark_workloads():
 # the benchmark's workloads module: its CLI commands here, its points draws in test_winding
 BENCHMARK_WORKLOADS = _benchmark_workloads()
 _COMMANDS = {label: (argv, written) for label, argv, written in BENCHMARK_WORKLOADS.CLI_COMMANDS}
+
+
+# the oracle workload's op and check: the op reads h.nbytes, and without it every op raised, so
+# the workload read 10 of 10 failed.  At 0 mod 4 the EPs on the grid fail the mismatch gate
+# (ROADMAP item 3)
+@pytest.mark.parametrize("n, verdict", [(6, None), (8, "spectral_mismatch"), (10, None),
+                                        (12, "spectral_mismatch")])
+def test_benchmark_oracle_op_on_realspace_entries(n, verdict):
+    check, mismatch, computed = BENCHMARK_WORKLOADS.run_oracle(n)
+    assert computed == build_realspace(BENCHMARK_WORKLOADS.ANCHOR, LatticeSize(n)).nbytes
+    checked = BENCHMARK_WORKLOADS.Oracle(1).check(n, (check, mismatch, computed))
+    assert checked.failure == verdict and checked.counts == {"bytes_computed": computed}
 _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 
 # Output paths the benchmark does not run, recorded the same way before the CLI's output

@@ -2,10 +2,12 @@
 
 ModelParams rejects J = 0, so the single-coupling patterns are isolated by
 linearity: the builder is affine in each coupling and H(J, 0, 0, 0) serves
-as the subtractable J-only reference.
+as the subtractable J-only reference.  The builder returns H's entries; the
+dense H made from them here is the reference at N <= 12.
 """
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -28,6 +30,15 @@ from epband.lattice import site_index
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
 
+def _dense(h):
+    # the dense reference: H from its entries, each (row, col) set once, every other entry 0
+    dim = h.size.dim
+    assert len(np.unique(h.rows * dim + h.cols)) == len(h.vals)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[h.rows, h.cols] = h.vals
+    return out
+
+
 def test_size_validation():
     assert LatticeSize(4).dim == 32
     assert LatticeSize(6).dim == 72
@@ -45,23 +56,23 @@ def test_size_must_be_an_integer():
             LatticeSize(bad)
     size = LatticeSize(np.int64(6))  # any integer type is taken, and stored as an int
     assert size == LatticeSize(6) and type(size.n) is int and size.dim == 72
-    assert build_realspace(ANCHOR, size).tobytes() \
-        == build_realspace(ANCHOR, LatticeSize(6)).tobytes()
+    assert _dense(build_realspace(ANCHOR, size)).tobytes() \
+        == _dense(build_realspace(ANCHOR, LatticeSize(6))).tobytes()
 
 
 def test_builder_affine_in_couplings():
     # H(J,T,t,g) - H(J,0,0,0) carries no J term; doubling every coupling
     # doubles the matrix.  Together these pin the all-zero limit to 0.
     size = LatticeSize(4)
-    h1 = build_realspace(ANCHOR, size)
-    h2 = build_realspace(ModelParams(2.0, -3.0, 1.0, 1.0), size)
+    h1 = _dense(build_realspace(ANCHOR, size))
+    h2 = _dense(build_realspace(ModelParams(2.0, -3.0, 1.0, 1.0), size))
     np.testing.assert_allclose(h2, 2.0 * h1, atol=1e-14)
 
 
 def test_nearest_neighbour_hopping_only():
     # J alone: four planar neighbours per site, all within the same layer
     n = 4
-    h = build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n))
+    h = _dense(build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n)))
     np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
     for row in range(2 * n * n):
         nz = np.flatnonzero(np.abs(h[row]) > 1e-15)
@@ -74,8 +85,8 @@ def test_nearest_neighbour_hopping_only():
 def test_gain_loss_staggering():
     n = 4
     gamma = 0.5
-    base = build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n))
-    h = build_realspace(ModelParams(1.0, 0.0, 0.0, gamma), LatticeSize(n)) - base
+    base = _dense(build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n)))
+    h = _dense(build_realspace(ModelParams(1.0, 0.0, 0.0, gamma), LatticeSize(n))) - base
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
     for lam in (1, 2):
         for j in range(n):
@@ -86,8 +97,8 @@ def test_gain_loss_staggering():
 
 def test_interlayer_coupling_pairs_sites():
     n = 4
-    base = build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n))
-    h = build_realspace(ModelParams(1.0, 2.0, 0.0, 0.0), LatticeSize(n)) - base
+    base = _dense(build_realspace(ModelParams(1.0, 0.0, 0.0, 0.0), LatticeSize(n)))
+    h = _dense(build_realspace(ModelParams(1.0, 2.0, 0.0, 0.0), LatticeSize(n))) - base
     assert np.count_nonzero(h) == 2 * n * n
     for j in range(n):
         for l in range(n):
@@ -96,7 +107,7 @@ def test_interlayer_coupling_pairs_sites():
 
 
 def test_anti_hermitian_part_is_gain_loss_diagonal():
-    h = build_realspace(ANCHOR, LatticeSize(6))
+    h = _dense(build_realspace(ANCHOR, LatticeSize(6)))
     anti = 0.5 * (h - h.conj().T)
     assert np.count_nonzero(anti - np.diag(np.diag(anti))) == 0
     np.testing.assert_allclose(np.abs(np.diag(anti)), ANCHOR.gamma, atol=1e-15)
@@ -195,7 +206,7 @@ def test_vectorized_blocks_match_loop_reference():
     h = build_realspace(p, size)
     basis = build_momentum_basis(size)
     u, momenta = _loop_basis(6)
-    m = u.conj().T @ h @ u
+    m = u.conj().T @ _dense(h) @ u
     outside = np.abs(m)
     blockdev = mismatch = 0.0
     for i, k in enumerate(momenta):
@@ -303,7 +314,8 @@ def test_builders_byte_identical_to_site_loops(n):
                          rng.uniform(-2, 2)) for _ in range(3)]
     draws.append(ModelParams(-1.0, 0.0, -0.0, -0.0))
     for p in draws:
-        assert build_realspace(p, LatticeSize(n)).tobytes() == _loop_realspace(p, n).tobytes()
+        assert _dense(build_realspace(p, LatticeSize(n))).tobytes() \
+            == _loop_realspace(p, n).tobytes()
     u, momenta = _loop_basis(n)
     assert _dense_u(n).tobytes() == u.tobytes()
     # the zone grid the checks read labels the columns as the loop does, bit for bit
@@ -330,24 +342,47 @@ def _dense_peak(fn):
     return (peak - start) / (LatticeSize(24).dim ** 2 * 16)
 
 
-def test_builder_holds_one_dense_matrix():
-    # H is filled in place: no hopping matrix and no transposed copy beside it
-    assert _dense_peak(lambda: build_realspace(ANCHOR, LatticeSize(24))) <= 1.1
+def test_builder_holds_no_dense_matrix():
+    # H is its 10 entries per row: 11,520 of them at N = 24, 1.7 % of a dense matrix
+    assert _dense_peak(lambda: build_realspace(ANCHOR, LatticeSize(24))) < 0.05
 
 
 def test_transform_holds_one_table_and_one_sublattice_pair(monkeypatch):
-    # besides the H handed in, the basis and both oracles together hold one quarter-size table,
-    # one quarter-size sublattice pair of H and three 1/16-size chunk products: 11/16 of a
-    # dense matrix.  U is never formed, and B's table never sits beside a pair of H
+    # the builder, the basis and both oracles together hold H's entries, one quarter-size
+    # table, one quarter-size sublattice pair of H and three 1/16-size chunk products: about
+    # 0.71 of a dense matrix.  Neither H nor U is ever dense, and B's table never sits beside
+    # a pair of H
     monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     size = LatticeSize(24)
-    h = build_realspace(ANCHOR, size)
 
     def oracle():
+        h = build_realspace(ANCHOR, size)
         basis = build_momentum_basis(size)
         return block_check(h, basis, ANCHOR), spectral_mismatch(h, basis, ANCHOR)
 
-    assert _dense_peak(oracle) < 0.7
+    assert _dense_peak(oracle) < 0.75
+
+
+@pytest.mark.parametrize("p", [ANCHOR, ModelParams(1.0, 0.0, -0.0, 0.0),
+                               ModelParams(-2.0, 1.3, -0.7, -0.3)])
+@pytest.mark.parametrize("n", [4, 6, 24])
+def test_entries_are_each_set_once_ten_per_row(n, p):
+    # each (row, col) once, zero couplings included as explicit +0.0 entries, and nbytes
+    # counts the three arrays
+    h = build_realspace(p, LatticeSize(n))
+    dim = LatticeSize(n).dim
+    assert h.size == LatticeSize(n) and len(h.vals) == 10 * dim
+    assert np.array_equal(np.bincount(h.rows, minlength=dim), np.full(dim, 10))
+    assert len(np.unique(h.rows * dim + h.cols)) == len(h.vals)
+    parts = np.concatenate([h.vals.real, h.vals.imag])
+    assert not np.signbit(parts[parts == 0.0]).any()
+    assert h.nbytes == h.rows.nbytes + h.cols.nbytes + h.vals.nbytes == 10 * dim * 32
+
+
+def test_basis_of_another_size_is_refused():
+    h = build_realspace(ANCHOR, LatticeSize(6))
+    with pytest.raises(ValueError, match=r"of LatticeSize\(n=6\), basis is of LatticeSize\(n=4"):
+        block_check(h, build_momentum_basis(LatticeSize(4)), ANCHOR)
 
 
 @pytest.mark.parametrize("chunk", [None, 48, 45])
@@ -361,7 +396,7 @@ def test_row_blocks_match_dense_transform(monkeypatch, n, chunk):
     p = ModelParams(1.0, rng.uniform(-3, 3), rng.uniform(-1, 1), rng.uniform(-2, 2))
     h = build_realspace(p, LatticeSize(n))
     u, _ = _loop_basis(n)
-    m = u.conj().T @ h @ u
+    m = u.conj().T @ _dense(h) @ u
     nk = n * n
     i = np.arange(nk)
     want = m.reshape(nk, 2, nk, 2)[i, :, i, :]
@@ -376,7 +411,7 @@ def _counted_transforms(monkeypatch):
     transform = lattice._transform
 
     def counted(h, n):
-        calls.append(h.shape)
+        calls.append(h.size)
         return transform(h, n)
 
     monkeypatch.setattr(lattice, "_transform", counted)
@@ -384,10 +419,27 @@ def _counted_transforms(monkeypatch):
     return calls
 
 
-def _flip_bond(h, n):
-    a, b = site_index(1, 2, 3, n), site_index(1, 2, 4, n)
-    h[a, b] = -h[a, b]
-    h[b, a] = -h[b, a]
+def _flip_bond(h, a, b):
+    # negate the entries (a, b) and (b, a) of H in place: its vals must be writeable
+    at = ((h.rows == a) & (h.cols == b)) | ((h.rows == b) & (h.cols == a))
+    assert np.count_nonzero(at) == 2
+    h.vals[at] = -h.vals[at]
+
+
+def _writeable_copy(h):
+    return dataclasses.replace(h, vals=h.vals.copy())
+
+
+def _bent(h, a, b):
+    # a read-only copy of H with one bond flipped
+    bent = _writeable_copy(h)
+    _flip_bond(bent, a, b)
+    bent.vals.flags.writeable = False
+    return bent
+
+
+def _bond(n):
+    return site_index(1, 2, 3, n), site_index(1, 2, 4, n)
 
 
 def test_one_transform_per_lattice(monkeypatch):
@@ -398,8 +450,9 @@ def test_one_transform_per_lattice(monkeypatch):
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
     assert len(calls) == 1
-    # a writeable copy is transformed on its own and leaves the lattice's transform in place
-    assert block_check(h.copy(), basis, ANCHOR) == check
+    # a copy with writeable entries is transformed on its own and leaves the lattice's
+    # transform in place
+    assert block_check(_writeable_copy(h), basis, ANCHOR) == check
     assert len(calls) == 2
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
     assert len(calls) == 2
@@ -421,69 +474,84 @@ def test_one_transform_per_lattice(monkeypatch):
 def test_builder_outputs_are_read_only():
     size = LatticeSize(4)
     h = build_realspace(ANCHOR, size)
-    with pytest.raises(ValueError, match="read-only"):
-        h[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        h *= 2.0
-    with pytest.raises(ValueError):
-        h[:].flags.writeable = True  # nor through a view
-    assert build_realspace(ANCHOR, size).tobytes() == h.tobytes()
+    for entries in (h.rows, h.cols, h.vals):
+        with pytest.raises(ValueError, match="read-only"):
+            entries[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            entries *= 2
+        with pytest.raises(ValueError):
+            entries[:].flags.writeable = True  # nor through a view
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.vals = h.vals.copy()  # nor by swapping an array
+    assert _dense(build_realspace(ANCHOR, size)).tobytes() == _dense(h).tobytes()
 
 
 def test_transform_follows_in_place_changes(monkeypatch):
     calls = _counted_transforms(monkeypatch)
     size = LatticeSize(6)
+    a, b = _bond(size.n)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
-    bent = h.copy()
-    _flip_bond(bent, size.n)
-    bent.flags.writeable = False
+    bent = _bent(h, a, b)
     bent_check = block_check(bent, basis, ANCHOR)
     bent_mismatch = spectral_mismatch(bent, basis, ANCHOR)
     assert check.passed and mismatch < 1e-10
     assert bent_check.offblock > 1e-3 and bent_mismatch != mismatch
     assert len(calls) == 2
-    # a writeable copy changed in place between calls: a fresh transform on every call
-    w = h.copy()
+    # writeable entries changed in place between calls: a fresh transform on every call
+    w = _writeable_copy(h)
     assert block_check(w, basis, ANCHOR) == check
-    _flip_bond(w, size.n)
+    _flip_bond(w, a, b)
     assert spectral_mismatch(w, basis, ANCHOR) == bent_mismatch
     assert block_check(w, basis, ANCHOR) == bent_check
-    _flip_bond(w, size.n)
+    _flip_bond(w, a, b)
     assert spectral_mismatch(w, basis, ANCHOR) == mismatch
     assert len(calls) == 6
-    # a read-only view of it follows its base
-    v = w[:]
-    v.flags.writeable = False
+    # a read-only view of them follows its base
+    view = w.vals[:]
+    view.flags.writeable = False
+    v = dataclasses.replace(w, vals=view)
     assert block_check(v, basis, ANCHOR) == check
-    _flip_bond(w, size.n)
+    _flip_bond(w, a, b)
     assert block_check(v, basis, ANCHOR) == bent_check
-    # the builder's own H with its writes enabled again
+    # the builder's own entries with their writes enabled again
     assert block_check(h, basis, ANCHOR) == check
-    h.flags.writeable = True
-    _flip_bond(h, size.n)
+    h.vals.flags.writeable = True
+    _flip_bond(h, a, b)
     assert spectral_mismatch(h, basis, ANCHOR) == bent_mismatch
     assert block_check(h, basis, ANCHOR) == bent_check
-    _flip_bond(h, size.n)
+    _flip_bond(h, a, b)
+    assert block_check(h, basis, ANCHOR) == check
+    # and the columns: an entry moved to another column, then moved back
+    h.vals.flags.writeable = False
+    assert block_check(h, basis, ANCHOR) == check
+    h.cols.flags.writeable = True
+    assert (h.rows[0], h.cols[0]) == (0, 0) and not np.any((h.rows == 0) & (h.cols == 2))
+    h.cols[0] = 2  # row 0's diagonal entry to (0, 2), which holds no coupling
+    assert not block_check(h, basis, ANCHOR).passed
+    h.cols[0] = 0
     assert block_check(h, basis, ANCHOR) == check
 
 
 def test_rebuilt_lattice_gets_its_own_transform(monkeypatch):
-    # a read-only lattice freed and rebuilt with other couplings at the same N; the new array
+    # a read-only lattice freed and rebuilt with other couplings at the same N; the new record
     # here mostly takes the freed one's id, which must not bring back the freed transform
     calls = _counted_transforms(monkeypatch)
     size = LatticeSize(6)
     couplings = (ANCHOR, ModelParams(J=1.0, T=0.7, t=-0.3, gamma=1.1))
     basis = build_momentum_basis(size)
     built = [build_realspace(p, size) for p in couplings]
-    want = [(block_check(h.copy(), basis, p), spectral_mismatch(h.copy(), basis, p))
+    want = [(block_check(_writeable_copy(h), basis, p),
+             spectral_mismatch(_writeable_copy(h), basis, p))
             for h, p in zip(built, couplings)]
     assert len(calls) == 4 and want[0] != want[1] and all(c.passed for c, _ in want)
     for i in (0, 1, 0, 1, 1, 0, 1, 0):
-        h = np.array(built[i])
-        h.flags.writeable = False
+        src = built[i]
+        h = lattice.RealSpaceH(size, *(np.array(x) for x in (src.rows, src.cols, src.vals)))
+        for x in (h.rows, h.cols, h.vals):
+            x.flags.writeable = False
         assert (block_check(h, basis, couplings[i]), spectral_mismatch(h, basis, couplings[i])) \
             == want[i]
         del h
@@ -494,11 +562,8 @@ def test_corrupted_hopping_detected():
     # one J bond flipped: the defect leaks into every momentum block with
     # weight 2J/N^2, so N = 4 keeps it above the 0.1 bar
     size = LatticeSize(4)
-    h = build_realspace(ANCHOR, size).copy()
-    a = site_index(1, 0, 0, size.n)
-    b = site_index(1, 1, 0, size.n)
-    h[a, b] = -h[a, b]
-    h[b, a] = -h[b, a]
+    h = _bent(build_realspace(ANCHOR, size), site_index(1, 0, 0, size.n),
+              site_index(1, 1, 0, size.n))
     res = block_check(h, build_momentum_basis(size), ANCHOR)
     assert res.offblock > 0.1
     assert not res.passed
@@ -506,11 +571,7 @@ def test_corrupted_hopping_detected():
 
 def test_corrupted_hopping_detected_n6():
     size = LatticeSize(6)
-    h = build_realspace(ANCHOR, size).copy()
-    a = site_index(1, 2, 3, size.n)
-    b = site_index(1, 2, 4, size.n)
-    h[a, b] = -h[a, b]
-    h[b, a] = -h[b, a]
+    h = _bent(build_realspace(ANCHOR, size), *_bond(size.n))
     res = block_check(h, build_momentum_basis(size), ANCHOR)
     assert not res.passed
     assert res.offblock > 1e-3
