@@ -10,8 +10,8 @@ where two consecutive principal roots of E^2 point apart.  Encircling an
 exceptional point swaps it after one turn, and the winding lands on a half-odd
 value.  At gamma = 0 no branch swaps, and none is tracked.
 Results are snapped to the nearest half-integer and the snap residual is
-reported.  :func:`wind_loops` winds many loops and both kinds in one pass
-over a (loops, samples) array; :func:`winding_number` is its one-loop case.
+reported.  :func:`wind_loops` winds many loops and both kinds in fused passes
+over (loops, samples) arrays; :func:`winding_number` is its one-loop case.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared, wit
 
 
 def _attempt(params: ModelParams, loops, m: int, kinds):
-    """One tracked pass at ``m`` samples over all loops, fused across kinds.
+    """One tracked pass at ``m`` samples over the given loops, fused across kinds.
 
     Where :func:`~epband.btp.face` puts gamma off 0, the branch swaps where
     Re(E_n+1 conj E_n) < 0, and F, wound even when only E is asked for, is the
@@ -224,32 +224,20 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     return list(zip(*(outcomes[kind] for kind in kinds)))
 
 
-def _refine(params: ModelParams, loop: Loop, kind: str, outcome):
-    """Double this loop's samples on its own until ``outcome`` settles, never past 2^16."""
-    m = loop.samples
-    while isinstance(outcome, float):
-        if 2 * m > MAX_SAMPLES:
-            return NonQuantizedLoopError(outcome)
-        m *= 2
-        ((outcome,),) = _attempt(params, [loop], m, (kind,))
-    return outcome
-
-
 def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
-    """Windings of every loop for each field kind, from one fused pass.
+    """Windings of every loop for each field kind, from fused passes over all loops.
 
-    The field, the eigenvector and the branch tracking are evaluated once on
-    a (loops, samples + 1) array and shared by all kinds.  Only that first
-    pass is batched: a loop and kind that need more samples double them on
-    their own, never past 2^16, as in :func:`winding_number`.
+    The field, the eigenvector and the branch tracking are evaluated once on a (loops,
+    samples + 1) array and shared by all kinds.  Each loop with a kind still at a raw angle is
+    then wound again at twice the samples, for the kinds still open, never past 2^16; at m
+    samples, max(1, loops * samples // m) loops to a pass, so none outgrows the first or a loop.
 
     Returns a list with, per loop and in order, a tuple with one outcome per
     kind: the :class:`WindingResult`, or the :class:`WindingError` that loop
     and kind ran into.
     """
-    for kind in kinds:
-        if kind not in ("F", "E"):
-            raise ValueError(f"field_kind must be 'F' or 'E', got {kind!r}")
+    if not kinds or any(kind not in ("F", "E") for kind in kinds):
+        raise ValueError(f"field kinds must each be 'F' or 'E', at least one, got {kinds!r}")
     loops = list(loops)
     if not loops:
         return []
@@ -258,11 +246,22 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     # windings are scale-free, so wind in units of |J|; a ratio past the float range clamps to it
     j, top = abs(params.J), np.finfo(float).max
     params = ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
-    first = _attempt(params, loops, loops[0].samples, kinds)
-    return [
-        tuple(_refine(params, loop, kind, out) for kind, out in zip(kinds, outcomes))
-        for loop, outcomes in zip(loops, first)
-    ]
+    m = loops[0].samples
+    budget = len(loops) * m
+    rows = [list(row) for row in _attempt(params, loops, m, kinds)]
+    while 2 * m <= MAX_SAMPLES and (unsettled := [i for i, r in enumerate(rows)
+                                                  if float in map(type, r)]):
+        m *= 2
+        size = max(1, budget // m)
+        for group in (unsettled[s:s + size] for s in range(0, len(unsettled), size)):
+            cols = [c for c in range(len(kinds)) if any(type(rows[i][c]) is float for i in group)]
+            fresh = _attempt(params, [loops[i] for i in group], m, tuple(kinds[c] for c in cols))
+            for i, row in zip(group, fresh):
+                for c, outcome in zip(cols, row):
+                    if type(rows[i][c]) is float:  # a settled outcome is kept
+                        rows[i][c] = outcome
+    # past the 2^16 cap, an outcome still at a raw angle failed to quantize
+    return [tuple(NonQuantizedLoopError(o) if type(o) is float else o for o in row) for row in rows]
 
 
 def settled(outcome) -> WindingResult:

@@ -2,13 +2,14 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from epband import (
     ModelParams,
@@ -630,3 +631,42 @@ def test_dp_to_ep_splitting_scale():
     kc = math.acos(0.5)
     want = eps / (p.J * math.sin(kc))
     assert sep == pytest.approx(want, rel=0.01)
+
+
+# ---------------------------------------------------------------- transition law
+
+
+def _assigned_charges(on, off):
+    """Summed (w_I, w_II) of the ``off`` touchings nearest to each ``on`` touching."""
+    sums = [[0.0, 0.0] for _ in on]
+    for b in off:
+        nearest = min(range(len(on)), key=lambda i: torus_distance(on[i].k, b.k))
+        sums[nearest][0] += b.w_i
+        sums[nearest][1] += b.w_ii
+    return [tuple(s) for s in sums]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(j=st.floats(0.5, 2.0), j_sign=st.sampled_from([1.0, -1.0]),
+       e=st.floats(-2.0, math.log10(3.0)), t_sign=st.sampled_from([1.0, -1.0]),
+       line=st.sampled_from(["gamma", -1.0, 0.0, 1.0]), x=st.floats(-2.5, 2.5),
+       s=st.sampled_from([1, -1]), side=st.sampled_from([1.0, -1.0]))
+def test_touchings_move_merge_and_split_by_the_transition_law(j, j_sign, e, t_sign, line, x, s,
+                                                               side):
+    """ROADMAP item 8's law, from locate_btps alone: on gamma = 0 (T = x |J|) or with branch
+    s's level on -1, 0 or 1 (gamma = x |J|), each touching found 1e-6 |J| off the line goes to
+    its nearest touching on it, whose charges are the sum of those it gets."""
+    big_j, t = j_sign * j, t_sign * j * 10.0**e
+    if line == "gamma":
+        on = ModelParams(big_j, x * j, t, 0.0)
+        off = ModelParams(big_j, on.T, t, side * 1e-6 * j)
+    else:
+        on = ModelParams(big_j, s * x * j - 2.0 * big_j * line, t, x * j)
+        off = ModelParams(big_j, on.T + side * 1e-6 * j, t, on.gamma)
+    assume(face(on).on_line and not face(off).on_line)
+    at_line, beside = locate_btps(on), locate_btps(off)
+    # nearest is only the parent where the line's own touchings lie far apart, which they do
+    # save beside a second line
+    assume(all(torus_distance(a.k, b.k) > 1e-2 for a, b in itertools.combinations(at_line, 2)))
+    assert at_line or not beside, (on, off)
+    assert _assigned_charges(at_line, beside) == [(b.w_i, b.w_ii) for b in at_line], (on, off)

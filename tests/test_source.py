@@ -141,6 +141,23 @@ def test_winding_kernel_makes_no_slow_or_copying_pass():
     assert [c for c in calls if c.endswith(_SLOW_PASSES)] == []
 
 
+# winding.wind_loops alone runs the winding pass, first over all loops and then over the loops
+# still open, batched: no per-loop or per-kind refinement path winds loops beside it
+def test_only_wind_loops_calls_the_winding_pass():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):  # every use of the name, called or passed on
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name != "_attempt":
+                continue
+            inner = max((f for f in defs if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.lineno, default=None)
+            found.append(f"{path.name}:{inner.name if inner else '<module>'}")
+    assert found and set(found) == {"winding.py:wind_loops"}
+
+
 # The transform memo keys on the identity of read-only arrays, not on a digest of their content
 def test_lattice_hashes_no_array():
     (path,) = [p for p in SOURCES if p.name == "lattice.py"]

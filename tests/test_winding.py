@@ -298,6 +298,9 @@ def test_wind_loops_validation():
         wind_loops(ANCHOR, [loop, Loop(center=Momentum(1.0, 1.0), radius=0.1, samples=1024)])
     with pytest.raises(ValueError):
         wind_loops(ANCHOR, [loop], kinds=("F", "G"))
+    # no kind asked for would drop the one tuple per loop the result promises
+    with pytest.raises(ValueError):
+        wind_loops(ANCHOR, [loop, Loop(center=Momentum(-1.0, 1.0), radius=0.1)], kinds=())
     assert list(wind_loops(ANCHOR, [])) == []
 
 
@@ -534,9 +537,10 @@ def test_component_kernel_is_bit_identical_to_stacked_kernel():
             v /= np.linalg.norm(v, axis=-1)[..., None]
             np.testing.assert_array_equal(_bits(a / norm), _bits(v[..., 0]))
             np.testing.assert_array_equal(_bits(b / norm), _bits(v[..., 1]))
-    # refinement winds one loop at a time at 1024, 2048, ... samples
+    # refinement winds the loops still open together at 1024, 2048, ... samples, fewer to a
+    # pass as the count grows: at 2^16 one loop to a pass
     for p, loops in sets[::4]:
-        _assert_same_attempt(p, loops[:1], 4096)
+        _assert_same_attempt(p, loops, 4096)
     for p, loops in [readme, *mergers]:
         _assert_same_attempt(p, loops[:1], 65536)
 
@@ -683,6 +687,44 @@ def test_gamma_zero_loop_winds_its_charges_or_raises(j, j_sign, big_t, e, t_sign
                 pass
 
 
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def _hard_couplings(draw, family):
+    """Couplings of one family, in units of a random |J|: near a pair merger, at small gamma,
+    at small t, or at gamma = 0 with small |t/J|.  Their loops refine the most."""
+    j = draw(_SIGNS) * 10.0 ** draw(st.floats(-0.3, 0.3))
+    side, t_sign, g_sign = draw(_SIGNS), draw(_SIGNS), draw(_SIGNS)
+    big_t, t, gamma = side * draw(st.floats(0.2, 1.8)), t_sign * draw(st.floats(0.2, 0.8)), 0.0
+    if family == "merger":
+        big_t = side * (2.0 - 10.0 ** draw(st.floats(-6.0, -1.0)))
+    elif family == "small_gamma":
+        gamma = g_sign * 10.0 ** draw(st.floats(-6.0, -1.0))
+    elif family == "small_t":
+        t, gamma = t_sign * 10.0 ** draw(st.floats(-11.0, -1.0)), g_sign * 0.5
+    else:
+        t = t_sign * 10.0 ** draw(st.floats(-4.0, -1.0))
+    return ModelParams(j, big_t * abs(j), t * abs(j), gamma * abs(j))
+
+
+@pytest.mark.parametrize("family", ["merger", "small_gamma", "small_t", "gamma_zero"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hard_family_loops_wind_their_charges_or_raise(family, data):
+    # ROADMAP item 2's acceptance property: every loop signature winds settles on the charges
+    # locate_btps set on its touching, or raises a typed WindingError; never another value
+    p = data.draw(_hard_couplings(family))
+    btps = locate_btps(p)
+    try:
+        loops = [make_loop(b.k, btps) for b in btps]
+    except UnresolvedLoopError:
+        return  # signature raises before it winds any loop
+    for b, outcomes in zip(btps, wind_loops(p, loops)):
+        for kind, got, charge in zip("FE", outcomes, (b.w_i, b.w_ii)):
+            assert isinstance(got, WindingError) or got.value == charge, (p, b, kind)
+
+
 # gamma = 0 and |t/J| = 1e-3: the Dirac cone is so anisotropic that the Bloch vector turns by
 # about pi within a short arc of the loop.  Overlap tracking swapped branches twice there and
 # wound 0; untracked, the field's steps trip the pi/2 guard until the loop settles on -1
@@ -807,6 +849,45 @@ def test_loop_around_an_ep_pair_winds_the_summed_charges():
     f, e = wind_loops(_EP_PAIR, [_EP_PAIR_LOOP])[0]
     assert (f.value, f.branch_swapped, e.value, e.branch_swapped) == (-1.0, False, 0.0, False)
     assert winding_additivity_check(_EP_PAIR, btps, _EP_PAIR_LOOP)
+
+
+def _spy_attempts(monkeypatch):
+    """(loops, samples, kinds) of every ``_attempt`` call from now on."""
+    seen = []
+
+    def spy(params, loops, m, kinds):
+        seen.append((len(loops), m, tuple(kinds)))
+        return _attempt(params, loops, m, kinds)
+
+    monkeypatch.setattr(epband.winding, "_attempt", spy)
+    return seen
+
+
+def test_refinement_winds_the_open_kinds_of_a_loop_together(monkeypatch):
+    # F and E both refine on the EP-pair loop: one pass at 1024 winds both, where refining
+    # each kind on its own wound F twice, once asked for and once as E's witness
+    seen = _spy_attempts(monkeypatch)
+    f, e = wind_loops(_EP_PAIR, [_EP_PAIR_LOOP])[0]
+    assert seen == [(1, 512, ("F", "E")), (1, 1024, ("F", "E"))]
+    assert (f.value, f.samples, e.value, e.samples) == (-1.0, 1024, 0.0, 1024)
+
+
+def test_no_refinement_pass_outgrows_the_first_pass_or_one_loop(monkeypatch):
+    # over the benchmark's points draws (seed 1), the loops still open at m samples go
+    # max(1, loops * 512 // m) to a pass
+    seen = _spy_attempts(monkeypatch)
+    grouped = split = 0
+    for _, p in BENCHMARK_WORKLOADS.draw_points(1):
+        if not (loops := _loop_sets(p)):
+            continue
+        del seen[:]
+        wind_loops(p, loops)
+        (n, m, _), refined = seen[0], seen[1:]
+        assert (n, m) == (len(loops), 512)
+        assert all(k * mk <= max(n * m, mk) for k, mk, _ in refined), (p, seen)
+        grouped += any(k > 1 for k, _, _ in refined)
+        split += len({mk for _, mk, _ in refined}) < len(refined)
+    assert grouped > 10 and split > 10
 
 
 def test_f_witness_refines_e_where_the_eigenvalue_parity_misses_a_swap():
