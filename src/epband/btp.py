@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -225,6 +226,10 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
         raise ValueError("gamma must be nonzero for exceptional rings")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
+    try:  # an integer of any kind, np.int64 included, but not 64.0
+        samples = operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 8:
         raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)

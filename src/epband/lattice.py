@@ -6,9 +6,10 @@ has nearest-neighbor hopping J, diagonal hoppings t(-1)^(lam+j+l) to
 (j+1, l+-1), and on-site gain/loss i*gamma*(-1)^(lam+j+l); the layers are
 tied site-by-site with T.  The momentum basis built here block-diagonalizes
 all of it into the 2x2 Bloch matrices of :mod:`epband.bloch`, which is the
-cross-check between the lattice and the closed-form field.  H is never dense: it is its 10
-entries per row in read-only arrays, so the O(N^6) transform is formed once per lattice; edit
-a copy (``dataclasses.replace``).  The basis is the lattice size, and U is never formed: each
+cross-check between the lattice and the closed-form field.  H is never dense: it is a value,
+its 10 entries per row in immutable arrays, that forms its O(N^6) transform on first use and
+keeps it; edit a copy (``dataclasses.replace``), which forms its own.  Copies and pickles are
+rebuilt through the constructor.  The basis is the lattice size, and U is never formed: each
 of its columns lives on one sublattice, so the transform scatters each sublattice pair of H
 from the entries and multiplies it by plane-wave tables, holding one table, one pair of H and
 one chunk of products, and keeps only the 2x2 diagonal blocks.  Every block is compared
@@ -18,8 +19,8 @@ in the basis's own sublattice order; every tolerance is in units of |J|.
 from __future__ import annotations
 
 import operator
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,16 +66,46 @@ def site_index(lam: int, j: int, l: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class RealSpaceH:
-    """H as its entries H[rows[i], cols[i]] = vals[i], each (row, col) once, in read-only arrays."""
+    """H as its entries H[rows[i], cols[i]] = vals[i], each (row, col) once, in immutable arrays."""
 
     size: LatticeSize
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
+    def __post_init__(self):
+        entries = rows, cols, vals = [np.asarray(a) for a in (self.rows, self.cols, self.vals)]
+        if any(a.ndim != 1 for a in entries) or not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals must be 1-D arrays of one length")
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (rows, cols)):
+            raise ValueError(f"rows and cols must be integers, got {rows.dtype}, {cols.dtype}")
+        dim = self.size.dim
+        if len(rows) and not 0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < dim:
+            raise ValueError(f"an entry lies outside the {dim} x {dim} H of {self.size!r}")
+        at = rows.astype(np.int64, copy=False) * dim + cols.astype(np.int64, copy=False)
+        at.sort(kind="stable")
+        if np.any(at[1:] == at[:-1]):
+            raise ValueError("an entry (row, col) is repeated")
+        for name, a in zip(("rows", "cols", "vals"), entries):
+            object.__setattr__(self, name, _immutable(a))
+
+    def __reduce__(self):  # copies and pickles are rebuilt, and carry no transform
+        return RealSpaceH, (self.size, self.rows, self.cols, self.vals)
+
     @property
     def nbytes(self) -> int:
         return self.rows.nbytes + self.cols.nbytes + self.vals.nbytes
+
+    @cached_property
+    def transform(self):
+        """:func:`_transform` of H, formed on first use and kept: its blocks and offblock."""
+        blocks, offblock = _transform(self, self.size.n)
+        return _immutable(blocks), offblock
+
+
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` over a bytes buffer: no flag, view or base makes it writeable again."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
 
 
 def build_realspace(params: ModelParams, size: LatticeSize) -> RealSpaceH:
@@ -96,10 +127,7 @@ def build_realspace(params: ModelParams, size: LatticeSize) -> RealSpaceH:
                     (here, to(1, 1), params.t * sign), (here, to(1, -1), params.t * sign),
                     (here[: n * n], here[n * n :], params.T)):
         rows, cols, vals = rows + [r, c], cols + [c, r], vals + 2 * [np.full(r.shape, v + 0.0)]
-    entries = [np.concatenate(a) for a in (rows, cols, vals)]
-    for a in entries:
-        a.flags.writeable = False
-    return RealSpaceH(size, *entries)
+    return RealSpaceH(size, *(np.concatenate(a) for a in (rows, cols, vals)))
 
 
 def build_momentum_basis(size: LatticeSize) -> LatticeSize:
@@ -126,12 +154,6 @@ class BlockCheckResult:
     @property
     def passed(self) -> bool:
         return max(self.offblock, self.blockdev) < self.tol
-
-
-# The last transform's diagonal blocks and off-block maximum, with a weak reference to the
-# read-only H they came from: block_check and spectral_mismatch on one lattice share one
-# O(N^6) product, and a freed record's reference is dead, so a new one reusing its id is not it.
-_last_transform = (None, None, None)
 
 
 # Momenta transformed at a time.  At N = 6 one chunk is the whole product; at N = 24 it cuts
@@ -195,19 +217,10 @@ def _transform(h: RealSpaceH, n: int):
 
 
 def _blocks(h: RealSpaceH, basis: LatticeSize):
-    """:func:`_transform` of H, reused while H is the same record of read-only arrays."""
-    global _last_transform
+    """H's transform, which block_check and spectral_mismatch on one record share."""
     if h.size != basis:
         raise ValueError(f"H is of {h.size!r}, basis is of {basis!r}")
-    # writeable arrays, or views whose base may be made writeable, are transformed every call
-    frozen = all(a.flags.owndata and not a.flags.writeable for a in (h.rows, h.cols, h.vals))
-    last_h, blocks, offblock = _last_transform
-    if not (frozen and last_h is not None and last_h() is h):
-        blocks, offblock = _transform(h, basis.n)
-        blocks.flags.writeable = False  # shared by every caller with this H
-        if frozen:
-            _last_transform = (weakref.ref(h), blocks, offblock)
-    return blocks, offblock
+    return h.transform
 
 
 def _basis_field(params: ModelParams, n: int):

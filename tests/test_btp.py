@@ -436,6 +436,16 @@ def test_ring_preconditions():
         trace_ep_ring(ModelParams(1.0, 0.0, 0.0, 0.0), 1)
 
 
+def test_ring_samples_must_be_an_integer():
+    # samples=64.0 raised a raw TypeError from the arc's linspace
+    p = ModelParams(1.0, -1.5, 0.0, 0.5)
+    for bad in (64.0, np.float64(64.0), "64", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            trace_ep_ring(p, 1, samples=bad)
+    assert trace_ep_ring(p, 1, samples=np.int64(64)).vertices.tobytes() \
+        == trace_ep_ring(p, 1, samples=64).vertices.tobytes()
+
+
 # ---------------------------------------------------------------- one level rule
 
 _PAST_TWO = ModelParams(J=-1.0, T=-5.661200375591189, t=-5e-13, gamma=-1.6612003735911895)

@@ -7,8 +7,10 @@ dense H made from them here is the reference at N <= 12.
 """
 
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import weakref
 
@@ -24,6 +26,7 @@ from epband import (
     spectral_mismatch,
 )
 from epband import lattice
+from epband.btp import locate_btps
 from epband.bloch import Momentum, bloch_field_grid, principal_sqrt, wrap_angle, zone_grid
 from epband.lattice import site_index
 
@@ -347,12 +350,11 @@ def test_builder_holds_no_dense_matrix():
     assert _dense_peak(lambda: build_realspace(ANCHOR, LatticeSize(24))) < 0.05
 
 
-def test_transform_holds_one_table_and_one_sublattice_pair(monkeypatch):
+def test_transform_holds_one_table_and_one_sublattice_pair():
     # the builder, the basis and both oracles together hold H's entries, one quarter-size
     # table, one quarter-size sublattice pair of H and three 1/16-size chunk products: about
     # 0.71 of a dense matrix.  Neither H nor U is ever dense, and B's table never sits beside
     # a pair of H
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     size = LatticeSize(24)
 
     def oracle():
@@ -415,31 +417,27 @@ def _counted_transforms(monkeypatch):
         return transform(h, n)
 
     monkeypatch.setattr(lattice, "_transform", counted)
-    monkeypatch.setattr(lattice, "_last_transform", (None, None, None))
     return calls
 
 
-def _flip_bond(h, a, b):
-    # negate the entries (a, b) and (b, a) of H in place: its vals must be writeable
-    at = ((h.rows == a) & (h.cols == b)) | ((h.rows == b) & (h.cols == a))
-    assert np.count_nonzero(at) == 2
-    h.vals[at] = -h.vals[at]
-
-
 def _writeable_copy(h):
+    # a record built from a writeable copy of H's values: the record makes its own of them
     return dataclasses.replace(h, vals=h.vals.copy())
 
 
 def _bent(h, a, b):
-    # a read-only copy of H with one bond flipped
-    bent = _writeable_copy(h)
-    _flip_bond(bent, a, b)
-    bent.vals.flags.writeable = False
-    return bent
+    # a copy of H with the bond (a, b) and its partner (b, a) negated
+    at = ((h.rows == a) & (h.cols == b)) | ((h.rows == b) & (h.cols == a))
+    assert np.count_nonzero(at) == 2
+    return dataclasses.replace(h, vals=np.where(at, -h.vals, h.vals))
 
 
 def _bond(n):
     return site_index(1, 2, 3, n), site_index(1, 2, 4, n)
+
+
+def _entries(h):
+    return h.rows, h.cols, h.vals
 
 
 def test_one_transform_per_lattice(monkeypatch):
@@ -450,8 +448,7 @@ def test_one_transform_per_lattice(monkeypatch):
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
     assert len(calls) == 1
-    # a copy with writeable entries is transformed on its own and leaves the lattice's
-    # transform in place
+    # a copy is a record of its own, transformed on its own, and the lattice keeps its transform
     assert block_check(_writeable_copy(h), basis, ANCHOR) == check
     assert len(calls) == 2
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
@@ -459,80 +456,88 @@ def test_one_transform_per_lattice(monkeypatch):
     # the transform is H's alone: a basis built again shares it
     assert block_check(h, build_momentum_basis(size), ANCHOR) == check
     assert len(calls) == 2
-    # a new lattice is a new transform, and the old one is then formed again
-    block_check(build_realspace(ANCHOR, LatticeSize(4)), build_momentum_basis(LatticeSize(4)),
-                ANCHOR)
+    # each record keeps its own: lattices A, B, A, B are two transforms, not four
+    other = build_realspace(ANCHOR, LatticeSize(4))
+    for record, n in ((other, 4), (h, 6), (other, 4), (h, 6)):
+        block_check(record, build_momentum_basis(LatticeSize(n)), ANCHOR)
+        spectral_mismatch(record, build_momentum_basis(LatticeSize(n)), ANCHOR)
     assert len(calls) == 3
     assert spectral_mismatch(h, basis, ANCHOR) == mismatch
-    assert len(calls) == 4
-    # the memo holds no lattice alive
+    assert len(calls) == 3
+    # no module keeps a lattice alive
     held = weakref.ref(h)
-    del h
+    del h, record
     assert held() is None
 
 
 def test_builder_outputs_are_read_only():
     size = LatticeSize(4)
     h = build_realspace(ANCHOR, size)
-    for entries in (h.rows, h.cols, h.vals):
+    for entries in (h.rows, h.cols, h.vals, h.transform[0]):
         with pytest.raises(ValueError, match="read-only"):
             entries[0] = 1
         with pytest.raises(ValueError, match="read-only"):
             entries *= 2
         with pytest.raises(ValueError):
+            entries.flags.writeable = True  # the flag cannot be set again
+        with pytest.raises(ValueError):
             entries[:].flags.writeable = True  # nor through a view
+        with pytest.raises(ValueError):
+            entries.view().flags.writeable = True
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.vals = h.vals.copy()  # nor by swapping an array
     assert _dense(build_realspace(ANCHOR, size)).tobytes() == _dense(h).tobytes()
 
 
-def test_transform_follows_in_place_changes(monkeypatch):
+def test_record_keeps_its_values_when_the_callers_arrays_change():
+    h = build_realspace(ANCHOR, LatticeSize(6))
+    rows, cols, vals = (np.array(a) for a in (h.rows, h.cols, h.vals))
+    mine = lattice.RealSpaceH(h.size, rows, cols, vals)
+    rows[0], cols[0], vals[:] = 5, 7, 0.0  # the caller's arrays, changed after construction
+    assert not any(np.shares_memory(a, b) for a, b in zip((rows, cols, vals), _entries(mine)))
+    assert [a.tobytes() for a in _entries(mine)] == [a.tobytes() for a in _entries(h)]
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "replace"])
+def test_copies_are_fresh_records(monkeypatch, how):
+    # a copy is rebuilt through the constructor: its entries are read-only, and it carries no
+    # transform of its source, so it is transformed from its own entries
+    calls = _counted_transforms(monkeypatch)
+    h = build_realspace(ANCHOR, LatticeSize(6))
+    check = block_check(h, h.size, ANCHOR)
+    made = {"copy": copy.copy, "deepcopy": copy.deepcopy, "replace": dataclasses.replace,
+            "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](h)
+    assert type(made) is lattice.RealSpaceH and made is not h and made.size == h.size
+    assert "transform" not in vars(made)
+    for ours, theirs in zip(_entries(made), _entries(h)):
+        assert ours.tobytes() == theirs.tobytes() and not np.shares_memory(ours, theirs)
+        assert not ours.flags.writeable
+        with pytest.raises(ValueError):
+            ours.flags.writeable = True
+    assert len(calls) == 1
+    assert block_check(made, h.size, ANCHOR) == check
+    assert len(calls) == 2
+
+
+def test_bent_copy_gets_its_own_transform(monkeypatch):
+    # a lattice checked, then a copy of it with one bond flipped: each is judged from its own
+    # entries, and the entries of the checked one can no longer be made writeable and bent
     calls = _counted_transforms(monkeypatch)
     size = LatticeSize(6)
-    a, b = _bond(size.n)
     h = build_realspace(ANCHOR, size)
     basis = build_momentum_basis(size)
     check = block_check(h, basis, ANCHOR)
     mismatch = spectral_mismatch(h, basis, ANCHOR)
-    bent = _bent(h, a, b)
+    for entries in _entries(h):
+        with pytest.raises(ValueError):
+            entries.flags.writeable = True
+    bent = _bent(h, *_bond(size.n))
     bent_check = block_check(bent, basis, ANCHOR)
     bent_mismatch = spectral_mismatch(bent, basis, ANCHOR)
     assert check.passed and mismatch < 1e-10
-    assert bent_check.offblock > 1e-3 and bent_mismatch != mismatch
+    assert bent_check.offblock > 1e-3 and not bent_check.passed and bent_mismatch != mismatch
     assert len(calls) == 2
-    # writeable entries changed in place between calls: a fresh transform on every call
-    w = _writeable_copy(h)
-    assert block_check(w, basis, ANCHOR) == check
-    _flip_bond(w, a, b)
-    assert spectral_mismatch(w, basis, ANCHOR) == bent_mismatch
-    assert block_check(w, basis, ANCHOR) == bent_check
-    _flip_bond(w, a, b)
-    assert spectral_mismatch(w, basis, ANCHOR) == mismatch
-    assert len(calls) == 6
-    # a read-only view of them follows its base
-    view = w.vals[:]
-    view.flags.writeable = False
-    v = dataclasses.replace(w, vals=view)
-    assert block_check(v, basis, ANCHOR) == check
-    _flip_bond(w, a, b)
-    assert block_check(v, basis, ANCHOR) == bent_check
-    # the builder's own entries with their writes enabled again
-    assert block_check(h, basis, ANCHOR) == check
-    h.vals.flags.writeable = True
-    _flip_bond(h, a, b)
-    assert spectral_mismatch(h, basis, ANCHOR) == bent_mismatch
-    assert block_check(h, basis, ANCHOR) == bent_check
-    _flip_bond(h, a, b)
-    assert block_check(h, basis, ANCHOR) == check
-    # and the columns: an entry moved to another column, then moved back
-    h.vals.flags.writeable = False
-    assert block_check(h, basis, ANCHOR) == check
-    h.cols.flags.writeable = True
-    assert (h.rows[0], h.cols[0]) == (0, 0) and not np.any((h.rows == 0) & (h.cols == 2))
-    h.cols[0] = 2  # row 0's diagonal entry to (0, 2), which holds no coupling
-    assert not block_check(h, basis, ANCHOR).passed
-    h.cols[0] = 0
-    assert block_check(h, basis, ANCHOR) == check
+    assert block_check(h, basis, ANCHOR) == check and len(calls) == 2
 
 
 def test_rebuilt_lattice_gets_its_own_transform(monkeypatch):
@@ -591,3 +596,42 @@ def test_block_check_random_params(n):
     basis = build_momentum_basis(size)
     assert block_check(h, basis, p).passed
     assert spectral_mismatch(h, basis, p) < 1e-10
+
+
+@pytest.mark.parametrize("how", ["2-D rows", "short vals", "float rows", "cols - 1",
+                                 "size of N = 4", "repeated entry"])
+def test_entries_that_describe_no_matrix_of_the_size_are_refused(how):
+    # cols - 1 wrapped to another H through negative indexing and a repeated entry was dropped
+    # by the transform's scatter, without an error; the rest ended in a raw IndexError there
+    h = build_realspace(ANCHOR, LatticeSize(6))
+    bad = {"2-D rows": dict(rows=h.rows.reshape(2, -1)), "short vals": dict(vals=h.vals[:-1]),
+           "float rows": dict(rows=h.rows.astype(float)), "cols - 1": dict(cols=h.cols - 1),
+           "size of N = 4": dict(size=LatticeSize(4)),
+           "repeated entry": dict(rows=np.append(h.rows, h.rows[5]),
+                                  cols=np.append(h.cols, h.cols[5]), vals=np.append(h.vals, 1.0))}
+    with pytest.raises(ValueError, match="1-D arrays of one length|must be integers|outside the"
+                                         "|is repeated"):
+        dataclasses.replace(h, **bad[how])
+
+
+def _on_grid(k, n):
+    return abs(k - 2.0 * math.pi / n * round(k * n / (2.0 * math.pi))) <= 1e-9
+
+
+_DIRAC = ModelParams(J=1.0, T=-1.0, t=0.5, gamma=0.0)
+
+
+@pytest.mark.parametrize("p, n, eps, zeros", [
+    *((ANCHOR, n, eps, 0) for n, eps in ((6, 0), (8, 4), (10, 0), (12, 12), (16, 4), (24, 12))),
+    *((_DIRAC, n, 0, zeros) for n, zeros in ((6, 0), (8, 0), (10, 0), (12, 8), (16, 0), (24, 8)))])
+def test_finite_lattice_witnesses_its_touchings(p, n, eps, zeros):
+    # a touching on the momentum grid is a 2x2 block of the lattice with trace and determinant
+    # 0: a nonzero nilpotent (Jordan) block at an EP, the zero block at a Dirac point, and the
+    # blocks count exactly the touchings locate_btps puts on the grid
+    blocks = build_realspace(p, LatticeSize(n)).transform[0] / abs(p.J)
+    a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
+    touching = (np.abs(a + d) <= 1e-12) & (np.abs(a * d - b * c) < 1e-12)
+    zero = np.max(np.abs(blocks), axis=(1, 2)) <= 1e-12
+    on_grid = [t.branch for t in locate_btps(p) if all(_on_grid(k, n) for k in t.k.xy)]
+    assert np.count_nonzero(touching & ~zero) == eps == len([s for s in on_grid if s != 0])
+    assert np.count_nonzero(touching & zero) == zeros == on_grid.count(0)

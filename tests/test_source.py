@@ -158,7 +158,16 @@ def test_only_wind_loops_calls_the_winding_pass():
     assert found and set(found) == {"winding.py:wind_loops"}
 
 
-# The transform memo keys on the identity of read-only arrays, not on a digest of their content
+# The package keeps no module state: no function rebinds a module's or an enclosing scope's
+# name, so a result depends only on its arguments and the records they hold
+def test_package_rebinds_no_global_or_enclosing_name():
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert found == []
+
+
+# A lattice record keeps its own transform, not one found by a digest of its content
 def test_lattice_hashes_no_array():
     (path,) = [p for p in SOURCES if p.name == "lattice.py"]
     text = path.read_text(encoding="utf-8").lower()

@@ -135,6 +135,15 @@ def test_loop_validation():
     assert Loop(center=Momentum(0, 0), radius=math.nextafter(math.pi, 0.0)).radius < math.pi
 
 
+def test_loop_samples_must_be_an_integer():
+    # samples=512.0 was taken, and winding the loop raised a raw IndexError inside the pass
+    for bad in (512.0, np.float64(512.0), "512", None):
+        with pytest.raises(ValueError, match="loop samples must be an integer"):
+            Loop(center=Momentum(0, 0), radius=0.1, samples=bad)
+    loop = Loop(center=Momentum(0, 0), radius=0.1, samples=np.int64(512))
+    assert loop == Loop(center=Momentum(0, 0), radius=0.1) and type(loop.samples) is int
+
+
 # ---------------------------------------------------------------- pinned values
 
 
