@@ -64,9 +64,12 @@ def site_index(lam: int, j: int, l: int, n: int) -> int:
     return (lam - 1) * n * n + (j % n) * n + (l % n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealSpaceH:
-    """H as its entries H[rows[i], cols[i]] = vals[i], each (row, col) once, in immutable arrays."""
+    """H as its entries H[rows[i], cols[i]] = vals[i], each (row, col) once, in immutable arrays.
+
+    Records compare and hash by identity, since each caches its own transform: two built
+    from equal entries are unequal."""
 
     size: LatticeSize
     rows: np.ndarray

@@ -104,10 +104,11 @@ def _discrete_label(b: Btp):
 def signature(params: ModelParams) -> ConfigurationSignature:
     """Locate all band touchings with their charges, and confirm each by winding its loop.
 
-    Every loop is built before any is wound, so a touching that no loop separates raises
-    :class:`UnresolvedLoopError` at once.  The rest surface per touching, in order: its F
-    winding, its E winding, then windings that differ from the charges :func:`locate_btps`
-    set on it.
+    Every loop is built before any is wound, each enclosing its touching alone, however close
+    its partner; the winding kernel alone judges whether a loop resolves it.  Errors surface
+    per touching, in order: its F winding, its E winding (a :class:`LoopThroughDefectError`
+    where the field falls below its floor on the loop), then windings that differ from the
+    charges :func:`locate_btps` set on it (an :class:`UnresolvedLoopError`).
     """
     btps = locate_btps(params)
     loops = [make_loop(b.k, btps) for b in btps]

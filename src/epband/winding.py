@@ -39,11 +39,12 @@ class WindingError(RuntimeError):
 
 
 class LoopThroughDefectError(WindingError):
-    """The field magnitude vanished on the loop; a touching point sits on it."""
+    """The field fell below its floor on the loop: a touching sits on it, or the loop is too
+    small to resolve the touching it encloses."""
 
 
 class UnresolvedLoopError(WindingError):
-    """No loop resolves a touching: its partner is too close, or it winds off its charges."""
+    """A touching's loop winds off its charges."""
 
 
 class NonQuantizedLoopError(WindingError):
@@ -79,21 +80,16 @@ def make_loop(center: Momentum, all_btps) -> Loop:
     """Loop around ``center`` sized off the nearest other band touching.
 
     radius = min(0.4 * distance to the nearest listed BTP other than the
-    center itself, 0.1).  The center's own entry is the nearest one within
-    1e-9, and only it is skipped: a partner EP as close counts.  A radius
-    below 1e-4 means two touchings are about to merge and no loop separates
-    them: an :class:`UnresolvedLoopError`.  A loop that runs through a
-    touching fails when it is wound, with a :class:`LoopThroughDefectError`.
+    center itself, 0.1), so the loop encloses no other touching.  The center's
+    own entry is the nearest one within 1e-9, and only it is skipped: a
+    partner EP as close counts.  No radius is too small to build: whether a
+    loop resolves its touching is judged when it is wound, where a field
+    below its floor raises :class:`LoopThroughDefectError`.
     """
     dists = sorted(torus_distance(center, b.k) for b in all_btps)
     if dists and dists[0] <= 1e-9:
         del dists[0]
-    radius = min(0.4 * dists[0], 0.1) if dists else 0.1
-    if radius < 1e-4:
-        raise UnresolvedLoopError(
-            f"loop radius {radius:.2e} below 1e-4: band touchings too close to separate"
-        )
-    return Loop(center=center, radius=radius)
+    return Loop(center=center, radius=min(0.4 * dists[0], 0.1) if dists else 0.1)
 
 
 @dataclass(frozen=True)
@@ -176,8 +172,10 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
 
     Returns one tuple per loop with one outcome per kind: a WindingResult,
     the WindingError the loop hit, or a float, the raw angle of a pass that
-    needs more samples.  Every floor on the field is in units of |J|, so scaling all
-    couplings together changes no outcome.
+    needs more samples.  |E| below 1e-10 |J| anywhere on a loop is a
+    LoopThroughDefectError for every kind; it covers h = 0 too, since |E|^2 <= |h|^2.
+    Every floor on the field is in units of |J|, so scaling all couplings together
+    changes no outcome.
     """
     theta = 2.0 * np.pi * np.arange(m + 1) / m
     theta[m] = 0.0  # close each loop on the same matrix as its first sample
@@ -186,8 +184,6 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     # A loop through a defect gets 0/0 in its own rows only, and one whose field overflows
     # inf in its own rows; its outcome is that error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        h2 = np.min(bx * bx + by.real**2 + by.imag**2, axis=1)
-        h_small = (h2 < 1e-24 * params.J * params.J).tolist()
         e = principal_sqrt(bx * bx + by * by)
         abs_e = np.abs(e)
         e_min = abs_e.min(axis=1).tolist()
@@ -207,8 +203,6 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         for i in range(len(loops)):
             if not finite[i]:
                 shared.append(WindingError("eigenvalue is not finite on the loop"))
-            elif h_small[i]:
-                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
             elif e_min[i] < e_floor:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             else:

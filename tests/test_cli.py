@@ -287,13 +287,13 @@ def test_winding_json_shape(capsys):
 
 def test_winding_loop_through_defect_exit3():
     # Loop of radius 0.1 centered 0.1 east of the Dirac point at (pi/3, pi/2):
-    # the sample at angle pi lands on the defect where h itself vanishes.
+    # the sample at angle pi lands on the defect where h itself vanishes, and |E| with it.
     proc = run_cli(
         "winding", "--T", "-1", "--gamma", "0", "--t", "0.5",
         "--kx", repr(math.pi / 3 + 0.1), "--ky", "pi/2", "--loop-radius", "0.1",
     )
     assert proc.returncode == 3
-    assert "vanishes" in proc.stderr
+    assert proc.stderr.endswith("error: eigenvalue collapses on the loop\n")
 
 
 def test_overflowing_field_exits_3():
@@ -340,21 +340,30 @@ def test_winding_swap_at_gamma_zero_exits_3(capsys):
         assert err == "error: winding failed to quantize, raw angle -0.000000 turns\n"
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        # partner EPs 1e-5 apart
-        (("--T", "-1", "--t", "0.5", "--gamma", "1e-5"), "too close to separate"),
-        # gamma = 0 at |t/J| = 1.6e-3: a Dirac loop still turns too fast at 2^16 samples
-        (("--J", "1.2731068227677047", "--T", "-0.05096735189088856",
-          "--t", "0.0020740942029168377", "--gamma", "0"), "failed to quantize, raw angle -1"),
-    ],
-)
-def test_btps_unresolved_touching_exits_3(flags, message):
-    proc = run_cli("btps", *flags)
+def test_btps_unresolved_touching_exits_3():
+    # gamma = 0 at |t/J| = 1.6e-3: a Dirac loop still turns too fast at 2^16 samples
+    proc = run_cli("btps", "--J", "1.2731068227677047", "--T", "-0.05096735189088856",
+                   "--t", "0.0020740942029168377", "--gamma", "0")
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert message in proc.stderr
+    assert "failed to quantize, raw angle -1" in proc.stderr
+
+
+def test_btps_prints_partner_eps_1e_5_apart(capsys):
+    # each Dirac point of gamma = 0 splits into two normal EPs about gamma apart; each loop,
+    # 0.4 times that apart in radius, winds its own EP's charges.  A 1e-4 radius floor once
+    # refused this census and exited 3
+    flags = ["btps", "--T", "-1", "--t", "0.5", "--gamma", "1e-5"]
+    assert cli.main(flags) == 0
+    out, err = capsys.readouterr()
+    printed = json.loads(out)
+    assert err == "" and (printed["count"], printed["type"]) == (16, "III")
+    btps = locate_btps(ModelParams(1.0, -1.0, 0.5, 1e-5))
+    assert [b["kind"] for b in printed["btps"]] == [b.kind for b in btps] == ["NormalEP"] * 16
+    assert [(b["branch"], b["wI"], b["wII"]) for b in printed["btps"]] == [
+        (b.branch, b.w_i, b.w_ii) for b in btps]
+    assert [(b["kx"], b["ky"]) for b in printed["btps"]] == [
+        pytest.approx(b.k.xy, abs=1e-11) for b in btps]
 
 
 def test_btps_at_t_1_55e_11_prints_the_located_census(capsys):
@@ -1124,23 +1133,24 @@ _REFERENCE = json.loads((_PERFBENCH / "reference" / "cli.json").read_text())
 
 # Output paths the benchmark does not run, recorded the same way before the CLI's output
 # code was folded into one path: label -> (argv, stdout SHA-256, SHA-256 of each file that
-# argv writes under out/).  The scan window holds classified, boundary and error cells.
-# The README scans follow: its 41x41 window at t = 0.5 and, as CSV and JSON, at t = 0,
-# where 1,636 cells hold ring errors, and a 19x19 window at t = -0.7.
+# argv writes under out/).  The scan window holds classified and boundary cells, with
+# partner EPs down to 1e-4 apart.  The README scans follow: its 41x41 window at t = 0.5 and,
+# as CSV and JSON, at t = 0, where 1,636 cells hold ring errors and pin the error rows, and
+# a 19x19 window at t = -0.7.
 _RING_FLAGS = ("--gamma", "1", "--T", "0", "--t", "0")
 _SCAN_FLAGS = ("--t", "0.5", "--gamma-range", "-4e-4:4e-4", "--T-range", "-1.2:-0.8", "--res", "9")
 _README_SCAN = ("--J", "1", "--gamma-range", "-2:2", "--T-range", "-2:2", "--res", "41")
 _PINNED = {
     "scan_csv": (
         ["scan", *_SCAN_FLAGS],
-        "6a6b91e1e290706a1231697d93271c663bb1e9e00437ce0879ea7430cba38e6f",
+        "5144691cb46bf331f8bd2eb57cc6ab368d129546d8e87487fdb3d72dba3cb537",
         {},
     ),
     "scan_json": (
         ["scan", *_SCAN_FLAGS, "--format", "json", "--out", "out/scan.json"],
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         {
-            "scan.json": "a9a5da5ff8d6dd416ef02c63396e147e5bbe2d03861f59f93c8f4f04a44d7537",
+            "scan.json": "ab431be3ac437202ff6785a7da74cb835c1e72963e273ce5dad813171b778c10",
         },
     ),
     "dispersion_csv": (

@@ -519,6 +519,16 @@ def test_copies_are_fresh_records(monkeypatch, how):
     assert len(calls) == 2
 
 
+def test_records_compare_and_hash_by_identity():
+    # the dataclass == compared the entry arrays and raised ValueError, and hash, over them,
+    # raised TypeError
+    size = LatticeSize(6)
+    h = build_realspace(ANCHOR, size)
+    assert h == h and hash(h) == hash(h) and {h, h} == {h}
+    for other in (build_realspace(ANCHOR, size), dataclasses.replace(h)):
+        assert other != h and len({h, other}) == 2
+
+
 def test_bent_copy_gets_its_own_transform(monkeypatch):
     # a lattice checked, then a copy of it with one bond flipped: each is judged from its own
     # entries, and the entries of the checked one can no longer be made writeable and bent

@@ -158,6 +158,16 @@ def test_only_wind_loops_calls_the_winding_pass():
     assert found and set(found) == {"winding.py:wind_loops"}
 
 
+# make_loop sizes a loop off the nearest other touching and refuses none: btp.face decides
+# when two touchings are one, and the winding kernel's floors judge whether a loop resolves
+# its touching, so no closeness guess of make_loop's own sits beside them
+def test_make_loop_raises_nothing():
+    (path,) = [p for p in SOURCES if p.name == "winding.py"]
+    (make_loop,) = [n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(n, ast.FunctionDef) and n.name == "make_loop"]
+    assert [n.lineno for n in ast.walk(make_loop) if isinstance(n, ast.Raise)] == []
+
+
 # The package keeps no module state: no function rebinds a module's or an enclosing scope's
 # name, so a result depends only on its arguments and the records they hold
 def test_package_rebinds_no_global_or_enclosing_name():

@@ -14,7 +14,6 @@ from epband import (
     LoopThroughDefectError,
     ModelParams,
     Momentum,
-    UnresolvedLoopError,
     WindingError,
     WindingResult,
     locate_btps,
@@ -106,20 +105,22 @@ def test_make_loop_single_point():
     assert loop.radius == pytest.approx(0.1)
 
 
-def test_make_loop_rejects_unresolved_pair():
+def test_make_loop_separates_a_pair_1e_5_apart():
+    # no radius floor: the loop stays clear of the partner however close, and winding it
+    # judges whether it resolves its touching
     a = Momentum(1.0, 1.0)
     b = Momentum(1.0 + 1e-5, 1.0)
     fake = [type("B", (), {"k": b})()]
-    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
-        make_loop(a, fake)
+    assert make_loop(a, fake).radius == pytest.approx(0.4e-5, rel=1e-9)
 
 
 def test_make_loop_skips_only_its_own_entry():
     center = Momentum(1.0, 1.0)
     own = type("B", (), {"k": Momentum(1.0 + 2e-16, 1.0)})()
     assert make_loop(center, [own]).radius == 0.1
-    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
-        make_loop(center, [own, own])  # a second touching as close counts
+    # a second touching as close counts, and no circle encloses the one without the other
+    with pytest.raises(ValueError, match=r"loop radius must lie in \(0, pi\)"):
+        make_loop(center, [own, own])
 
 
 def test_loop_validation():
@@ -314,15 +315,9 @@ def test_wind_loops_validation():
 
 
 def _loop_sets(params):
-    """The loops ``signature`` winds at ``params``, up to its first unresolved touching."""
+    """The loops ``signature`` winds at ``params``."""
     btps = locate_btps(params)
-    loops = []
-    for b in btps:
-        try:
-            loops.append(make_loop(b.k, btps))
-        except UnresolvedLoopError:
-            break
-    return loops
+    return [make_loop(b.k, btps) for b in btps]
 
 
 def _loop_field(params, loops, m):
@@ -355,13 +350,10 @@ def _two_eigenvector_attempt(params, loops, m, kinds):
         # at gamma = 0 h is real symmetric and E >= 0: the +E branch is followed throughout
         track = face(params).gamma != 1
         on_plus = _eigenvalue_parity(e, track) == 0
-        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
         shared = []
         for i in range(len(loops)):
-            if h_min[i] < 1e-12:
-                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
-            elif e_min[i] < _FIELD_FLOOR:
+            if e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             else:
                 shared.append(None)
@@ -472,13 +464,10 @@ def _stacked_attempt(params, loops, m, kinds):
         a, b = v[..., 0], v[..., 1]
         track = face(params).gamma != 1  # gamma = 0: no branch swaps, and none is tracked
         sign = 1.0 - 2.0 * _eigenvalue_parity(e, track)
-        h_min = np.min(np.hypot(np.abs(bx), np.abs(by)), axis=1)
         e_min = np.min(np.abs(e), axis=1)
         shared = []
         for i in range(len(loops)):
-            if h_min[i] < 1e-12:
-                shared.append(LoopThroughDefectError("h(k) vanishes on the loop"))
-            elif e_min[i] < _FIELD_FLOOR:
+            if e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             else:
                 shared.append(None)
@@ -521,6 +510,12 @@ def test_component_kernel_is_bit_identical_to_stacked_kernel():
     # one norm per candidate, summed as numpy sums it, the same complex-by-real division,
     # squared guards and an exact wrap: every outcome equals the stacked kernel's exactly
     readme = (ANCHOR, [Loop(Momentum(-math.pi / 3, -HALF_PI), 0.1)])
+    # the theta = pi sample lands on the Dirac point at (pi/3, pi/2), where h = 0: E's floor
+    # fails there, for both kinds, as it does in the reference
+    through = (ModelParams(1.0, -1.0, 0.5, 0.0), [Loop(Momentum(math.pi / 3 + 0.1, HALF_PI), 0.1)])
+    _assert_same_attempt(*through, 512)
+    assert [str(o) for o in _attempt(*through, 512, ("F", "E"))[0]] == [
+        "eigenvalue collapses on the loop"] * 2
     scan = _scan_window_loop_sets()
     assert len(scan) == 72
     rng = np.random.default_rng(16)
@@ -685,10 +680,7 @@ def test_gamma_zero_loop_winds_its_charges_or_raises(j, j_sign, big_t, e, t_sign
     assume(face(p).gamma == 1)
     btps = locate_btps(p)
     for b in btps:
-        try:
-            loop = make_loop(b.k, btps)
-        except UnresolvedLoopError:
-            continue
+        loop = make_loop(b.k, btps)
         for kind, charge in (("F", b.w_i), ("E", b.w_ii)):
             try:
                 assert winding_number(p, loop, kind).value == charge, (p, b, kind)
@@ -725,10 +717,7 @@ def test_hard_family_loops_wind_their_charges_or_raise(family, data):
     # locate_btps set on its touching, or raises a typed WindingError; never another value
     p = data.draw(_hard_couplings(family))
     btps = locate_btps(p)
-    try:
-        loops = [make_loop(b.k, btps) for b in btps]
-    except UnresolvedLoopError:
-        return  # signature raises before it winds any loop
+    loops = [make_loop(b.k, btps) for b in btps]
     for b, outcomes in zip(btps, wind_loops(p, loops)):
         for kind, got, charge in zip("FE", outcomes, (b.w_i, b.w_ii)):
             assert isinstance(got, WindingError) or got.value == charge, (p, b, kind)
@@ -944,14 +933,13 @@ def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
     p = ModelParams(1.0, -1.0, 0.5, gamma)
     assert signature(p).btps == signature(dataclasses.replace(p, gamma=0.0)).btps
     assert winding_additivity_check(p, locate_btps(p), big)
-    # past the snap the partner lies 3.5e-9 off and no loop separates the two, so the census
-    # raises; the big loop needs no loop per touching and winds the pair's summed charges,
-    # which neither touching carries alone
+    # past the snap the partner lies 3.5e-9 off, and a loop 0.4 times that small still winds
+    # each touching's own charges, so the census is the located one; the big loop winds the
+    # pair's summed charges, which neither touching carries alone
     p = ModelParams(1.0, -1.0, 0.5, math.copysign(3e-9, gamma))
     btps = locate_btps(p)
     assert {b.kind for b in btps} == {"NormalEP"}
-    with pytest.raises(UnresolvedLoopError, match="too close to separate"):
-        signature(p)
+    assert signature(p).btps == tuple(btps)
     pair = [b for b in btps if torus_distance(b.k, big.center) < big.radius]
     assert len(pair) == 2 and winding_additivity_check(p, btps, big)
     for left_out in pair:
@@ -991,18 +979,18 @@ def test_additivity_rejects_touching_on_path():
 
 def test_loop_through_defect_rejected():
     # only a Dirac point can trip the field floor in float64 (h itself
-    # vanishes there); at an EP the residual |E| never drops below ~1e-8.
+    # vanishes there, and |E| with it); at an EP the residual |E| never drops below ~1e-8.
     # Place the theta = pi sample right on the touching.
     p = ModelParams(1.0, -1.0, 0.5, 0.0)
     dp = Momentum(math.acos(0.5), HALF_PI)
     loop = Loop(center=Momentum(dp.kx + 0.1, dp.ky), radius=0.1)
-    with pytest.raises(LoopThroughDefectError):
+    with pytest.raises(LoopThroughDefectError, match="eigenvalue collapses on the loop"):
         winding_number(p, loop, "F")
 
 
 def test_loop_that_grazes_a_dirac_point_reports_the_collapsed_eigenvalue():
-    # the theta = pi sample passes 1e-11 from the Dirac point: h stays above its floor there,
-    # but |E| falls below the field floor
+    # the theta = pi sample passes 1e-11 from the Dirac point, where |E| falls below the field
+    # floor
     p = ModelParams(1.0, -1.0, 0.5, 0.0)
     loop = Loop(Momentum(math.pi / 3 + 0.1 + 1e-11, HALF_PI), 0.1)
     with pytest.raises(LoopThroughDefectError, match="eigenvalue collapses on the loop"):
