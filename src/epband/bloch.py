@@ -18,6 +18,7 @@ is involved.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "Momentum",
+    "integer",
     "SYMMETRY_RELATIONS",
     "wrap_angle",
     "torus_distance",
@@ -68,6 +70,23 @@ def principal_sqrt(w):
     return e
 
 
+def integer(value, what: str) -> int:
+    """``value`` as an int: an integer of any kind, np.int64 included, but not 6.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _set_finite(record, convert=float):
+    """Set each field of the frozen dataclass ``record`` to convert(its float), which is finite."""
+    for name in record.__dataclass_fields__:  # dataclasses.fields's source, with no copy
+        v = float(getattr(record, name))
+        if not math.isfinite(v):
+            raise ValueError(f"{type(record).__name__}.{name} must be finite, got {v!r}")
+        object.__setattr__(record, name, convert(v))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling constants. J is the energy unit and must be nonzero."""
@@ -78,11 +97,7 @@ class ModelParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("J", "T", "t", "gamma"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"ModelParams.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        _set_finite(self)
         if self.J == 0.0:
             raise ValueError("ModelParams.J must be nonzero")
 
@@ -95,11 +110,7 @@ class Momentum:
     ky: float
 
     def __post_init__(self):
-        for name in ("kx", "ky"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"Momentum.{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(wrap_angle(v)))
+        _set_finite(self, wrap_angle)
 
     @property
     def xy(self):

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt, wrap_angle
+from .bloch import ModelParams, Momentum, bloch_field_grid, integer, principal_sqrt, wrap_angle
 
 __all__ = ["DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP",
            "KINDS", "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level",
@@ -163,8 +162,9 @@ def locate_btps(params: ModelParams) -> list[Btp]:
     points pair up into four merged ones.  At t = 0 a branch on -2 or 2 is the
     trivial EP at (pi, pi) or (0, 0), and any branch between them is a ring,
     which raises RingRegimeError.  A gapped system returns an empty list.  Each touching
-    carries its charges (w_I, w_II) in closed form, from the sign q of a 2x2 Jacobian: (q, 0)
-    on a Dirac point, (q/2, s q/2) on a normal EP of branch s, and (+0.0, +0.0) on the rest.
+    carries its charges (w_I, w_II) in closed form, from the sign q of the Jacobian
+    det d(Bx, Re By)/d(kx, ky) = 8 J t sin kx sin ky (cos kx - cos ky) at it: (q, 0) on a
+    Dirac point, (q/2, s q/2) on a normal EP of branch s, and (+0.0, +0.0) on the rest.
     """
     f = face(params)
     branches = (0,) if f.gamma == 1 else (1, -1)
@@ -185,15 +185,15 @@ def locate_btps(params: ModelParams) -> list[Btp]:
             continue  # past the outer marks: gapped
         level = f.level(place)
         kc = math.acos(branch_level(params, s) if level is None else level)
-        kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one key
-        # q = sign(J t sin 2k_c sin k_perp) on a ky = +-pi/2 line, and -q with the axes swapped
-        pts = {(k, h): math.copysign(1.0, params.t / params.J * math.sin(2.0 * k) * math.sin(h))
-               for k in kcs for h in (_HALF_PI, -_HALF_PI)}  # t / J never underflows, J t may
-        locs = {**pts, **{(h, k): -q for (k, h), q in pts.items()}}
+        kcs = (kc,) if kc == math.pi else (kc, -kc)  # -pi is pi; -0.0 == 0.0 is one point
         u = 0.0 if level is not None else 1.0 if s == 0 else 0.5  # |w_I|
         kinds = (DIRAC_POINT, SEMI_DIRAC_POINT) if s == 0 else (NORMAL_EP, HYBRID_EP)
-        btps.extend(Btp(Momentum(x, y), s, kinds[level is not None], u * q + 0.0, s * u * q + 0.0)
-                    for (x, y), q in locs.items())  # + 0.0 turns a -0.0 into +0.0
+        # the set holds each point once, where a merger repeats it.  w_I = q |w_I|, with q the
+        # Jacobian's sign (t / J never underflows, J t may), and + 0.0 turns a -0.0 into +0.0
+        for x, y in {xy for k in kcs for h in (_HALF_PI, -_HALF_PI) for xy in ((k, h), (h, k))}:
+            w = u * math.copysign(1.0, params.t / params.J * math.sin(x) * math.sin(y)
+                                  * (math.cos(x) - math.cos(y)))
+            btps.append(Btp(Momentum(x, y), s, kinds[level is not None], w + 0.0, s * w + 0.0))
     if rings:
         raise RingRegimeError(
             "t = 0 with gamma != 0 puts the band touchings on rings "
@@ -226,10 +226,7 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
         raise ValueError("gamma must be nonzero for exceptional rings")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    try:  # an integer of any kind, np.int64 included, but not 64.0
-        samples = operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
+    samples = integer(samples, "samples")
     if samples < 8:
         raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)
@@ -244,8 +241,7 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
     else:
         half = math.acos(c + 1.0)
         lo, hi = half, 2.0 * math.pi - half
-    m = max(samples // 2, 4)
-    kxs = np.linspace(lo, hi, m)
+    kxs = np.linspace(lo, hi, samples // 2)
     kys = np.arccos(np.clip(c - np.cos(kxs), -1.0, 1.0))
     top = np.column_stack([kxs, kys])
     bottom = np.column_stack([kxs[::-1], -kys[::-1]])

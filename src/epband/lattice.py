@@ -18,13 +18,12 @@ in the basis's own sublattice order; every tolerance is in units of |J|.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bloch import ModelParams, bloch_field_grid, principal_sqrt, zone_grid
+from .bloch import ModelParams, bloch_field_grid, integer, principal_sqrt, zone_grid
 
 __all__ = [
     "LatticeSize",
@@ -45,10 +44,7 @@ class LatticeSize:
     n: int
 
     def __post_init__(self):
-        try:  # an integer of any kind, np.int64 included, but not 6.0
-            object.__setattr__(self, "n", operator.index(self.n))
-        except TypeError:
-            raise ValueError(f"lattice size must be an integer, got {self.n!r}") from None
+        object.__setattr__(self, "n", integer(self.n, "lattice size"))
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"lattice size must be even and >= 4, got {self.n}")
 

@@ -17,13 +17,12 @@ over (loops, samples) arrays; :func:`winding_number` is its one-loop case.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
-                    torus_distance)
+from .bloch import (ModelParams, Momentum, bloch_field_grid, integer, principal_sqrt,
+                    right_eigvec, torus_distance)
 from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
@@ -67,11 +66,7 @@ class Loop:
     def __post_init__(self):
         if not 0.0 < self.radius < math.pi:
             raise ValueError(f"loop radius must lie in (0, pi), got {self.radius!r}")
-        if type(self.samples) is not int:  # an int passes at no cost: make_loop builds many
-            try:  # an integer of any kind, np.int64 included, but not 512.0
-                object.__setattr__(self, "samples", operator.index(self.samples))
-            except TypeError:
-                raise ValueError(f"loop samples must be an integer, got {self.samples!r}") from None
+        object.__setattr__(self, "samples", integer(self.samples, "loop samples"))
         if self.samples < 256:
             raise ValueError("loops need at least 256 samples")
 

@@ -42,6 +42,21 @@ def _dense(h):
     return out
 
 
+def _twisted_dense(h, twist):
+    # the dense H with twisted boundaries: a hopping whose cell step wraps by +-N along x (y)
+    # is multiplied by exp(+-i phi_x) (exp(+-i phi_y)), so by Bloch's theorem its blocks sit
+    # on the shifted grid k = (2 pi m + phi) / N
+    n = h.size.n
+    out = _dense(h)
+    cells = np.unravel_index(np.arange(h.size.dim), (2, n, n))[1:]
+    phase = np.zeros(len(h.vals))
+    for phi, c in zip(twist, cells):
+        step = c[h.cols] - c[h.rows]
+        phase += phi * (((step + 1) % n - 1 - step) // n)  # the wrap: +1, -1 or 0
+    out[h.rows, h.cols] *= np.exp(1j * phase)
+    return out
+
+
 def test_size_validation():
     assert LatticeSize(4).dim == 32
     assert LatticeSize(6).dim == 72
@@ -645,3 +660,43 @@ def test_finite_lattice_witnesses_its_touchings(p, n, eps, zeros):
     on_grid = [t.branch for t in locate_btps(p) if all(_on_grid(k, n) for k in t.k.xy)]
     assert np.count_nonzero(touching & ~zero) == eps == len([s for s in on_grid if s != 0])
     assert np.count_nonzero(touching & zero) == zeros == on_grid.count(0)
+
+
+def _nullity(m, p):
+    return int(np.count_nonzero(np.linalg.svd(m, compute_uv=False) < 1e-9 * abs(p.J)))
+
+
+def _twist_censuses():
+    # the anchor, eight Dirac points, four semi-Dirac points, the trivial EP at (0, 0) of
+    # t = 0, and seeded draws with and without gamma
+    rng = np.random.default_rng(18)
+    draws = [ModelParams(rng.choice([1.0, -1.0]) * rng.uniform(0.5, 2.0), rng.uniform(-3, 3),
+                         rng.uniform(-1, 1), gamma * rng.uniform(-2, 2))
+             for gamma in (0.0, 1.0) * 3]
+    return [ANCHOR, _DIRAC, ModelParams(1.0, 0.0, 0.5, 0.0), ModelParams(1.0, -4.5, 0.0, 0.5),
+            *draws]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_twisted_lattice_holds_each_touching(n):
+    # the twist that puts a touching on the grid puts it there at any N, with its images under
+    # the grid's translations: the real-space H alone, with no momentum basis, is then singular
+    # by one per EP (a 2x2 Jordan block) and two per Dirac point (the zero block), and H^2 by
+    # two per touching, counted over the touchings locate_btps puts on the shifted grid
+    seen = set()
+    for p in _twist_censuses():
+        h = build_realspace(p, LatticeSize(n))
+        btps = locate_btps(p)
+        for b in btps:
+            twist = (n * b.k.kx, n * b.k.ky)
+            on_grid = [t.branch for t in btps
+                       if all(_on_grid(k - k0, n) for k, k0 in zip(t.k.xy, b.k.xy))]
+            m = _twisted_dense(h, twist)
+            counts = (_nullity(m, p), _nullity(m @ m, p))
+            assert counts == (len(on_grid) + on_grid.count(0), 2 * len(on_grid)), (p, b)
+            seen.add((p, counts))
+    # ROADMAP item 18's evidence: the anchor's 12 EPs six at a time at N = 6, and four of the
+    # eight Dirac points of (1, -1, 0.5, 0) at a time
+    if n == 6:
+        assert {c for p, c in seen if p == ANCHOR} == {(6, 12)}
+        assert {c for p, c in seen if p == _DIRAC} == {(8, 8)}

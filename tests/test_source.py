@@ -53,6 +53,18 @@ def test_only_btp_places_a_point_among_the_lines(path):
     assert found == (list(_FACE_RULES) if path.name == "btp.py" else [])
 
 
+# bloch.integer alone turns a count into an int, and locate_btps alone signs a charge: no
+# other module holds an integer check or a charge sign of its own that could disagree
+_ONE_OWNER = {"operator.index": "bloch.py", "math.copysign": "btp.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
+def test_one_module_owns_the_integer_check_and_the_charge_sign(path):
+    text = path.read_text(encoding="utf-8")
+    found = [call for call in _ONE_OWNER if call in text]
+    assert found == [call for call, owner in _ONE_OWNER.items() if owner == path.name]
+
+
 # btp alone names the touching kinds and holds what each implies (KINDS): no other module
 # spells a kind, so none keeps a per-kind table of its own
 _KIND_NAMES = ("DiracPoint", "SemiDiracPoint", "NormalEP", "HybridEP", "TrivialIsolatedEP",

@@ -693,13 +693,19 @@ _SIGNS = st.sampled_from([1.0, -1.0])
 
 @st.composite
 def _hard_couplings(draw, family):
-    """Couplings of one family, in units of a random |J|: near a pair merger, at small gamma,
-    at small t, or at gamma = 0 with small |t/J|.  Their loops refine the most."""
+    """Couplings of one family, in units of a random |J|: near a pair merger, with a branch
+    level just past a merger level, at small gamma, at small t, or at gamma = 0 with small
+    |t/J|.  Their loops refine the most."""
     j = draw(_SIGNS) * 10.0 ** draw(st.floats(-0.3, 0.3))
     side, t_sign, g_sign = draw(_SIGNS), draw(_SIGNS), draw(_SIGNS)
     big_t, t, gamma = side * draw(st.floats(0.2, 1.8)), t_sign * draw(st.floats(0.2, 0.8)), 0.0
     if family == "merger":
         big_t = side * (2.0 - 10.0 ** draw(st.floats(-6.0, -1.0)))
+    elif family == "level":  # branch `side` just past a merger level, gamma generic
+        level = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+        offset = draw(_SIGNS) * 10.0 ** draw(st.floats(-8.9, -2.0))  # past MERGER_TOL = 1e-9
+        gamma = g_sign * draw(st.floats(0.05, 1.0))
+        big_t = side * gamma - 2.0 * math.copysign(1.0, j) * (level + offset)
     elif family == "small_gamma":
         gamma = g_sign * 10.0 ** draw(st.floats(-6.0, -1.0))
     elif family == "small_t":
@@ -721,6 +727,38 @@ def test_hard_family_loops_wind_their_charges_or_raise(family, data):
     for b, outcomes in zip(btps, wind_loops(p, loops)):
         for kind, got, charge in zip("FE", outcomes, (b.w_i, b.w_ii)):
             assert isinstance(got, WindingError) or got.value == charge, (p, b, kind)
+
+
+def _field_jacobian(params, k, h=1e-4):
+    """det d(Bx, Re By)/d(kx, ky) at k by central differences of bloch_field_grid, and a bound
+    on its error: each row's truncation, its third derivative times h^2 / 6, and its rounding,
+    eps / h times the row's scale, 4|J| + |T| for Bx and 4|t| for Re By."""
+    bx, by = bloch_field_grid(params, k.kx + h * np.array([1.0, -1.0, 0.0, 0.0]),
+                              k.ky + h * np.array([0.0, 0.0, 1.0, -1.0]))
+    (bx_x, bx_y), (r_x, r_y) = ((f[0::2] - f[1::2]) / (2.0 * h) for f in (bx, by.real))
+    j, big_t, t, eps = abs(params.J), abs(params.T), abs(params.t), np.finfo(float).eps
+    e_bx = 2.0 * j * h**2 / 6.0 + 16.0 * eps * (4.0 * j + big_t) / h
+    e_r = 4.0 * t * (h**2 / 6.0 + 16.0 * eps / h)
+    return bx_x * r_y - bx_y * r_x, 2.0 * (2.0 * j * e_r + 4.0 * t * e_bx + e_bx * e_r)
+
+
+@pytest.mark.parametrize("family", ["merger", "level", "small_gamma", "small_t", "gamma_zero"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_charge_is_the_sign_of_the_field_jacobian(family, data):
+    # ROADMAP item 7's law, read off the field and not off locate_btps's closed form: an
+    # unmerged touching is a simple zero of (Bx, Re By), so sign(w_I) is the sign of that
+    # map's Jacobian there.  Only touchings whose difference Jacobian clears its error count
+    p = data.draw(_hard_couplings(family))
+    checked = 0
+    for b in locate_btps(p):
+        if b.w_i == 0.0:
+            continue  # merged: no charge
+        det, err = _field_jacobian(p, b.k)
+        if abs(det) > err:
+            assert math.copysign(1.0, det) == math.copysign(1.0, b.w_i), (p, b, det, err)
+            checked += 1
+    assume(checked)
 
 
 # gamma = 0 and |t/J| = 1e-3: the Dirac cone is so anisotropic that the Bloch vector turns by
