@@ -178,6 +178,7 @@ SYMMETRY_RELATIONS = (
 def zone_grid(grid_n: int):
     """(kx, ky) meshes of the n x n zone grid 2 pi (i, j) / n, wrapped, with n >= 4: the one
     grid that the symmetry table, the spectral checks and the real-space oracle read."""
+    grid_n = integer(grid_n, "grid_n")
     if grid_n < 4:
         raise ValueError("grid_n must be at least 4")
     k = wrap_angle(2.0 * np.pi * np.arange(grid_n) / grid_n)
@@ -219,12 +220,12 @@ def field_scale(params: ModelParams, grid_n: int = 128) -> float:
     return float(max(np.max(np.abs(bx)), np.max(np.abs(by))))
 
 
-def spectral_reality(params: ModelParams, grid_n: int = 128, tol: float = 1e-12) -> bool:
-    """True iff every grid eigenvalue is purely real or purely imaginary, up to tol |J|.
+def spectral_reality(params: ModelParams, grid_n: int = 128) -> bool:
+    """True iff every grid eigenvalue is purely real or purely imaginary, up to 1e-12 |J|.
 
     At t = 0 the model has PT- and CT-like products that force E^2 real, so
     this holds on the whole zone; any t != 0 generically breaks it.  E is in units of |J|.
     """
     bx, by = (f / abs(params.J) for f in bloch_field_grid(params, *zone_grid(grid_n)))
     e = principal_sqrt(bx * bx + by * by)
-    return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < tol))
+    return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < 1e-12))

@@ -288,9 +288,7 @@ def cmd_btps(args) -> int:
 
 def cmd_winding(args) -> int:
     params = _params(args)
-    loop = Loop(
-        center=Momentum(args.kx, args.ky), radius=args.loop_radius, samples=args.samples
-    )
+    loop = Loop(center=Momentum(args.kx, args.ky), radius=args.loop_radius)
     result = winding_number(params, loop, field_kind=args.field)
     _write(args, _report("winding", params, **_winding_json(result)))
     return 0
@@ -562,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ky", type=parse_angle, required=True, help="loop center ky")
         p.add_argument("--field", choices=("F", "E"), default="F")
         p.add_argument("--loop-radius", type=float, default=0.1)
-        p.add_argument("--samples", type=int, default=512)
 
     with command("scan", cmd_scan, "phase-diagram grid scan", "csv", model=("J", "t")) as p:
         # a string default goes through parse_range like a typed flag

@@ -57,9 +57,9 @@ class ExpectedDispersion(NamedTuple):
     case_id: str
 
 
-def default_qs(n: int = 16) -> np.ndarray:
-    """Log-spaced ray distances in [Q_MIN, 10 Q_MIN]; larger q bias a free two-parameter fit."""
-    return np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), n)
+def default_qs() -> np.ndarray:
+    """16 log-spaced ray distances in [Q_MIN, 10 Q_MIN]; larger q bias a free two-parameter fit."""
+    return np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), 16)
 
 
 def _unit(direction) -> tuple:

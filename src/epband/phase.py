@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import ModelParams
+from .bloch import ModelParams, integer
 from .btp import Btp, Face, face, locate_btps
 from .winding import UnresolvedLoopError, WindingError, make_loop, settled, wind_loops
 
@@ -164,6 +164,7 @@ def scan_phase_diagram(gamma_range, t_range, resolution: int, base: ModelParams)
     ``base`` supplies J and t.  Degenerate ranges (lo == hi) collapse to a
     single grid point on that axis.
     """
+    resolution = integer(resolution, "resolution")
     if resolution < 8:
         raise ValueError("resolution must be at least 8 per axis")
     gammas = _axis(*gamma_range, resolution)

@@ -21,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (ModelParams, Momentum, bloch_field_grid, integer, principal_sqrt,
-                    right_eigvec, torus_distance)
+from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
+                    torus_distance)
 from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
            "NonQuantizedLoopError", "UnresolvedLoopError", "make_loop", "settled",
            "winding_number", "wind_loops", "winding_additivity_check"]
 
+START_SAMPLES = 512
 MAX_SAMPLES = 2**16
 _FIELD_FLOOR = 1e-10
 
@@ -61,14 +62,10 @@ class Loop:
 
     center: Momentum
     radius: float
-    samples: int = 512
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.pi:
             raise ValueError(f"loop radius must lie in (0, pi), got {self.radius!r}")
-        object.__setattr__(self, "samples", integer(self.samples, "loop samples"))
-        if self.samples < 256:
-            raise ValueError("loops need at least 256 samples")
 
 
 def make_loop(center: Momentum, all_btps) -> Loop:
@@ -222,10 +219,11 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
 def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     """Windings of every loop for each field kind, from fused passes over all loops.
 
-    The field, the eigenvector and the branch tracking are evaluated once on a (loops,
-    samples + 1) array and shared by all kinds.  Each loop with a kind still at a raw angle is
-    then wound again at twice the samples, for the kinds still open, never past 2^16; at m
-    samples, max(1, loops * samples // m) loops to a pass, so none outgrows the first or a loop.
+    Every loop starts at ``START_SAMPLES`` = 512: the field, the eigenvector and the branch
+    tracking are evaluated once on a (loops, 512 + 1) array and shared by all kinds.  Each loop
+    with a kind still at a raw angle is then wound again at twice the samples, for the kinds
+    still open, never past 2^16; at m samples, max(1, loops * 512 // m) loops to a pass, so
+    none outgrows the first or a loop.
 
     Returns a list with, per loop and in order, a tuple with one outcome per
     kind: the :class:`WindingResult`, or the :class:`WindingError` that loop
@@ -236,18 +234,15 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     loops = list(loops)
     if not loops:
         return []
-    if len({loop.samples for loop in loops}) > 1:
-        raise ValueError("loops wound together must share a sample count")
     # windings are scale-free, so wind in units of |J|; a ratio past the float range clamps to it
     j, top = abs(params.J), np.finfo(float).max
     params = ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
-    m = loops[0].samples
-    budget = len(loops) * m
+    m = START_SAMPLES
     rows = [list(row) for row in _attempt(params, loops, m, kinds)]
     while 2 * m <= MAX_SAMPLES and (unsettled := [i for i, r in enumerate(rows)
                                                   if float in map(type, r)]):
         m *= 2
-        size = max(1, budget // m)
+        size = max(1, len(loops) * START_SAMPLES // m)
         for group in (unsettled[s:s + size] for s in range(0, len(unsettled), size)):
             cols = [c for c in range(len(kinds)) if any(type(rows[i][c]) is float for i in group)]
             fresh = _attempt(params, [loops[i] for i in group], m, tuple(kinds[c] for c in cols))

@@ -171,7 +171,7 @@ def test_criterion_3_winding_laws(capfd):
     split = ModelParams(J=1.0, T=-1.0, t=0.5, gamma=0.01)
     btps = locate_btps(split)
     pair = [b for b in btps if abs(b.k.ky - HALF_PI) < 1e-9 and abs(b.k.kx - math.pi / 3) < 0.1]
-    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05, samples=1024)
+    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05)
     if len(pair) != 2:
         bad.append(f"expected a split pair, found {len(pair)} points")
     elif not winding_additivity_check(split, pair, big):
@@ -264,7 +264,7 @@ def test_criterion_5_t_zero_regime(capfd):
         k = pts[0].k
         if abs(k.kx - math.pi) > 1e-9 or abs(k.ky - math.pi) > 1e-9:
             bad.append(f"trivial EP at ({k.kx:.6f}, {k.ky:.6f}) != (pi, pi)")
-        loop = Loop(center=k, radius=0.1, samples=512)
+        loop = Loop(center=k, radius=0.1)
         for field in ("F", "E"):
             w = winding_number(p_triv, loop, field_kind=field).value
             if w != 0.0:

@@ -13,7 +13,7 @@ from epband import (
     symmetry_residuals,
     wrap_angle,
 )
-from epband.bloch import bloch_field_grid, field_scale, observables_grid, right_eigvec
+from epband.bloch import bloch_field_grid, field_scale, observables_grid, right_eigvec, zone_grid
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
@@ -335,6 +335,18 @@ def test_observables_grid_matches_pointwise():
 
 
 # ---------------------------------------------------------------- symmetries
+
+
+def test_zone_grid_size_must_be_an_integer():
+    # zone_grid(6.5) gave a 7 x 7 grid spaced 2 pi / 6.5, which the symmetry table, field_scale
+    # and spectral_reality then judged as the zone
+    for bad in (6.5, 8.0, np.float64(8.0)):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            zone_grid(bad)
+    for got, want in zip(zone_grid(np.int64(8)), zone_grid(8)):
+        assert got.shape == (8, 8) and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="grid_n must be an integer"):
+        field_scale(ANCHOR, 6.5)
 
 
 def test_symmetry_residuals_tiny():

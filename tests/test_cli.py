@@ -252,6 +252,14 @@ def test_btps_has_no_samples_flag(capsys):
     assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
+def test_winding_has_no_samples_flag(capsys):
+    # the kernel alone sets a loop's sample count: 512, doubled where a step turns too fast
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["winding", *ANCHOR_FLAGS, "--kx", "0", "--ky", "pi/2", "--samples", "512"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # winding
 

@@ -29,7 +29,6 @@ def test_default_qs_covers_lower_decade():
     assert np.all(np.diff(qs) > 0)
     assert qs[0] == pytest.approx(Q_MIN)
     assert qs[-1] == pytest.approx(10 * Q_MIN)
-    assert default_qs(9).shape == (9,)
 
 
 def test_sample_normalizes_direction_and_keeps_grid():
@@ -92,7 +91,7 @@ def test_fit_rejects_vanishing_samples():
 
 
 def test_fit_rejects_short_samples():
-    qs = default_qs(5)
+    qs = default_qs()[:5]
     with pytest.raises(ValueError, match="at least 8"):
         fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), qs, np.sqrt(qs)))
 

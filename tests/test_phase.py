@@ -628,6 +628,16 @@ def test_scan_rejects_tiny_resolution():
         scan_phase_diagram((-2.0, 2.0), (-2.0, 2.0), 4, ModelParams(1.0, 0.0, T05, 0.0))
 
 
+def test_scan_resolution_must_be_an_integer():
+    # resolution=9.0 raised a raw TypeError from np.linspace
+    base = ModelParams(1.0, 0.0, T05, 0.0)
+    for bad in (9.0, np.float64(9.0), "9"):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            scan_phase_diagram((-2.0, 2.0), (-2.0, 2.0), bad, base)
+    grid = scan_phase_diagram((0.5, 0.5), (-1.0, -0.9), np.int64(8), base)
+    assert grid.big_ts.tolist() == np.linspace(-1.0, -0.9, 8).tolist()
+
+
 def test_scan_records_a_ring_cell():
     # every branch level lies strictly between -2 and 2 here: a ring in every cell
     grid = scan_phase_diagram((0.5, 1.0), (-0.5, 0.5), 8, ModelParams(1.0, 0.0, 0.0, 0.0))

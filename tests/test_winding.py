@@ -27,7 +27,8 @@ from epband.bloch import (bloch_field_grid, observables_grid, principal_sqrt, ri
                           torus_distance, wrap_angle)
 from epband.btp import face
 from epband.cli import _ARROW_GRID, _centers
-from epband.winding import _FIELD_FLOOR, NonQuantizedLoopError, _attempt, _wrap_steps
+from epband.winding import (_FIELD_FLOOR, MAX_SAMPLES, START_SAMPLES, NonQuantizedLoopError,
+                            _attempt, _wrap_steps)
 from test_bloch import stacked_eigvec
 from test_cli import BENCHMARK_WORKLOADS
 from test_phase import line_distance
@@ -126,23 +127,12 @@ def test_make_loop_skips_only_its_own_entry():
 def test_loop_validation():
     with pytest.raises(ValueError):
         Loop(center=Momentum(0, 0), radius=-1.0)
-    with pytest.raises(ValueError):
-        Loop(center=Momentum(0, 0), radius=0.1, samples=16)
     # a circle of radius pi or more wraps the 2 pi torus and encloses no region: around the
     # touching a 0.1 loop winds to 0.5, radii 4.0 and 7.0 wound to 1.0 and 1e308 to 7.5
     for radius in (math.pi, 4.0, 7.0, 1e308):
         with pytest.raises(ValueError, match=r"loop radius must lie in \(0, pi\)"):
             Loop(center=Momentum(-math.pi / 3, -HALF_PI), radius=radius)
     assert Loop(center=Momentum(0, 0), radius=math.nextafter(math.pi, 0.0)).radius < math.pi
-
-
-def test_loop_samples_must_be_an_integer():
-    # samples=512.0 was taken, and winding the loop raised a raw IndexError inside the pass
-    for bad in (512.0, np.float64(512.0), "512", None):
-        with pytest.raises(ValueError, match="loop samples must be an integer"):
-            Loop(center=Momentum(0, 0), radius=0.1, samples=bad)
-    loop = Loop(center=Momentum(0, 0), radius=0.1, samples=np.int64(512))
-    assert loop == Loop(center=Momentum(0, 0), radius=0.1) and type(loop.samples) is int
 
 
 # ---------------------------------------------------------------- pinned values
@@ -195,10 +185,7 @@ def test_independence_of_discretization():
     center = (-math.pi / 3, -HALF_PI)
     base = _wind(ANCHOR, center, "F").value
     assert _wind(ANCHOR, center, "F", radius=0.05).value == base
-    r = winding_number(
-        ANCHOR, Loop(center=Momentum(*center), radius=0.1, samples=1024), "F"
-    )
-    assert r.value == base
+    assert _wind(ANCHOR, center, "F", radius=0.02).value == base
 
 
 def test_quantization_random_draws():
@@ -304,8 +291,6 @@ def test_wind_loops_returns_every_loop_settled():
 
 def test_wind_loops_validation():
     loop = Loop(center=Momentum(1.0, 1.0), radius=0.1)
-    with pytest.raises(ValueError):
-        wind_loops(ANCHOR, [loop, Loop(center=Momentum(1.0, 1.0), radius=0.1, samples=1024)])
     with pytest.raises(ValueError):
         wind_loops(ANCHOR, [loop], kinds=("F", "G"))
     # no kind asked for would drop the one tuple per loop the result promises
@@ -967,7 +952,7 @@ def test_additivity_check_passes():
 @pytest.mark.parametrize("gamma", [1e-10, -1e-10, 5e-10])
 def test_additivity_raises_when_the_partner_ep_is_within_1e_9(gamma):
     # |gamma| <= 2|J| 1e-9 snaps onto gamma = 0: one Dirac point where the partner EPs lie
-    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05, samples=1024)
+    big = Loop(center=Momentum(math.pi / 3, HALF_PI), radius=0.05)
     p = ModelParams(1.0, -1.0, 0.5, gamma)
     assert signature(p).btps == signature(dataclasses.replace(p, gamma=0.0)).btps
     assert winding_additivity_check(p, locate_btps(p), big)
@@ -1046,7 +1031,7 @@ def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
     # turns past pi/2 in one step beside the Dirac point at every sample count and never
     # settles; E is real and >= 0 and settles on 0 at once
     p = ModelParams(1.0, -1.0, 0.5, 0.0)
-    ((first,),) = _attempt(p, [_GRAZING], _GRAZING.samples, (kind,))
+    ((first,),) = _attempt(p, [_GRAZING], START_SAMPLES, (kind,))
     if kind == "E":
         assert (first.value, first.branch_swapped, first.samples) == (0.0, False, 512)
         assert winding_number(p, _GRAZING, kind) == first
@@ -1057,12 +1042,8 @@ def test_swap_at_gamma_zero_never_settles_as_a_half_winding(kind):
     assert info.value.raw_angle == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("start, counts", [(300, [300 * 2**i for i in range(8)]),
-                                          (40000, [40000]), (2**16, [2**16])])
-def test_refinement_never_passes_max_samples(monkeypatch, start, counts):
-    # the grazing loop's F never settles: a 300-sample start doubled up to 76,800, past the
-    # 2^16 cap.  Doubling stops where it would pass the cap, so a start at or above it gets
-    # one pass
+def test_refinement_never_passes_max_samples(monkeypatch):
+    # the grazing loop's F never settles: it doubles from 512 up to the 2^16 cap and no further
     seen = []
 
     def spy(params, loops, m, kinds):
@@ -1070,10 +1051,9 @@ def test_refinement_never_passes_max_samples(monkeypatch, start, counts):
         return _attempt(params, loops, m, kinds)
 
     monkeypatch.setattr(epband.winding, "_attempt", spy)
-    loop = dataclasses.replace(_GRAZING, samples=start)
     with pytest.raises(NonQuantizedLoopError):
-        winding_number(ModelParams(1.0, -1.0, 0.5, 0.0), loop, "F")
-    assert seen == counts
+        winding_number(ModelParams(1.0, -1.0, 0.5, 0.0), _GRAZING, "F")
+    assert seen == [START_SAMPLES * 2**i for i in range(8)] and seen[-1] == MAX_SAMPLES
 
 
 def test_overflowing_field_is_a_winding_error():
