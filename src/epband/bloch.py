@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "Momentum",
+    "in_units_of_j",
     "integer",
     "SYMMETRY_RELATIONS",
     "wrap_angle",
@@ -100,6 +101,13 @@ class ModelParams:
         _set_finite(self)
         if self.J == 0.0:
             raise ValueError("ModelParams.J must be nonzero")
+
+
+def in_units_of_j(params: ModelParams) -> ModelParams:
+    """The couplings over |J|, each clamped to the float range: scale-free results are computed
+    from these, and one with units is multiplied back by |J|.  At |J| = 1 no float moves."""
+    j, top = abs(params.J), np.finfo(float).max
+    return ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
 
 
 @dataclass(frozen=True)
@@ -185,25 +193,21 @@ def zone_grid(grid_n: int):
     return np.meshgrid(k, k, indexing="ij")
 
 
-def symmetry_residuals(params: ModelParams, grid_n: int = 128, field_fn=None):
+def symmetry_residuals(params: ModelParams, grid_n: int = 128):
     """Max entrywise deviation |h(k) - h(rel(k))| for each momentum relation.
 
     Returns a list of (relation_id, residual) pairs: the eight coordinate
     relations followed by a "chiral" row, ||sigma_y h sigma_y + h||.  That row is
     structural, not a measurement: h is assembled as [[By, Bx], [Bx, -By]], so it
     is exactly 0 for any field.  Chirality against the real-space Hamiltonian is
-    tested by :func:`epband.lattice.block_check`.  ``field_fn(params, kx, ky) ->
-    (Bx, By)`` may be injected to test a deliberately corrupted field (negative
-    control).
+    tested by :func:`epband.lattice.block_check`.
     """
-    if field_fn is None:
-        field_fn = bloch_field_grid
     kx, ky = zone_grid(grid_n)
-    bx, by = field_fn(params, kx, ky)
+    bx, by = bloch_field_grid(params, kx, ky)
     rows = []
     for name, rel in SYMMETRY_RELATIONS:
         kx2, ky2 = rel(kx, ky)
-        bx2, by2 = field_fn(params, kx2, ky2)
+        bx2, by2 = bloch_field_grid(params, kx2, ky2)
         res = max(np.max(np.abs(bx - bx2)), np.max(np.abs(by - by2)))
         rows.append((name, float(res)))
     # sigma_y h sigma_y + h has entries [[h11+h00, h01-h10], [h10-h01, h00+h11]]
@@ -220,12 +224,12 @@ def field_scale(params: ModelParams, grid_n: int = 128) -> float:
     return float(max(np.max(np.abs(bx)), np.max(np.abs(by))))
 
 
-def spectral_reality(params: ModelParams, grid_n: int = 128) -> bool:
-    """True iff every grid eigenvalue is purely real or purely imaginary, up to 1e-12 |J|.
+def spectral_reality(params: ModelParams) -> bool:
+    """True iff every eigenvalue is purely real or purely imaginary, up to 1e-12 |J|.
 
-    At t = 0 the model has PT- and CT-like products that force E^2 real, so
-    this holds on the whole zone; any t != 0 generically breaks it.  E is in units of |J|.
+    At t = 0 the model has PT- and CT-like products that force E^2 real, so this holds on
+    the whole zone; any t != 0 generically breaks it.  E is read on the 128 x 128 zone grid.
     """
-    bx, by = (f / abs(params.J) for f in bloch_field_grid(params, *zone_grid(grid_n)))
+    bx, by = bloch_field_grid(in_units_of_j(params), *zone_grid(128))
     e = principal_sqrt(bx * bx + by * by)
     return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < 1e-12))

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, integer, principal_sqrt, wrap_angle
+from .bloch import (ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt,
+                    wrap_angle)
 
 __all__ = ["DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP",
            "KINDS", "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level",
@@ -211,12 +212,12 @@ class EpRing:
     level: float
 
 
-def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRing:
+def trace_ep_ring(params: ModelParams, branch: int) -> EpRing:
     """Trace the branch's EP ring cos kx + cos ky = c_s.
 
     The level set is solved in closed form, ky = +-arccos(c - cos kx), while
-    kx marches over the admissible arc; the two half-arcs are stitched into
-    one closed polyline.  A level that snaps onto +-2 is the one-vertex
+    kx marches over the admissible arc in 256 steps; the two half-arcs are stitched
+    into one closed polyline.  A level that snaps onto +-2 is the one-vertex
     trivial EP, and a level past it is gapped, with no vertex.
     """
     f = face(params)
@@ -226,9 +227,6 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
         raise ValueError("gamma must be nonzero for exceptional rings")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    samples = integer(samples, "samples")
-    if samples < 8:
-        raise ValueError("samples must be at least 8")
     c = branch_level(params, branch)
     pts = _t_zero_points(f, f.plus if branch == 1 else f.minus)  # as locate_btps reads it
     if pts is not None:  # the trivial EP or gapped
@@ -241,7 +239,7 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
     else:
         half = math.acos(c + 1.0)
         lo, hi = half, 2.0 * math.pi - half
-    kxs = np.linspace(lo, hi, samples // 2)
+    kxs = np.linspace(lo, hi, 256)
     kys = np.arccos(np.clip(c - np.cos(kxs), -1.0, 1.0))
     top = np.column_stack([kxs, kys])
     bottom = np.column_stack([kxs[::-1], -kys[::-1]])
@@ -258,12 +256,13 @@ def trace_ep_ring(params: ModelParams, branch: int, samples: int = 512) -> EpRin
     level_err = np.max(np.abs(np.cos(verts[:, 0]) + np.cos(verts[:, 1]) - c))
     if level_err >= 1e-8:
         raise RuntimeError(f"ring vertex off the level set by {level_err:.3g}")
-    bx, by = bloch_field_grid(params, verts[:, 0], verts[:, 1])
-    abs_e = np.abs(principal_sqrt(bx * bx + by * by))
+    unit = in_units_of_j(params)  # |E| in units of |J|
+    bx, by = bloch_field_grid(unit, verts[:, 0], verts[:, 1])
+    worst = np.max(np.abs(principal_sqrt(bx * bx + by * by)))
     # on the ring |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|, which 0 < |t| < _T_ZERO |J| lifts
-    lift = math.sqrt(8.0 * abs(params.gamma * params.t) + 16.0 * params.t**2)
-    if np.max(abs_e) >= 1e-6 * abs(params.J) + lift:
-        raise RuntimeError(f"ring vertex with |E| = {np.max(abs_e):.3g}")
+    lift = math.sqrt(8.0 * abs(unit.gamma * unit.t) + 16.0 * unit.t**2)
+    if not worst < 1e-6 + lift:  # a NaN fails too
+        raise RuntimeError(f"ring vertex with |E| = {worst:.3g} |J|")
     return EpRing(verts, branch, c)
 
 
@@ -276,16 +275,16 @@ def min_gap(params: ModelParams) -> float:
     taken over a in [T - 4|J|, T + 4|J|] with |r| = 2 |t/J| max(0, |a - T| -
     2|J|): r vanishes on the middle piece and is linear in a on the outer
     two.  The candidates are the piece ends, a = +-gamma, and the real roots
-    of the derivative of |E|^4 on each outer piece.
+    of the derivative of |E|^4 on each outer piece, taken in units of |J| and scaled back.
     """
-    j, big_t, g = abs(params.J), params.T, params.gamma
-    slope = 2.0 * abs(params.t) / j
+    unit = in_units_of_j(params)
+    big_t, g, slope = unit.T, unit.gamma, 2.0 * abs(unit.t)
     cands = [g, -g]
-    for inner, outer in ((big_t - 2.0 * j, big_t - 4.0 * j), (big_t + 2.0 * j, big_t + 4.0 * j)):
+    for inner, outer in ((big_t - 2.0, big_t - 4.0), (big_t + 2.0, big_t + 4.0)):
         r = slope * np.poly1d([1.0, -inner])
         quartic = (np.poly1d([1.0, -g]) ** 2 + r**2) * (np.poly1d([1.0, g]) ** 2 + r**2)
         roots = quartic.deriv().roots.real
         cands.extend([inner, outer, *np.clip(roots, min(inner, outer), max(inner, outer))])
-    a = np.clip(np.array(cands), big_t - 4.0 * j, big_t + 4.0 * j)
-    r = slope * np.maximum(0.0, np.abs(a - big_t) - 2.0 * j)
-    return float(np.min(np.sqrt(np.hypot(a - g, r) * np.hypot(a + g, r))))
+    a = np.clip(np.array(cands), big_t - 4.0, big_t + 4.0)
+    r = slope * np.maximum(0.0, np.abs(a - big_t) - 2.0)
+    return abs(params.J) * float(np.min(np.sqrt(np.hypot(a - g, r) * np.hypot(a + g, r))))

@@ -47,7 +47,6 @@ signature = _on_first_call("signature")
 census_type = _on_first_call("census_type")
 Loop = _on_first_call("Loop")
 winding_number = _on_first_call("winding_number")
-default_qs = _on_first_call("dispersion.default_qs")  # not a public name
 expected_dispersion = _on_first_call("expected_dispersion")
 fit_power_law = _on_first_call("fit_power_law")
 sample_dispersion = _on_first_call("sample_dispersion")
@@ -340,7 +339,7 @@ def cmd_dispersion(args) -> int:
         kind = hit.kind
         origin = hit.k
     direction = (args.dx, args.dy)
-    sample = sample_dispersion(params, origin, direction, default_qs())
+    sample = sample_dispersion(params, origin, direction)
     fit = fit_power_law(sample)
     expected = expected_dispersion(kind, origin, direction, params)
     report = _report(
@@ -415,7 +414,7 @@ def cmd_realspace(args) -> int:
 
 def cmd_ring(args) -> int:
     params = _params(args)
-    ring = trace_ep_ring(params, args.branch, samples=args.samples)
+    ring = trace_ep_ring(params, args.branch)
     report = _report(
         "ring",
         params,
@@ -585,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     with command("ring", cmd_ring, "EP ring polyline (t = 0)", "csv") as p:
         p.add_argument("--branch", type=int, choices=(1, -1), default=1)
-        p.add_argument("--samples", type=int, default=512)
 
     with command("field-export", cmd_field_export, "SVG spin-texture figure + CSV",
                  out=False) as p:

@@ -14,14 +14,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, principal_sqrt
+from .bloch import ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt
 from .btp import KINDS, MERGER_TOL, branch_level, face
 
-__all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "default_qs",
-           "sample_dispersion", "fit_power_law", "expected_dispersion"]
+__all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "sample_dispersion",
+           "fit_power_law", "expected_dispersion"]
 
 Q_MIN = 1e-4
 Q_MAX = 1e-2
+# every sample's 16 ray distances, log-spaced in [Q_MIN, 10 Q_MIN]: larger q bias the free fit
+QS = np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), 16)
+QS.setflags(write=False)
 _DIR_TOL = 1e-9
 _ORDER_NAMES = (None, "sqrt", "linear", "threehalves", "quadratic")  # the jet runs through q^4
 
@@ -57,11 +60,6 @@ class ExpectedDispersion(NamedTuple):
     case_id: str
 
 
-def default_qs() -> np.ndarray:
-    """16 log-spaced ray distances in [Q_MIN, 10 Q_MIN]; larger q bias a free two-parameter fit."""
-    return np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), 16)
-
-
 def _unit(direction) -> tuple:
     dx, dy = float(direction[0]), float(direction[1])
     norm = math.hypot(dx, dy)
@@ -70,15 +68,14 @@ def _unit(direction) -> tuple:
     return (dx / norm, dy / norm)
 
 
-def sample_dispersion(params: ModelParams, origin: Momentum, direction, q) -> DispersionSample:
-    """Exact |E+| at origin + q * unit(direction)."""
+def sample_dispersion(params: ModelParams, origin: Momentum, direction) -> DispersionSample:
+    """Exact |E+| at origin + q * unit(direction) for each q of QS, scaled from units of |J|."""
     u = _unit(direction)
-    q = np.asarray(q, dtype=float)
-    bx, by = bloch_field_grid(params, origin.kx + q * u[0], origin.ky + q * u[1])
+    bx, by = bloch_field_grid(in_units_of_j(params), origin.kx + QS * u[0], origin.ky + QS * u[1])
     abs_e = np.abs(principal_sqrt(bx * bx + by * by))
-    if np.any(abs_e[q > 0] < 1e-14 * abs(params.J)):
+    if np.any(abs_e < 1e-14):
         raise ValueError("ray collides with another band touching")
-    return DispersionSample(origin=origin, direction=u, q=q, abs_e=abs_e)
+    return DispersionSample(origin=origin, direction=u, q=QS, abs_e=abs(params.J) * abs_e)
 
 
 def fit_power_law(sample: DispersionSample) -> PowerLawFit:
@@ -112,28 +109,27 @@ def _e2_jet(params: ModelParams, origin: Momentum, u) -> np.ndarray:
 def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelParams):
     """(alpha, |C|) of |E| = |C| q^alpha on the ray, from the jet of E^2, in arc length.
 
-    The leading order n >= 1 of the jet (the origin is a touching) gives
-    alpha = n/2 and |C| = sqrt|coef_n|.  A kind with an order in :data:`epband.btp.KINDS`
-    (a simple zero) takes it; the other kinds the first coefficient above
-    MERGER_TOL (largest coupling)^2.  The jet is taken where :func:`epband.btp.face`
-    snaps the point: gamma on 0 when it snaps there, and T moved by at most
-    2 |J| MERGER_TOL onto the level of the branch nearest cos kx + cos ky.
-    None for an unknown kind, off a touching (order 0 above that zero test),
-    or when orders 1 to 4 all vanish.
+    The leading order n >= 1 of the jet (the origin is a touching) gives alpha = n/2 and
+    |C| = sqrt|coef_n|.  A kind with an order in :data:`epband.btp.KINDS` (a simple zero)
+    takes it; the other kinds the first coefficient above MERGER_TOL (largest coupling)^2.
+    The jet is taken in units of |J|, and |C| scaled back, where :func:`epband.btp.face`
+    snaps the point: gamma on 0 when it snaps there, and T moved by at most 2 |J| MERGER_TOL
+    onto the level of the branch nearest cos kx + cos ky.  None for an unknown kind, off a
+    touching (order 0 above that zero test), or when orders 1 to 4 all vanish.
     """
     if kind not in KINDS:
         return None
     n, stem = KINDS[kind]
-    u, f = _unit(direction), face(params)
-    snapped = params if f.gamma != 1 else replace(params, gamma=0.0)
+    u, f, unit = _unit(direction), face(params), in_units_of_j(params)
+    snapped = unit if f.gamma != 1 else replace(unit, gamma=0.0)
     if n is None:
         here = math.cos(origin.kx) + math.cos(origin.ky)
         s = min((1, -1), key=lambda s: abs(branch_level(params, s) - here))
         level = f.level(f.plus if s == 1 else f.minus)
         if level is not None:
-            snapped = replace(snapped, T=s * snapped.gamma - 2.0 * params.J * level)
+            snapped = replace(snapped, T=s * snapped.gamma - 2.0 * unit.J * level)
     coefs = _e2_jet(snapped, origin, u)
-    zero = MERGER_TOL * max(abs(params.J), abs(params.T), abs(params.t), abs(params.gamma)) ** 2
+    zero = MERGER_TOL * max(abs(unit.J), abs(unit.T), abs(unit.t), abs(unit.gamma)) ** 2
     if abs(coefs[0]) > zero:
         return None  # E^2 does not vanish at the origin: no touching there
     if n is None:
@@ -145,4 +141,5 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         classes = ((min(abs(vx), abs(vy)), "axis"), (abs(vx - vy), "diagonal"),
                    (abs(vx + vy), "antidiagonal"))
         stem += next((f"-{name}" for d, name in classes if d < _DIR_TOL), "-oblique")
-    return ExpectedDispersion(n / 2.0, math.sqrt(abs(coefs[n])), f"{stem}-{_ORDER_NAMES[n]}")
+    c = abs(params.J) * math.sqrt(abs(coefs[n]))
+    return ExpectedDispersion(n / 2.0, c, f"{stem}-{_ORDER_NAMES[n]}")

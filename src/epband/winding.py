@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (ModelParams, Momentum, bloch_field_grid, principal_sqrt, right_eigvec,
-                    torus_distance)
+from .bloch import (ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt,
+                    right_eigvec, torus_distance)
 from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
@@ -234,9 +234,7 @@ def wind_loops(params: ModelParams, loops, kinds=("F", "E")):
     loops = list(loops)
     if not loops:
         return []
-    # windings are scale-free, so wind in units of |J|; a ratio past the float range clamps to it
-    j, top = abs(params.J), np.finfo(float).max
-    params = ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
+    params = in_units_of_j(params)  # windings are scale-free
     m = START_SAMPLES
     rows = [list(row) for row in _attempt(params, loops, m, kinds)]
     while 2 * m <= MAX_SAMPLES and (unsettled := [i for i, r in enumerate(rows)

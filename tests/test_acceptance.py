@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import epband
 from epband import (
     Loop,
     ModelParams,
@@ -41,7 +42,6 @@ from epband import (
 )
 from epband.bloch import bloch_field_grid, principal_sqrt
 from epband.btp import DIRAC_POINT, HYBRID_EP, NORMAL_EP, SEMI_DIRAC_POINT, TRIVIAL_ISOLATED_EP
-from epband.dispersion import default_qs
 from test_phase import line_distance
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
@@ -204,7 +204,7 @@ def _corrupt_field(params, kx, ky):
     return bx, by
 
 
-def test_criterion_4_symmetry_suite(capfd):
+def test_criterion_4_symmetry_suite(capfd, monkeypatch):
     bad = []
     rng = np.random.default_rng(41)
     worst = 0.0
@@ -218,7 +218,8 @@ def test_criterion_4_symmetry_suite(capfd):
         worst = max(worst, max(r for _, r in symmetry_residuals(p, grid_n=64)))
     if worst >= 1e-12:
         bad.append(f"max residual {worst:.3e} >= 1e-12 over 100 draws")
-    control = max(r for _, r in symmetry_residuals(ANCHOR, grid_n=64, field_fn=_corrupt_field))
+    monkeypatch.setattr(epband.bloch, "bloch_field_grid", _corrupt_field)
+    control = max(r for _, r in symmetry_residuals(ANCHOR, grid_n=64))
     if control <= 0.1:
         bad.append(f"planted defect residual {control:.3e} <= 0.1")
     _verdict(capfd, 4, bad)
@@ -233,7 +234,7 @@ def test_criterion_5_t_zero_regime(capfd):
     rng = np.random.default_rng(50)
     for _ in range(20):
         p = ModelParams(J=1.0, T=rng.uniform(-3, 3), t=0.0, gamma=rng.uniform(-3, 3))
-        if not spectral_reality(p, grid_n=64):
+        if not spectral_reality(p):
             bad.append(f"{p}: spectrum neither real nor imaginary")
 
     traced = 0
@@ -331,7 +332,7 @@ def test_criterion_6_dispersion_battery(capfd):
         if exp is None:
             bad.append(f"{tag}: no closed form")
             continue
-        fit = fit_power_law(sample_dispersion(params, origin, direction, default_qs()))
+        fit = fit_power_law(sample_dispersion(params, origin, direction))
         alpha_tol = 0.05 if exp.alpha == 2.0 else 0.02
         if abs(fit.alpha - exp.alpha) > alpha_tol:
             bad.append(f"{tag}: alpha {fit.alpha:.4f} vs {exp.alpha}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import epband
 from epband import (
     ModelParams,
     Momentum,
@@ -366,7 +367,7 @@ def test_symmetry_residuals_random_params():
         assert max(res for _, res in rows) < 1e-12
 
 
-def test_symmetry_negative_control():
+def test_symmetry_negative_control(monkeypatch):
     # flip the sign of t on one factor: the swap kx <-> ky relation must break
     def corrupted(params, kx, ky):
         bx = 2.0 * params.J * (np.cos(kx) + np.cos(ky)) + params.T
@@ -374,18 +375,20 @@ def test_symmetry_negative_control():
         return bx, by
 
     params = ModelParams(1.0, -1.5, 0.7, 0.5)
-    rows = symmetry_residuals(params, grid_n=64, field_fn=corrupted)
+    monkeypatch.setattr(epband.bloch, "bloch_field_grid", corrupted)
+    rows = symmetry_residuals(params, grid_n=64)
     assert max(res for _, res in rows) > 0.1
     assert max(res for _, res in rows) > 1e-9 * field_scale(params, 64)  # the CLI's judgment
 
 
-def test_chiral_row_is_structural():
+def test_chiral_row_is_structural(monkeypatch):
     # h is assembled as [[By, Bx], [Bx, -By]], so sigma_y h sigma_y + h is exactly 0 for any
     # field: a shifted field breaks a mirror and not this row (block_check tests chirality)
     def shifted(params, kx, ky):
         return bloch_field_grid(params, kx + 0.3, ky)
 
-    rows = dict(symmetry_residuals(ANCHOR, grid_n=64, field_fn=shifted))
+    monkeypatch.setattr(epband.bloch, "bloch_field_grid", shifted)
+    rows = dict(symmetry_residuals(ANCHOR, grid_n=64))
     assert rows["(-kx,+ky)"] > 0.1
     assert rows["chiral"] == 0.0
 
@@ -414,14 +417,14 @@ _SCALES = (1.0, 1e-13, 1e200)
 
 def test_spectral_reality_true_at_t_zero():
     for scale in _SCALES:
-        assert spectral_reality(ModelParams(scale, scale, 0.0, 0.5 * scale), grid_n=64)
+        assert spectral_reality(ModelParams(scale, scale, 0.0, 0.5 * scale))
 
 
 def test_spectral_reality_false_generic():
     for scale in _SCALES:
         scaled = ModelParams(scale, -1.5 * scale, 0.5 * scale, 0.5 * scale)
-        assert not spectral_reality(scaled, grid_n=64)
+        assert not spectral_reality(scaled)
 
 
 def test_spectral_reality_hermitian():
-    assert spectral_reality(ModelParams(1.0, 1.0, 0.0, 0.0), grid_n=64)
+    assert spectral_reality(ModelParams(1.0, 1.0, 0.0, 0.0))

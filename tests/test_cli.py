@@ -260,6 +260,14 @@ def test_winding_has_no_samples_flag(capsys):
     assert "unrecognized arguments: --samples" in capsys.readouterr().err
 
 
+def test_ring_has_no_samples_flag(capsys):
+    # every ring marches 256-point half-arcs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ring", "--T", "-0.5", "--t", "0", "--gamma", "0.5", "--samples", "512"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # winding
 
@@ -741,14 +749,26 @@ def test_ring_is_scale_free():
     assert got == want and got["count"] > 8
     got, want = (_without_params(run_json("btps", *f, "--ring")) for f in flags)
     assert got == want and len(got["rings"]) == 2
+    # at 1e200 Bx^2 overflowed on the ring: |E| read NaN, which passed the |E| check, and numpy
+    # warned on stderr.  The check now reads |E| in units of |J|
+    got, want = (run_cli("ring", "--J", j, "--T", f"-{g}", "--t", "0", "--gamma", g)
+                 for j, g in (("1e200", "5e199"), ("1", "0.5")))
+    assert (got.returncode, got.stderr, got.stdout) == (0, "", want.stdout)
 
 
 def test_dispersion_is_scale_free():
-    # an absolute 1e-14 collision floor on |E| stopped the ray of the anchor at 1e-11 (exit 2)
+    # an absolute 1e-14 collision floor on |E| stopped the ray of the anchor at 1e-11 and
+    # 1e-200 (exit 2), and at 1e200 |E| overflowed ("|E| samples must be finite", exit 2).
+    # The ray and the jet are taken in units of |J|, and |E| and C scaled back
     ray = ("--kx", "0", "--ky", "pi/2", "--dx", "1", "--dy", "0")
-    got, want = (run_json("dispersion", *f, *ray) for f in (_scaled_anchor(-11), ANCHOR_FLAGS))
-    assert got["kind"] == want["kind"] == "HybridEP"
-    assert got["alpha"] == pytest.approx(want["alpha"], rel=1e-8)
+    want = run_json("dispersion", *ANCHOR_FLAGS, *ray)
+    assert want["kind"] == "HybridEP" and want["C"] > 0.0
+    for exp in (-11, -200, 200):
+        got = run_json("dispersion", *_scaled_anchor(exp), *ray)
+        for key in ("kind", "alpha", "r2", "expectedAlpha", "caseId"):
+            assert got[key] == want[key], (exp, key)
+        for key in ("C", "expectedC"):
+            assert got[key] == pytest.approx(want[key] * 10.0**exp, rel=1e-12), (exp, key)
 
 
 def test_realspace_gate_is_relative_to_j():

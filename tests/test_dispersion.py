@@ -17,25 +17,25 @@ from epband.btp import (
     branch_level,
     locate_btps,
 )
-from epband.dispersion import Q_MAX, Q_MIN, DispersionSample, default_qs
+from epband.dispersion import Q_MAX, Q_MIN, QS, DispersionSample
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 HALF_PI = math.pi / 2
 
 
-def test_default_qs_covers_lower_decade():
-    qs = default_qs()
-    assert qs.shape == (16,)
-    assert np.all(np.diff(qs) > 0)
-    assert qs[0] == pytest.approx(Q_MIN)
-    assert qs[-1] == pytest.approx(10 * Q_MIN)
+def test_qs_cover_lower_decade():
+    assert QS.shape == (16,)
+    assert np.all(np.diff(QS) > 0)
+    assert QS[0] == pytest.approx(Q_MIN)
+    assert QS[-1] == pytest.approx(10 * Q_MIN)
+    with pytest.raises(ValueError, match="read-only"):
+        QS[0] = 0.5  # every sample shares the one array
 
 
 def test_sample_normalizes_direction_and_keeps_grid():
-    qs = default_qs()
-    s = sample_dispersion(ANCHOR, Momentum(0.0, -HALF_PI), (0.0, 2.0), qs)
+    s = sample_dispersion(ANCHOR, Momentum(0.0, -HALF_PI), (0.0, 2.0))
     assert s.direction == (0.0, 1.0)
-    assert s.abs_e.shape == qs.shape
+    assert s.q is QS and s.abs_e.shape == QS.shape
     assert np.all(s.abs_e > 0)
     # |E| ~ sqrt(q) near this touching, so the samples must grow with q.
     assert np.all(np.diff(s.abs_e) > 0)
@@ -43,7 +43,7 @@ def test_sample_normalizes_direction_and_keeps_grid():
 
 def test_sample_rejects_zero_direction():
     with pytest.raises(ValueError, match="direction"):
-        sample_dispersion(ANCHOR, Momentum(0.0, -HALF_PI), (0.0, 0.0), default_qs())
+        sample_dispersion(ANCHOR, Momentum(0.0, -HALF_PI), (0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -56,49 +56,63 @@ def test_sample_rejects_zero_direction():
 )
 def test_sample_validates_q_window(qs):
     with pytest.raises(ValueError, match="increase strictly"):
-        sample_dispersion(ANCHOR, Momentum(0.0, -HALF_PI), (1.0, 0.0), qs)
+        DispersionSample(Momentum(0.0, -HALF_PI), (1.0, 0.0), qs, np.sqrt(qs))
 
 
 def test_ray_through_second_touching_is_rejected():
     # gamma = 0 makes h itself vanish at the Dirac point, so the collision
-    # floor (1e-14) is actually reachable there; start 0.005 short of it so
-    # the q = 0.005 sample lands on the defect.
+    # floor (1e-14 |J|) is actually reachable there; start one q of QS short of it so
+    # that sample lands on the defect.
     p = ModelParams(J=1.0, T=-1.0, t=0.5, gamma=0.0)
-    origin = Momentum(math.pi / 3 - 0.005, HALF_PI)
+    origin = Momentum(math.pi / 3 - QS[3], HALF_PI)
     with pytest.raises(ValueError, match="collides"):
-        sample_dispersion(p, origin, (1.0, 0.0), np.array([0.001, 0.005]))
+        sample_dispersion(p, origin, (1.0, 0.0))
 
 
 def test_fit_recovers_synthetic_sqrt_law():
-    qs = default_qs()
-    fit = fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), qs, 3.0 * np.sqrt(qs)))
+    fit = fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), QS, 3.0 * np.sqrt(QS)))
     assert fit.alpha == pytest.approx(0.5, abs=1e-12)
     assert fit.c == pytest.approx(3.0, rel=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_recovers_synthetic_quadratic_law():
-    qs = default_qs()
-    fit = fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), qs, 2.0 * qs**2))
+    fit = fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), QS, 2.0 * QS**2))
     assert fit.alpha == pytest.approx(2.0, abs=1e-12)
     assert fit.c == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fit_rejects_vanishing_samples():
-    qs = default_qs()
     with pytest.raises(ValueError, match="vanishing"):
-        fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), qs, np.zeros_like(qs)))
+        fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), QS, np.zeros_like(QS)))
 
 
 def test_fit_rejects_short_samples():
-    qs = default_qs()[:5]
+    qs = QS[:5]
     with pytest.raises(ValueError, match="at least 8"):
         fit_power_law(DispersionSample(Momentum(0, 0), (1.0, 0.0), qs, np.sqrt(qs)))
 
 
+@pytest.mark.parametrize("kind, origin, p", [
+    ("HybridEP", (HALF_PI, HALF_PI), (1.0, -1.0, 0.5, 1.0)),
+    ("NormalEP", (math.pi / 3, HALF_PI), (1.0, -1.5, 0.5, 0.5)),
+])
+def test_expected_dispersion_is_scale_free(kind, origin, p):
+    # the jet's coefficients are squares of the couplings: at 1e-200 they underflowed, the
+    # hybrid EP read as no touching (None) and the normal EP's C as 0.0; at 1e200 the zero
+    # test's square raised a raw OverflowError
+    want = expected_dispersion(kind, Momentum(*origin), (1.0, 1.0), ModelParams(*p))
+    assert want.c > 0.0
+    for s in (1e-200, 1e200):
+        got = expected_dispersion(kind, Momentum(*origin), (1.0, 1.0),
+                                  ModelParams(*(s * x for x in p)))
+        assert (got.alpha, got.case_id) == (want.alpha, want.case_id)
+        assert got.c == pytest.approx(s * want.c, rel=1e-12)
+
+
 def _assert_jet_matches_fit(params, kind, origin, direction):
     exp = expected_dispersion(kind, origin, direction, params)
-    fit = fit_power_law(sample_dispersion(params, origin, direction, default_qs()))
+    fit = fit_power_law(sample_dispersion(params, origin, direction))
     assert fit.alpha == pytest.approx(exp.alpha, abs=0.02)
     assert fit.r2 > 0.999
     return exp
@@ -165,7 +179,7 @@ FIT_CASES = [
 @pytest.mark.parametrize("params, kind, origin, direction", FIT_CASES)
 def test_fitted_law_matches_closed_form(params, kind, origin, direction):
     exp = expected_dispersion(kind, origin, direction, params)
-    fit = fit_power_law(sample_dispersion(params, origin, direction, default_qs()))
+    fit = fit_power_law(sample_dispersion(params, origin, direction))
     assert fit.alpha == pytest.approx(exp.alpha, abs=0.05)
     assert fit.c == pytest.approx(exp.c, rel=5e-3)
     assert fit.r2 > 0.999
@@ -178,7 +192,7 @@ def test_off_axis_normal_ep_prefactor():
     direction = (1.0, 1.0)
     exp = expected_dispersion(NORMAL_EP, origin, direction, ANCHOR)
     assert exp.case_id == "normal-sqrt"
-    fit = fit_power_law(sample_dispersion(ANCHOR, origin, direction, default_qs()))
+    fit = fit_power_law(sample_dispersion(ANCHOR, origin, direction))
     assert fit.alpha == pytest.approx(0.5, abs=0.05)
     assert fit.c == pytest.approx(exp.c, rel=5e-3)
 

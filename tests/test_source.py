@@ -53,9 +53,11 @@ def test_only_btp_places_a_point_among_the_lines(path):
     assert found == (list(_FACE_RULES) if path.name == "btp.py" else [])
 
 
-# bloch.integer alone turns a count into an int, and locate_btps alone signs a charge: no
-# other module holds an integer check or a charge sign of its own that could disagree
-_ONE_OWNER = {"operator.index": "bloch.py", "math.copysign": "btp.py"}
+# bloch.integer alone turns a count into an int, bloch.in_units_of_j alone divides the
+# couplings by |J|, and locate_btps alone signs a charge: no other module holds an integer
+# check, a unit rule or a charge sign of its own that could disagree
+_ONE_OWNER = {"operator.index": "bloch.py", "np.finfo(float).max": "bloch.py",
+              "math.copysign": "btp.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=_id)
