@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import re
 import stat
@@ -34,11 +33,10 @@ from .btp import KINDS, RingRegimeError, face, locate_btps, trace_ep_ring
 __all__ = ["main", "parse_angle", "parse_range"]
 
 
-def _on_first_call(path: str):
-    """``epband.<path>``, whose submodule loads on the first call.  The package keeps each
+def _on_first_call(name: str):
+    """``epband.<name>``, whose submodule loads on the first call.  The package keeps each
     public name as its submodule defined it: patch ``epband.cli.<name>`` to reach a command."""
-    get = operator.attrgetter(path)
-    return lambda *args, **kwargs: get(epband)(*args, **kwargs)
+    return lambda *args, **kwargs: getattr(epband, name)(*args, **kwargs)
 
 
 # phase, winding, dispersion and lattice load only for the commands that call into them
@@ -355,7 +353,7 @@ def cmd_dispersion(args) -> int:
         expectedC=expected.c if expected else None,
         caseId=expected.case_id if expected else None,
     )
-    rows = ([_fmt(q), _fmt(e)] for q, e in zip(sample.q, sample.abs_e))
+    rows = ([_fmt(q), _fmt(e)] for q, e in zip(epband.dispersion.QS, sample.abs_e))
     _write(args, report, ("q", "absE"), rows)
     return 0
 

@@ -21,7 +21,6 @@ __all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "sample_disp
            "fit_power_law", "expected_dispersion"]
 
 Q_MIN = 1e-4
-Q_MAX = 1e-2
 # every sample's 16 ray distances, log-spaced in [Q_MIN, 10 Q_MIN]: larger q bias the free fit
 QS = np.logspace(math.log10(Q_MIN), math.log10(10.0 * Q_MIN), 16)
 QS.setflags(write=False)
@@ -31,19 +30,14 @@ _ORDER_NAMES = (None, "sqrt", "linear", "threehalves", "quadratic")  # the jet r
 
 @dataclass(frozen=True)
 class DispersionSample:
-    """|E+| along origin + q * direction for strictly increasing small q."""
+    """|E+| at each ray distance of QS along a unit direction from a touching."""
 
-    origin: Momentum
     direction: tuple
-    q: np.ndarray
     abs_e: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.size and (
-            np.any(np.diff(q) <= 0) or q[0] < Q_MIN * (1 - 1e-9) or q[-1] > Q_MAX * (1 + 1e-9)
-        ):
-            raise ValueError(f"q values must increase strictly within [{Q_MIN}, {Q_MAX}]")
+        if np.shape(self.abs_e) != QS.shape:
+            raise ValueError(f"|E| samples must have the shape {QS.shape} of QS")
         if not np.all(np.isfinite(self.abs_e)) or np.any(np.asarray(self.abs_e) < 0):
             raise ValueError("|E| samples must be finite and non-negative")
 
@@ -69,22 +63,33 @@ def _unit(direction) -> tuple:
 
 
 def sample_dispersion(params: ModelParams, origin: Momentum, direction) -> DispersionSample:
-    """Exact |E+| at origin + q * unit(direction) for each q of QS, scaled from units of |J|."""
+    """Exact |E+| at origin + q * unit(direction) for each q of QS, scaled from units of |J|.
+
+    Rounding moves E^2 = Bx^2 + By^2 by about eps (|Bx|^2 + |By|^2): where that exceeds
+    1e-3 |E|^2, as where |T| and |gamma| far above |J| cancel, the samples cannot resolve
+    the law, and a ValueError says so.
+    """
     u = _unit(direction)
-    bx, by = bloch_field_grid(in_units_of_j(params), origin.kx + QS * u[0], origin.ky + QS * u[1])
-    abs_e = np.abs(principal_sqrt(bx * bx + by * by))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        bx, by = bloch_field_grid(in_units_of_j(params), origin.kx + QS * u[0],
+                                  origin.ky + QS * u[1])
+        e2 = bx * bx + by * by
+        noise = np.finfo(float).eps * (np.abs(bx) ** 2 + np.abs(by) ** 2)
+        resolved = np.all(noise <= 1e-3 * np.abs(e2))  # False on inf or NaN
+        abs_e = np.abs(principal_sqrt(e2))
     if np.any(abs_e < 1e-14):
         raise ValueError("ray collides with another band touching")
-    return DispersionSample(origin=origin, direction=u, q=QS, abs_e=abs(params.J) * abs_e)
+    if not resolved:
+        raise ValueError("|E| on the ray is lost to rounding: Bx^2 + By^2 cancels, so the "
+                         "samples cannot resolve a law")
+    return DispersionSample(direction=u, abs_e=abs(params.J) * abs_e)
 
 
 def fit_power_law(sample: DispersionSample) -> PowerLawFit:
-    """Least-squares line through (log q, log |E|)."""
-    if sample.q.size < 8:
-        raise ValueError("need at least 8 samples for a power-law fit")
+    """Least-squares line through (log q, log |E|) over the q of QS."""
     if np.any(sample.abs_e <= 0):
         raise ValueError("cannot take log of a vanishing |E| sample")
-    lx, ly = np.log(sample.q), np.log(sample.abs_e)
+    lx, ly = np.log(QS), np.log(sample.abs_e)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -128,8 +133,13 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         level = f.level(f.plus if s == 1 else f.minus)
         if level is not None:
             snapped = replace(snapped, T=s * snapped.gamma - 2.0 * unit.J * level)
-    coefs = _e2_jet(snapped, origin, u)
-    zero = MERGER_TOL * max(abs(unit.J), abs(unit.T), abs(unit.t), abs(unit.gamma)) ** 2
+    # in units of |J| 2^exponent, the power of two just above the largest coupling: no rounding
+    # moves, and no square overflows
+    top = max(abs(x) for x in vars(unit).values())
+    exponent = math.frexp(top)[1]
+    coefs = _e2_jet(ModelParams(*(math.ldexp(x, -exponent) for x in vars(snapped).values())),
+                    origin, u)
+    zero = MERGER_TOL * math.ldexp(top, -exponent) ** 2
     if abs(coefs[0]) > zero:
         return None  # E^2 does not vanish at the origin: no touching there
     if n is None:
@@ -141,5 +151,5 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         classes = ((min(abs(vx), abs(vy)), "axis"), (abs(vx - vy), "diagonal"),
                    (abs(vx + vy), "antidiagonal"))
         stem += next((f"-{name}" for d, name in classes if d < _DIR_TOL), "-oblique")
-    c = abs(params.J) * math.sqrt(abs(coefs[n]))
+    c = abs(params.J) * math.ldexp(math.sqrt(abs(coefs[n])), exponent)
     return ExpectedDispersion(n / 2.0, c, f"{stem}-{_ORDER_NAMES[n]}")

@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bloch import ModelParams, bloch_field_grid, integer, principal_sqrt, zone_grid
+from .bloch import (ModelParams, bloch_field_grid, in_units_of_j, integer, principal_sqrt,
+                    zone_grid)
 
 __all__ = [
     "LatticeSize",
@@ -247,14 +248,16 @@ def spectral_mismatch(h: RealSpaceH, basis: LatticeSize, params: ModelParams) ->
     The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and
     matched to (E, -E) in the better of its two orders: a sort is unstable when a
     +-E pair is purely imaginary up to rounding noise.  Blocks and field are squared in
-    units of |J|, so no scale of the couplings overflows them, and the distance is scaled back.
+    units of |J|, the field of :func:`~epband.bloch.in_units_of_j` couplings and the blocks,
+    H's data rather than couplings, over |J|: no scale overflows them, and the distance is
+    scaled back.
     """
     blocks = _blocks(h, basis)[0] / abs(params.J)
     a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
     mean = 0.5 * (a + d)
     root = principal_sqrt(mean * mean - (a * d - b * c))
     plus, minus = mean + root, mean - root
-    bx, by = (f / abs(params.J) for f in _basis_field(params, basis.n))
+    bx, by = _basis_field(in_units_of_j(params), basis.n)
     e = principal_sqrt(bx * bx + by * by)
     direct = np.maximum(np.abs(plus - e), np.abs(minus + e))
     crossed = np.maximum(np.abs(plus + e), np.abs(minus - e))

@@ -113,15 +113,15 @@ def _wrap_steps(d):
     return np.subtract(np.pi, d, out=d)
 
 
-def _kind_outcomes(loops, kind: str, m: int, fx, fy, floor, swapped, shared, witness):
+def _kind_outcomes(loops, kind: str, m: int, fx, fy, swapped, shared, witness):
     """Per-loop outcomes of winding one field, given as (loops, samples + 1) arrays, and
-    whether each loop's field turns past pi/2 in a step; a field below ``floor`` in magnitude
-    somewhere on a loop collapses there.
+    whether each loop's field turns past pi/2 in a step; a field below ``_FIELD_FLOOR`` in
+    magnitude somewhere on a loop collapses there.
 
     A loop whose ``shared`` entry is set already failed for every kind and
     keeps that outcome; one whose ``witness`` entry is set needs refining.
     """
-    collapsed = (np.min(fx * fx + fy * fy, axis=1) < floor * floor).tolist()
+    collapsed = (np.min(fx * fx + fy * fy, axis=1) < _FIELD_FLOOR * _FIELD_FLOOR).tolist()
     d = _wrap_steps(np.diff(np.arctan2(fy, fx, out=fx), axis=1))  # fx is scratch
     raws = (np.sum(d, axis=1) / (2.0 * np.pi)).tolist()
     coarse = np.max(np.abs(d, out=d), axis=1) > 0.5 * np.pi
@@ -164,10 +164,9 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
 
     Returns one tuple per loop with one outcome per kind: a WindingResult,
     the WindingError the loop hit, or a float, the raw angle of a pass that
-    needs more samples.  |E| below 1e-10 |J| anywhere on a loop is a
-    LoopThroughDefectError for every kind; it covers h = 0 too, since |E|^2 <= |h|^2.
-    Every floor on the field is in units of |J|, so scaling all couplings together
-    changes no outcome.
+    needs more samples.  The couplings come in units of |J|, as :func:`wind_loops` passes
+    them, so |E| below 1e-10 anywhere on a loop is below 1e-10 |J|: a LoopThroughDefectError
+    for every kind, which covers h = 0 too, since |E|^2 <= |h|^2.
     """
     theta = 2.0 * np.pi * np.arange(m + 1) / m
     theta[m] = 0.0  # close each loop on the same matrix as its first sample
@@ -191,11 +190,10 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         track = face(params).gamma != 1
         parity = track & np.logical_xor.accumulate((e[:, 1:] * e[:, :-1].conj()).real < 0.0, axis=1)
         shared = []
-        e_floor = _FIELD_FLOOR * abs(params.J)
         for i in range(len(loops)):
             if not finite[i]:
                 shared.append(WindingError("eigenvalue is not finite on the loop"))
-            elif e_min[i] < e_floor:
+            elif e_min[i] < _FIELD_FLOOR:
                 shared.append(LoopThroughDefectError("eigenvalue collapses on the loop"))
             else:
                 shared.append(None)
@@ -203,15 +201,15 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
         outcomes, witness = {}, False
         # where a branch is tracked, F is wound before E, asked for or not: it is the witness
         for kind in ("F", "E") if track and "E" in kinds else kinds:
-            if kind == "F":  # normalized, so its floor is not scaled
-                fx, fy, floor = 2.0 * (a.conj() * b).real, np.abs(a) ** 2, _FIELD_FLOOR
+            if kind == "F":
+                fx, fy = 2.0 * (a.conj() * b).real, np.abs(a) ** 2
                 fy -= np.abs(b) ** 2
             else:
-                fx, fy, floor = e.real.copy(), e.imag.copy(), e_floor
+                fx, fy = e.real.copy(), e.imag.copy()
             for f in (fx, fy):  # the -E branch's field is the opposite of the +E one's
                 np.negative(f[:, 1:], out=f[:, 1:], where=parity)
-            outcomes[kind], coarse = _kind_outcomes(loops, kind, m, fx, fy, floor, swapped,
-                                                    shared, witness)
+            outcomes[kind], coarse = _kind_outcomes(loops, kind, m, fx, fy, swapped, shared,
+                                                    witness)
             witness = track & coarse
     return list(zip(*(outcomes[kind] for kind in kinds)))
 

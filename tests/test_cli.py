@@ -612,6 +612,31 @@ def test_dispersion_csv_ray():
     assert qs == sorted(qs)
 
 
+def _far_hybrid(x):
+    # branch +'s hybrid EP at (pi/2, pi/2) with T = gamma = x: |E| = 2 sqrt(x q) on the ray
+    return ("dispersion", "--J", "1", "--T", x, "--t", "0.5", "--gamma", x, "--kx", "pi/2",
+            "--ky", "pi/2", "--dx", "1", "--dy", "0")
+
+
+@pytest.mark.parametrize("x", ["1e12", "1e14", "1e17", "1e160"])
+def test_dispersion_refuses_samples_lost_to_rounding(x):
+    # 2J(cos kx + cos ky) fell below the ulp of T and the samples were rounding noise of
+    # cos(pi/2): C read 1,557,300 at 1e12 (true 2e6), 0.1565 at 1e14 (true 2e7), 4.949 at 1e17,
+    # all with exit 0, and at 1e160 |E| overflowed behind two RuntimeWarnings.  Each runs in a
+    # process of its own, since the suite turns a RuntimeWarning into an error
+    proc = run_cli(*_far_hybrid(x))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("x, digest", [("1e3", "f53e6a11938d"), ("1e8", "7816c85b28b9")])
+def test_dispersion_far_hybrid_that_resolves_prints_its_law(x, digest):
+    # C reads 63.2454 at 1e3 and 19999.89 at 1e8 against 2 sqrt(x): these print as before
+    proc = run_cli(*_far_hybrid(x))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:12] == digest
+
+
 # ---------------------------------------------------------------------------
 # symmetry / realspace / ring
 

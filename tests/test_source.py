@@ -41,6 +41,27 @@ def test_source_lines_fit(path):
     assert long == []
 
 
+def _exported(tree):
+    """The names a module's literal ``__all__`` lists."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and [ast.unparse(target) for target in node.targets] == ["__all__"]
+            and isinstance(node.value, (ast.List, ast.Tuple)) for elt in node.value.elts}
+
+
+# Every name a module imports is read in it or listed in its __all__: an import whose last
+# use was deleted loads a module, or ties one module to another, for nothing
+@pytest.mark.parametrize("path", SOURCES, ids=_id)
+def test_source_imports_no_unused_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {(alias.asname or alias.name.split(".")[0], node.lineno)
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{path.name}:{line}: {name}" for name, line in bound
+                    if name not in read | _exported(tree))
+    assert unused == []
+
+
 # btp.face alone picks the merger levels by t, snaps gamma onto 0 and places each branch level,
 # and its Face alone names the lines between two faces: no other module holds a mark
 _FACE_RULES = ("_T_ZERO", "merger_level(", "(-2.0, 2.0)", "(-1.0, 0.0, 1.0)", "(0.0,)")
