@@ -27,12 +27,16 @@ __all__ = [
     "ModelParams",
     "Momentum",
     "in_units_of_j",
+    "scale_exponent",
+    "in_scale",
+    "times_pow2",
     "integer",
     "SYMMETRY_RELATIONS",
     "wrap_angle",
     "torus_distance",
     "principal_sqrt",
     "bloch_field_grid",
+    "energy",
     "right_eigvec",
     "observables_grid",
     "zone_grid",
@@ -110,6 +114,31 @@ def in_units_of_j(params: ModelParams) -> ModelParams:
     return ModelParams(*(min(max(x / j, -top), top) for x in vars(params).values()))
 
 
+def scale_exponent(params: ModelParams) -> int:
+    """The exponent e of 2^e, the power of two just above the largest coupling: the exact scale.
+
+    A coupling, a field or a block of H times 2^-e (:func:`in_scale`, :func:`times_pow2`) is
+    below about 10 in modulus, so its square stays finite, and a residue judged against 2^e
+    is judged against the couplings' own rounding.  It is e, not 2^e, since 2^1024 is no float.
+    """
+    return math.frexp(max(abs(x) for x in vars(params).values()))[1]
+
+
+def times_pow2(x, e: int):
+    """x times 2^e, exact while the result stays normal: a float, or an array of floats or of
+    complexes, whose real and imaginary parts are scaled alike."""
+    if np.ndim(x) == 0:
+        return math.ldexp(x, e)
+    x = np.ascontiguousarray(x, dtype=np.result_type(x, float))  # complex as its float pairs
+    return np.ldexp(x.view(float), e).view(x.dtype)
+
+
+def in_scale(params: ModelParams, e: int) -> ModelParams:
+    """The couplings times 2^-e, with e from :func:`scale_exponent`: exact, bar a coupling
+    below 2^-1022 of the largest, which rounds to the subnormal range."""
+    return ModelParams(*(times_pow2(x, -e) for x in vars(params).values()))
+
+
 @dataclass(frozen=True)
 class Momentum:
     """A point on the Brillouin torus, stored canonically in (-pi, pi]^2."""
@@ -134,6 +163,12 @@ def bloch_field_grid(params: ModelParams, kx, ky):
     return bx, by
 
 
+def energy(bx, by):
+    """E = sqrt(Bx^2 + By^2), the principal root, on the field of :func:`bloch_field_grid`: the
+    eigenvalue +E of h, on scalars or arrays.  The one place where E^2 is formed."""
+    return principal_sqrt(bx * bx + by * by)
+
+
 def right_eigvec(bx, by, e):
     """Right eigenvector (a, b) of h = [[By, Bx], [Bx, -By]] for eigenvalue ``e``, and its norm.
 
@@ -156,10 +191,13 @@ def observables_grid(params: ModelParams, kx, ky):
     Expectation values of the right eigenvector under the plain Hermitian
     inner product <psi|sigma|psi> / <psi|psi>.  At exact touching points the
     kernel vector is the Jordan vector, so the in-plane components vanish
-    there instead of blowing up; at h = 0 all three are 0.
+    there instead of blowing up; at h = 0 all three are 0.  The texture is scale-free, so it
+    is read off the field in the exact scale (:func:`scale_exponent`), whose squares neither
+    overflow nor vanish at any scale of the couplings.
     """
-    bx, by = bloch_field_grid(params, *np.atleast_1d(kx, ky))  # scalar products round otherwise
-    a, b, _ = right_eigvec(bx, by, principal_sqrt(bx * bx + by * by))
+    scaled = in_scale(params, scale_exponent(params))
+    bx, by = bloch_field_grid(scaled, *np.atleast_1d(kx, ky))  # scalar products round otherwise
+    a, b, _ = right_eigvec(bx, by, energy(bx, by))
     norm = np.abs(a) ** 2 + np.abs(b) ** 2
     norm = np.where(norm == 0.0, 1.0, norm)
     cross = np.conj(a) * b
@@ -230,6 +268,5 @@ def spectral_reality(params: ModelParams) -> bool:
     At t = 0 the model has PT- and CT-like products that force E^2 real, so this holds on
     the whole zone; any t != 0 generically breaks it.  E is read on the 128 x 128 zone grid.
     """
-    bx, by = bloch_field_grid(in_units_of_j(params), *zone_grid(128))
-    e = principal_sqrt(bx * bx + by * by)
+    e = energy(*bloch_field_grid(in_units_of_j(params), *zone_grid(128)))
     return bool(np.all(np.minimum(np.abs(e.real), np.abs(e.imag)) < 1e-12))

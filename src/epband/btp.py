@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt,
-                    wrap_angle)
+from .bloch import ModelParams, Momentum, bloch_field_grid, energy, in_units_of_j, wrap_angle
 
 __all__ = ["DIRAC_POINT", "SEMI_DIRAC_POINT", "NORMAL_EP", "HYBRID_EP", "TRIVIAL_ISOLATED_EP",
            "KINDS", "Btp", "EpRing", "Face", "RingRegimeError", "branch_level", "merger_level",
@@ -258,7 +257,7 @@ def trace_ep_ring(params: ModelParams, branch: int) -> EpRing:
         raise RuntimeError(f"ring vertex off the level set by {level_err:.3g}")
     unit = in_units_of_j(params)  # |E| in units of |J|
     bx, by = bloch_field_grid(unit, verts[:, 0], verts[:, 1])
-    worst = np.max(np.abs(principal_sqrt(bx * bx + by * by)))
+    worst = np.max(np.abs(energy(bx, by)))
     # on the ring |E|^2 = |8i gamma t cx cy + 16 t^2 (cx cy)^2|, which 0 < |t| < _T_ZERO |J| lifts
     lift = math.sqrt(8.0 * abs(unit.gamma * unit.t) + 16.0 * unit.t**2)
     if not worst < 1e-6 + lift:  # a NaN fails too

@@ -14,7 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt
+from .bloch import (ModelParams, Momentum, bloch_field_grid, energy, in_scale, in_units_of_j,
+                    scale_exponent, times_pow2)
 from .btp import KINDS, MERGER_TOL, branch_level, face
 
 __all__ = ["DispersionSample", "PowerLawFit", "ExpectedDispersion", "sample_dispersion",
@@ -73,10 +74,9 @@ def sample_dispersion(params: ModelParams, origin: Momentum, direction) -> Dispe
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         bx, by = bloch_field_grid(in_units_of_j(params), origin.kx + QS * u[0],
                                   origin.ky + QS * u[1])
-        e2 = bx * bx + by * by
+        abs_e = np.abs(energy(bx, by))
         noise = np.finfo(float).eps * (np.abs(bx) ** 2 + np.abs(by) ** 2)
-        resolved = np.all(noise <= 1e-3 * np.abs(e2))  # False on inf or NaN
-        abs_e = np.abs(principal_sqrt(e2))
+        resolved = np.all(noise <= 1e-3 * abs_e**2)  # False on NaN
     if np.any(abs_e < 1e-14):
         raise ValueError("ray collides with another band touching")
     if not resolved:
@@ -133,13 +133,11 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         level = f.level(f.plus if s == 1 else f.minus)
         if level is not None:
             snapped = replace(snapped, T=s * snapped.gamma - 2.0 * unit.J * level)
-    # in units of |J| 2^exponent, the power of two just above the largest coupling: no rounding
+    # in units of |J| 2^exponent, the exact scale of the unsnapped couplings: no rounding
     # moves, and no square overflows
-    top = max(abs(x) for x in vars(unit).values())
-    exponent = math.frexp(top)[1]
-    coefs = _e2_jet(ModelParams(*(math.ldexp(x, -exponent) for x in vars(snapped).values())),
-                    origin, u)
-    zero = MERGER_TOL * math.ldexp(top, -exponent) ** 2
+    exponent = scale_exponent(unit)
+    coefs = _e2_jet(in_scale(snapped, exponent), origin, u)
+    zero = MERGER_TOL * times_pow2(max(abs(x) for x in vars(unit).values()), -exponent) ** 2
     if abs(coefs[0]) > zero:
         return None  # E^2 does not vanish at the origin: no touching there
     if n is None:
@@ -151,5 +149,5 @@ def expected_dispersion(kind: str, origin: Momentum, direction, params: ModelPar
         classes = ((min(abs(vx), abs(vy)), "axis"), (abs(vx - vy), "diagonal"),
                    (abs(vx + vy), "antidiagonal"))
         stem += next((f"-{name}" for d, name in classes if d < _DIR_TOL), "-oblique")
-    c = abs(params.J) * math.ldexp(math.sqrt(abs(coefs[n])), exponent)
+    c = abs(params.J) * times_pow2(math.sqrt(abs(coefs[n])), exponent)
     return ExpectedDispersion(n / 2.0, c, f"{stem}-{_ORDER_NAMES[n]}")

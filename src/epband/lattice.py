@@ -13,18 +13,21 @@ rebuilt through the constructor.  The basis is the lattice size, and U is never 
 of its columns lives on one sublattice, so the transform scatters each sublattice pair of H
 from the entries and multiplies it by plane-wave tables, holding one table, one pair of H and
 one chunk of products, and keeps only the 2x2 diagonal blocks.  Every block is compared
-in the basis's own sublattice order; every tolerance is in units of |J|.
+in the basis's own sublattice order, in the exact scale of the couplings
+(:func:`~epband.bloch.scale_exponent`): blocks and field are squared times 2^-e, and every
+gate is 1e-10 2^e, since the residues are rounding relative to the largest coupling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .bloch import (ModelParams, bloch_field_grid, in_units_of_j, integer, principal_sqrt,
-                    zone_grid)
+from .bloch import (ModelParams, bloch_field_grid, energy, in_scale, integer, principal_sqrt,
+                    scale_exponent, times_pow2, zone_grid)
 
 __all__ = [
     "LatticeSize",
@@ -98,8 +101,10 @@ class RealSpaceH:
 
     @cached_property
     def transform(self):
-        """:func:`_transform` of H, formed on first use and kept: its blocks and offblock."""
-        blocks, offblock = _transform(self, self.size.n)
+        """:func:`_transform` of H, formed on first use and kept: its blocks and offblock.
+        Entries near the float limit may overflow it: the checks refuse what is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks, offblock = _transform(self, self.size.n)
         return _immutable(blocks), offblock
 
 
@@ -145,7 +150,8 @@ def build_momentum_basis(size: LatticeSize) -> LatticeSize:
 @dataclass(frozen=True)
 class BlockCheckResult:
     """Deviations of U^dag H U from the direct sum of Bloch blocks, and the tolerance
-    1e-10 |J| they are judged against: they are rounding errors relative to the couplings."""
+    1e-10 2^e they are judged against, 2^e the exact scale of the couplings: they are rounding
+    errors relative to the largest coupling."""
 
     offblock: float
     blockdev: float
@@ -223,9 +229,21 @@ def _blocks(h: RealSpaceH, basis: LatticeSize):
     return h.transform
 
 
-def _basis_field(params: ModelParams, n: int):
-    """(Bx, By) at the momenta of the basis, in its order."""
-    return bloch_field_grid(params, *(k.ravel() for k in zone_grid(n)))
+def _in_scale(h: RealSpaceH, basis: LatticeSize, params: ModelParams):
+    """e, H's blocks times 2^-e and the field of the couplings times 2^-e at the momenta of the
+    basis, in its order, with 2^e the exact scale of the couplings: no square of either
+    overflows."""
+    blocks = _blocks(h, basis)[0]
+    e = scale_exponent(params)
+    field = bloch_field_grid(in_scale(params, e), *(k.ravel() for k in zone_grid(basis.n)))
+    return e, times_pow2(blocks, -e), field
+
+
+def _finite(name: str, residue: float) -> float:
+    """A residue of the check, which must be finite: one that is not is an OverflowError."""
+    if not math.isfinite(residue):
+        raise OverflowError(f"{name} = {residue} is not finite: H's entries overflow the check")
+    return residue
 
 
 def block_check(h: RealSpaceH, basis: LatticeSize, params: ModelParams) -> BlockCheckResult:
@@ -233,13 +251,16 @@ def block_check(h: RealSpaceH, basis: LatticeSize, params: ModelParams) -> Block
 
     offblock is the largest matrix element outside the 2x2 diagonal blocks;
     blockdev is the largest entrywise deviation of the blocks from the
-    analytic [[By, Bx], [Bx, -By]], in the basis's own sublattice order.
+    analytic [[By, Bx], [Bx, -By]], in the basis's own sublattice order, taken in the exact
+    scale and scaled back.
     """
-    blocks, offblock = _blocks(h, basis)
-    bx, by = _basis_field(params, basis.n)
+    e, blocks, (bx, by) = _in_scale(h, basis, params)
     hk = np.moveaxis(np.array([[by, bx + 0j], [bx + 0j, -by]]), -1, 0)
-    blockdev = float(np.max(np.abs(blocks - hk)))
-    return BlockCheckResult(offblock=offblock, blockdev=blockdev, tol=1e-10 * abs(params.J))
+    with np.errstate(invalid="ignore"):  # inf - inf where H overflows, refused below
+        blockdev = float(np.max(np.abs(blocks - hk)))
+    return BlockCheckResult(offblock=_finite("offblock", h.transform[1]),
+                            blockdev=times_pow2(_finite("blockDeviation", blockdev), e),
+                            tol=times_pow2(1e-10, e))
 
 
 def spectral_mismatch(h: RealSpaceH, basis: LatticeSize, params: ModelParams) -> float:
@@ -247,18 +268,18 @@ def spectral_mismatch(h: RealSpaceH, basis: LatticeSize, params: ModelParams) ->
 
     The pair is read off the block analytically, mean +- sqrt(mean^2 - det), and
     matched to (E, -E) in the better of its two orders: a sort is unstable when a
-    +-E pair is purely imaginary up to rounding noise.  Blocks and field are squared in
-    units of |J|, the field of :func:`~epband.bloch.in_units_of_j` couplings and the blocks,
-    H's data rather than couplings, over |J|: no scale overflows them, and the distance is
+    +-E pair is purely imaginary up to rounding noise.  Blocks and field are squared in the
+    exact scale of the couplings, times 2^-e: no scale overflows them, and the distance is
     scaled back.
     """
-    blocks = _blocks(h, basis)[0] / abs(params.J)
+    e, blocks, (bx, by) = _in_scale(h, basis, params)
     a, b, c, d = blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]
-    mean = 0.5 * (a + d)
-    root = principal_sqrt(mean * mean - (a * d - b * c))
-    plus, minus = mean + root, mean - root
-    bx, by = _basis_field(in_units_of_j(params), basis.n)
-    e = principal_sqrt(bx * bx + by * by)
-    direct = np.maximum(np.abs(plus - e), np.abs(minus + e))
-    crossed = np.maximum(np.abs(plus + e), np.abs(minus - e))
-    return float(np.max(np.minimum(direct, crossed))) * abs(params.J)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is refused below
+        mean = 0.5 * (a + d)
+        root = principal_sqrt(mean * mean - (a * d - b * c))
+        plus, minus = mean + root, mean - root
+        e_k = energy(bx, by)
+        direct = np.maximum(np.abs(plus - e_k), np.abs(minus + e_k))
+        crossed = np.maximum(np.abs(plus + e_k), np.abs(minus - e_k))
+        mismatch = float(np.max(np.minimum(direct, crossed)))
+    return times_pow2(_finite("spectralMismatch", mismatch), e)

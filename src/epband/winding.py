@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (ModelParams, Momentum, bloch_field_grid, in_units_of_j, principal_sqrt,
-                    right_eigvec, torus_distance)
+from .bloch import (ModelParams, Momentum, bloch_field_grid, energy, in_units_of_j, right_eigvec,
+                    torus_distance)
 from .btp import face
 
 __all__ = ["Loop", "WindingResult", "WindingError", "LoopThroughDefectError",
@@ -175,7 +175,7 @@ def _attempt(params: ModelParams, loops, m: int, kinds):
     # A loop through a defect gets 0/0 in its own rows only, and one whose field overflows
     # inf in its own rows; its outcome is that error, whatever those rows hold.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        e = principal_sqrt(bx * bx + by * by)
+        e = energy(bx, by)
         abs_e = np.abs(e)
         e_min = abs_e.min(axis=1).tolist()
         e_max = abs_e.max(axis=1)

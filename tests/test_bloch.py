@@ -14,7 +14,8 @@ from epband import (
     symmetry_residuals,
     wrap_angle,
 )
-from epband.bloch import bloch_field_grid, field_scale, observables_grid, right_eigvec, zone_grid
+from epband.bloch import (bloch_field_grid, field_scale, in_scale, observables_grid, right_eigvec,
+                          scale_exponent, times_pow2, zone_grid)
 
 ANCHOR = ModelParams(J=1.0, T=-1.5, t=0.5, gamma=0.5)
 
@@ -192,6 +193,42 @@ def test_principal_sqrt_ignores_the_sign_of_a_zero_imaginary_part():
     w = complex(-4.0, -0.0)
     for e in (principal_sqrt(w), principal_sqrt(np.array([w]))[0]):
         assert e.real >= 0.0 and e.imag == 2.0
+
+
+@pytest.mark.parametrize("top, e", [(1.0, 1), (1.5, 1), (2.0, 2), (0.75, 0), (1e-300, -996),
+                                    (5e-324, -1073), (1.7e308, 1024)])
+def test_scale_exponent_is_that_of_the_power_of_two_just_above_the_largest_coupling(top, e):
+    # e, not 2^e: 2^1024 is no float, and ldexp(1.0, 1024) raises OverflowError
+    params = ModelParams(J=top, T=-0.5 * top, t=0.25 * top, gamma=-top)
+    assert scale_exponent(params) == e
+    assert 2.0 ** (e - 1) <= top < 2.0 ** (e - 1) * 2.0  # the product is inf at e = 1024
+    unit = in_scale(params, e)
+    assert max(abs(x) for x in vars(unit).values()) == math.ldexp(top, -e) < 1.0
+    assert math.isfinite(times_pow2(1e-10, e))
+
+
+def test_times_pow2_moves_no_bit_of_a_float_or_of_either_part_of_a_complex():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    z[0, 0, 0] = complex(np.inf, 1.0)  # an overflowed part stays in its own part
+    for e in (1, -1, 600, -600):
+        back = times_pow2(times_pow2(z, e), -e)
+        assert back.dtype == z.dtype and back.shape == z.shape
+        assert back.tobytes() == z.tobytes()
+        assert times_pow2(times_pow2(0.1, e), -e) == 0.1
+    assert times_pow2(z, 1)[0, 0, 0] == complex(np.inf, 2.0)
+    assert type(times_pow2(3.0, 2)) is float and times_pow2(3.0, 2) == 12.0
+
+
+def test_in_scale_field_is_the_field_times_the_power_of_two():
+    kx, ky = zone_grid(8)
+    for scale in (1.0, 1e-180, 1e200):
+        params = ModelParams(J=scale, T=-1.5 * scale, t=0.5 * scale, gamma=0.5 * scale)
+        e = scale_exponent(params)
+        got = bloch_field_grid(in_scale(params, e), kx, ky)
+        want = bloch_field_grid(params, kx, ky)
+        for g, w in zip(got, want):
+            assert times_pow2(g, e).tobytes() == np.asarray(w).tobytes()
 
 
 # ---------------------------------------------------------------- eigenvector kernel

@@ -804,11 +804,56 @@ def test_realspace_gate_is_relative_to_j():
 
 def test_realspace_mismatch_is_scale_free():
     # spectral_mismatch squared block entries near 1e200: "non-finite value nan in report"
-    # (exit 2).  It squares them in units of |J| and scales the distance back.  Both mismatches
-    # are rounding residues, so they agree to a few ulps of |J|, not to a relative tolerance
+    # (exit 2).  It squares them in the exact scale and scales the distance back.  Both
+    # mismatches are rounding residues, so they agree to a few ulps of |J|, not to a relative
+    # tolerance
     got, want = (run_json("realspace", *f, "--N", "6") for f in (_scaled_anchor(200), ANCHOR_FLAGS))
     assert got["passed"] is True and got["spectralMismatch"] < 1e-10 * 1e200
     assert abs(got["spectralMismatch"] / 1e200 - want["spectralMismatch"]) <= 4 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("flags", [("--T", "0.3", "--gamma", "1e6"),
+                                   ("--T", "1e6", "--gamma", "0.5")], ids=["gamma", "T"])
+def test_realspace_gate_is_in_units_of_the_coupling_scale(flags):
+    # the residues, about 7e-10, are rounding: 7e-16 times the largest coupling.  A gate of
+    # 1e-10 |J| failed them ("passed": false, exit 1); the gate is 1e-10 2^e, 2^e = 2^20 here
+    report = run_json("realspace", "--J", "1", "--t", "0.5", *flags, "--N", "6")
+    assert report["passed"] is True
+    assert min(report[k] for k in ("offblock", "blockDeviation", "spectralMismatch")) > 1e-10
+
+
+def test_realspace_at_huge_couplings_warns_nothing():
+    # at gamma = 1e160 spectral_mismatch squared blocks in units of |J|: four RuntimeWarnings,
+    # then "non-finite value nan in report" (exit 2)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "epband", "realspace", "--J", "1",
+                           "--T", "0.3", "--t", "0.5", "--gamma", "1e160", "--N", "6"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_realspace_residue_past_the_float_limit_exits_3():
+    # H's transform overflows near the float limit: a residue that is not finite is a typed
+    # error (exit 3, one error line and no warning), not bad input ("non-finite value inf in
+    # report", exit 2)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "epband", "realspace",
+                           "--t", "1e308", "--gamma", "1.7e308", "--N", "4"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "not finite" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_realspace_verdict_is_scale_free(n, capsys):
+    # the gates scale with the couplings: the anchor's verdict (N = 4 fails, ROADMAP item 3)
+    # holds at 1e-200 and 1e200 times it
+    verdicts = []
+    for flags in (ANCHOR_FLAGS, _scaled_anchor(-200), _scaled_anchor(200)):
+        code = cli.main(["realspace", *flags, "--N", str(n)])
+        verdicts.append((code, json.loads(capsys.readouterr().out)["passed"]))
+    passed = n % 4 != 0
+    assert verdicts == [(0 if passed else 1, passed)] * 3
 
 
 # realspace stdout at the anchor, recorded when U^dag H U was formed from zero-padded columns
@@ -1037,13 +1082,33 @@ def test_fmt_rejects_non_finite(x):
         cli._fmt(x)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_field_export_non_finite_field_writes_nothing(tmp_path, capsys):
-    # J = 1e200 overflows the Bloch field; no NaN may become a colour or a file
+def test_field_export_non_finite_field_writes_nothing(tmp_path, capsys, monkeypatch):
+    # no NaN may become a colour or a file.  The texture is read in the exact scale, so no
+    # coupling makes it non-finite (J = 1e200 once did): a patched kernel stands in for one
+    def nan_field(params, kx, ky):
+        return tuple(np.full(np.shape(kx), np.nan) for _ in range(3))
+
+    monkeypatch.setattr(cli, "observables_grid", nan_field)
     out = tmp_path / "field.svg"
-    assert cli.main(["field-export", "--J", "1e200", "--grid", "8", "--out", str(out)]) == 2
+    assert cli.main(["field-export", "--grid", "8", "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_field_export_is_scale_free(tmp_path):
+    # the texture is read in the exact scale: at the anchor times 1e-180 its squares underflowed
+    # to an all-zero texture (exit 0), and at 1e200 they overflowed (exit 2, "non-finite value")
+    def files(scale, name):
+        flags = [f"--{k}={v * scale!r}" for k, v in (("J", 1.0), ("T", -1.5), ("t", 0.5),
+                                                    ("gamma", 0.5))]
+        out = tmp_path / f"{name}.svg"
+        assert cli.main(["field-export", *flags, "--grid", "16", "--out", str(out)]) == 0
+        return out.read_bytes(), (tmp_path / f"{name}.csv").read_bytes()
+
+    want = files(1.0, "anchor")
+    assert b",0,0\n" not in want[1]
+    for i, scale in enumerate((2.0**-600, 2.0**600, 1e-180, 1e200)):
+        assert files(scale, f"scaled{i}") == want, scale
 
 
 def test_field_export_leaves_nothing_partial(tmp_path, capsys):

@@ -75,9 +75,11 @@ def test_only_btp_places_a_point_among_the_lines(path):
 
 
 # bloch.integer alone turns a count into an int, bloch.in_units_of_j alone divides the
-# couplings by |J|, and locate_btps alone signs a charge: no other module holds an integer
-# check, a unit rule or a charge sign of its own that could disagree
+# couplings by |J|, bloch.energy alone forms E^2, bloch.scale_exponent and bloch.times_pow2
+# alone take and apply the exact power-of-two scale, and locate_btps alone signs a charge: no
+# other module holds an integer check, a unit rule, an E^2, a scale or a charge sign of its own
 _ONE_OWNER = {"operator.index": "bloch.py", "np.finfo(float).max": "bloch.py",
+              "bx * bx + by * by": "bloch.py", "math.frexp": "bloch.py", "ldexp(": "bloch.py",
               "math.copysign": "btp.py"}
 
 
